@@ -13,6 +13,7 @@ from .bitstream import (
     StreamMismatchError,
     concat,
     decode,
+    encode_many,
     from_hex_line,
     network_prescalers,
     popcount,
@@ -55,6 +56,7 @@ from .scgates import (
     and_mult,
     apc_sum,
     counting,
+    dot_product_layer,
     dot_product_sc,
     mux_add,
     xnor_mult,

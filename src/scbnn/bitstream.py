@@ -4,6 +4,14 @@ A stochastic number is the fraction of ones in an M-bit stream. Unipolar
 streams carry values in [0, 1] with P(bit=1) = x; bipolar streams carry
 [-1, 1] with P(bit=1) = (x+1)/2. Bit generation is a pure function of a
 StreamKey, so every stream is reproducible and independently addressable.
+
+Philox4x64-10 is counter-based: a stream is fully defined by its 128-bit
+key, with the counter starting at zero. `encode_many` therefore builds one
+Philox per call and re-keys it for each stream instead of constructing a
+fresh generator per stream, and packs all streams into one (S, ceil(M/8))
+array; `StreamKey.substream_keys` folds the keys of many substreams in one
+vectorized pass. Bit t of a stream is still `Generator.random(M)[t] < p`
+under that key, so the output bytes and `GENERATOR_FAMILY` are unchanged.
 """
 
 from __future__ import annotations
@@ -58,14 +66,16 @@ class Encoding(enum.Enum):
         raise StreamFormatError(f"unknown encoding tag {tag!r} (expected 'u' or 'b')")
 
 
-def _splitmix64(z: int) -> int:
+def _splitmix64(z):
+    # Python ints are reduced mod 2^64 by the masks; uint64 arrays wrap and
+    # the masks leave them unchanged, so one definition serves both.
     z = (z + 0x9E37_79B9_7F4A_7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58_476D_1CE4_E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D0_49BB_1331_11EB) & _MASK64
     return z ^ (z >> 31)
 
 
-def _fold(state: int, value: int) -> int:
+def _fold(state, value):
     return _splitmix64(state ^ (value & _MASK64))
 
 
@@ -116,6 +126,24 @@ class StreamKey:
         k1 = _fold(k0, _KEY2_SALT)
         return np.array([k0, k1], dtype=np.uint64)
 
+    def substream_keys(self, groups) -> np.ndarray:
+        """Philox keys of many substreams under this master seed, folded in
+        one vectorized pass.
+
+        `groups` is a sequence of (role, i, j): non-negative index arrays
+        (or ints) i and j broadcast together, and each broadcast element in
+        row-major order contributes one (k0, k1) row, groups in order. The
+        row for (role, i, j) equals ``self.substream(role, i, j)._philox_key()``.
+        """
+        k0s, i_all, j_all = [], [], []
+        for role, i, j in groups:
+            i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64))
+            k0s.append(np.full(i.size, _fold(self.seed & _MASK64, _role_hash(role)), dtype=np.uint64))
+            i_all.append(i.reshape(-1))
+            j_all.append(j.reshape(-1))
+        k0 = _fold(_fold(np.concatenate(k0s), np.concatenate(i_all)), np.concatenate(j_all))
+        return np.stack([k0, _fold(k0, _KEY2_SALT)], axis=1)
+
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
 
@@ -134,11 +162,12 @@ def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
 
 
 def zero_pad_bits(packed: np.ndarray, length: int) -> np.ndarray:
-    """Force the pad bits after `length` in the last byte to zero."""
+    """Force the pad bits after `length` in the last byte (of each row, for
+    a stack of packed streams) to zero."""
     out = packed.copy()
     tail = length % 8
     if tail and out.size:
-        out[-1] &= (0xFF << (8 - tail)) & 0xFF
+        out[..., -1] &= (0xFF << (8 - tail)) & 0xFF
     return out
 
 
@@ -198,6 +227,53 @@ class Bitstream:
         return cls(packed, length, encoding)
 
 
+#: Draws held at once by encode_many: short streams share a block row-wise,
+#: a stream longer than the block is drawn in block-sized chunks.
+_DRAW_BLOCK = 1 << 16
+
+
+def encode_many(probs, keys, M: int) -> np.ndarray:
+    """Draw S packed M-bit streams: row s has P(bit=1) = probs[s] under the
+    Philox key keys[s] (see `StreamKey.substream_keys`).
+
+    Returns a uint8 array of shape (S, ceil(M/8)) with zero pad bits. Row s
+    is bit-identical to the stream of ``Generator(Philox(key=keys[s]))
+    .random(M) < probs[s]``: one Philox is built per call and re-keyed per
+    stream (counter zero, empty buffer), which is the state a freshly
+    constructed Philox starts in.
+    """
+    if M < 1:
+        raise ValueError(f"stream length M must be >= 1, got {M}")
+    probs = np.asarray(probs, dtype=float).reshape(-1)
+    keys = np.asarray(keys, dtype=np.uint64)
+    if keys.shape != (probs.size, 2):
+        raise ValueError(f"need one (k0, k1) key per probability, got keys of shape {keys.shape}")
+    outside = ~((probs >= 0.0) & (probs <= 1.0))
+    if outside.any():
+        raise EncodingRangeError(f"probability {float(probs[outside][0])!r} outside [0, 1]")
+    out = np.empty((probs.size, (M + 7) // 8), dtype=np.uint8)
+    if probs.size == 0:
+        return out
+    bit_gen = np.random.Philox(key=keys[0])
+    gen = np.random.Generator(bit_gen)
+    fresh = bit_gen.state
+    width = min(M, _DRAW_BLOCK)
+    rows = min(_DRAW_BLOCK // width, probs.size)
+    draws = np.empty((rows, width))
+    for start in range(0, probs.size, rows):
+        stop = min(probs.size, start + rows)
+        for lo in range(0, M, width):
+            block = draws[: stop - start, : min(width, M - lo)]
+            for r in range(start, stop):
+                if lo == 0 and r > 0:
+                    fresh["state"]["key"] = keys[r]
+                    bit_gen.state = fresh
+                gen.random(out=block[r - start])
+            packed = np.packbits(block < probs[start:stop, None], axis=1)
+            out[start:stop, lo // 8 : lo // 8 + packed.shape[1]] = packed
+    return out
+
+
 def sng_encode(x: float, M: int, enc: Encoding, key: StreamKey) -> Bitstream:
     """Encode a real value as M independent Bernoulli bits under `key`.
 
@@ -212,8 +288,7 @@ def sng_encode(x: float, M: int, enc: Encoding, key: StreamKey) -> Bitstream:
             f"value {x!r} outside {enc.value} range [{lo}, {hi}]"
         )
     p = x if enc is Encoding.UNIPOLAR else (x + 1.0) / 2.0
-    draws = key.generator().random(M)
-    return Bitstream(pack_bits(draws < p), M, enc)
+    return Bitstream(encode_many([p], key._philox_key()[None], M)[0], M, enc)
 
 
 def popcount(s: Bitstream) -> int:

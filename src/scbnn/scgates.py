@@ -9,7 +9,7 @@ same tallies are what the closed-form energy model predicts.
 from __future__ import annotations
 
 import enum
-import math
+import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -23,7 +23,6 @@ from .bitstream import (
     StreamKey,
     StreamMismatchError,
     decode,
-    pack_bits,
     popcount,
     zero_pad_bits,
 )
@@ -46,6 +45,13 @@ class GateCounts:
     @property
     def total(self) -> int:
         return self.xnor_ops + self.and_ops + self.mux_select_ops + self.apc_bit_adds
+
+    def __iadd__(self, other: "GateCounts") -> "GateCounts":
+        self.xnor_ops += other.xnor_ops
+        self.and_ops += other.and_ops
+        self.mux_select_ops += other.mux_select_ops
+        self.apc_bit_adds += other.apc_bit_adds
+        return self
 
     def as_dict(self) -> dict[str, int]:
         return {
@@ -70,9 +76,17 @@ def counting() -> Iterator[GateCounts]:
         _active_counts.reset(token)
 
 
+def add_counts(counts: GateCounts) -> None:
+    """Add `counts` to the innermost active counting() block, if any."""
+    active = _active_counts.get()
+    if active is not None:
+        active += counts
+
+
 def accumulator_width(input_bits: int) -> int:
-    """Register width (bits) of a counter absorbing `input_bits` ones."""
-    return math.ceil(math.log2(input_bits + 2))
+    """Register width (bits) of a counter absorbing `input_bits` ones:
+    the smallest w with 2^w >= input_bits + 2, exact for every integer."""
+    return (operator.index(input_bits) + 1).bit_length()
 
 
 def _check_pair(a: Bitstream, b: Bitstream, enc: Encoding, gate: str) -> None:
@@ -134,9 +148,10 @@ def mux_add(streams: Sequence[Bitstream], key: StreamKey) -> Bitstream:
     if k == 1:
         return streams[0]
     selection = key.generator().integers(0, k, size=M)
-    matrix = np.stack([s.bit_array() for s in streams])
-    chosen = matrix[selection, np.arange(M)]
-    return Bitstream(pack_bits(chosen), M, enc)
+    out = np.zeros_like(streams[0].bits)
+    for c, s in enumerate(streams):
+        out |= np.packbits(selection == c) & s.bits
+    return Bitstream(out, M, enc)
 
 
 @dataclass(frozen=True)
@@ -217,3 +232,46 @@ def dot_product_sc(
         return folded.decoded_sum() * scale
     out = mux_add(products + [b_stream], key)
     return decode(out) * (n + 1) * scale
+
+
+def dot_product_layer(
+    w_bits: np.ndarray,
+    x_bits: np.ndarray,
+    b_bits: np.ndarray,
+    M: int,
+    mode: AccumulationMode,
+    select_keys: Sequence[StreamKey] | None = None,
+    scale: float = 1.0,
+) -> np.ndarray:
+    """`dot_product_sc` for a layer of N units on packed bipolar streams.
+
+    `w_bits` and `x_bits` hold the (N, n, ceil(M/8)) packed weight and
+    input streams, `b_bits` the (N, ceil(M/8)) bias streams, all with zero
+    pad bits. MUX mode selects unit i's output bits with `select_keys[i]`.
+    Returns the N preactivations, each bit-identical to dot_product_sc on
+    that unit's streams, and tallies the same gate operations.
+    """
+    N, n, nbytes = w_bits.shape
+    if x_bits.shape != w_bits.shape or b_bits.shape != (N, nbytes) or nbytes != (M + 7) // 8:
+        raise StreamMismatchError(
+            f"layer streams disagree: weights {w_bits.shape}, inputs {x_bits.shape}, "
+            f"biases {b_bits.shape}, M={M}"
+        )
+    m = n * M
+    if mode is AccumulationMode.APC:
+        add_counts(GateCounts(xnor_ops=N * m, apc_bit_adds=N * m * accumulator_width(m)))
+        # Pad bits are zero in both inputs, so each XNOR product has
+        # M - popcount(w ^ x) ones; the bias is folded into the readout.
+        mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(1, 2), dtype=np.int64)
+        ones = m - mismatches + np.bitwise_count(b_bits).sum(axis=1, dtype=np.int64)
+        return (2 * ones - (n + 1) * M) / M * scale
+    if select_keys is None or len(select_keys) != N:
+        raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
+    add_counts(GateCounts(xnor_ops=N * m))
+    products = zero_pad_bits(np.bitwise_not(w_bits ^ x_bits), M)
+    out = np.empty(N)
+    for i in range(N):
+        terms = [Bitstream(row, M, Encoding.BIPOLAR) for row in products[i]]
+        terms.append(Bitstream(b_bits[i], M, Encoding.BIPOLAR))
+        out[i] = decode(mux_add(terms, select_keys[i])) * (n + 1) * scale
+    return out

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Encoding, PreScaler, StreamKey, prescale, sng_encode
+from .bitstream import PreScaler, StreamKey, encode_many, prescale
 from .netcore import ReferenceNetwork, TargetFunction, activate, forward_reference
-from .scgates import AccumulationMode, dot_product_sc
+from .scgates import AccumulationMode, dot_product_layer
 
 
 @dataclass(frozen=True)
@@ -31,55 +31,53 @@ class ScnnConfig:
             raise ValueError(f"stream length M must be >= 1, got {self.M}")
 
 
+def _bipolar_probs(values, scaler: PreScaler) -> np.ndarray:
+    """P(bit=1) of the bipolar streams encoding prescale(values, scaler)."""
+    values = np.asarray(values, dtype=float).reshape(-1)
+    over = np.abs(values) > scaler.scale
+    if over.any():
+        prescale(float(values[over][0]), scaler)  # raises EncodingRangeError
+    return (values / scaler.scale + 1.0) / 2.0
+
+
 def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
-    Per unit: weights, inputs, and bias are pre-scaled, encoded as bipolar
-    streams, multiplied and accumulated in the SC domain, and the decoded
-    preactivation is un-scaled before the exact activation. The output
-    layer stays in exact reals.
+    Weights, inputs, and biases are pre-scaled and encoded as bipolar
+    streams, the whole hidden layer in one `encode_many` call; the SC
+    products and accumulations of all N units run on the packed streams
+    (`dot_product_layer`), and the decoded preactivations are un-scaled
+    before the exact activation. The output layer stays in exact reals and
+    is summed in unit order. The result is bit-identical to composing
+    `sng_encode`, `dot_product_sc` and `activate` unit by unit.
     """
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
         raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
     scalers = cfg.prescalers or net.prescalers
     s_w, s_x, s_b = (scalers[r] for r in ("weights", "inputs", "bias"))
-    inv = s_w.scale * s_x.scale
+    N, n, M = net.N, net.n, cfg.M
+    unit, coord = np.arange(N)[:, None], np.arange(n)
+    probs = np.concatenate([
+        _bipolar_probs(net.hidden_weights, s_w),
+        np.tile(_bipolar_probs(point, s_x), N),
+        _bipolar_probs(net.hidden_biases, s_b),
+    ])
+    keys = cfg.key.substream_keys(
+        [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
+    )
+    bits = encode_many(probs, keys, M)
+    w_bits = bits[: N * n].reshape(N, n, -1)
+    x_bits = bits[N * n : 2 * N * n].reshape(N, n, -1)
+    select = None
+    if cfg.mode is AccumulationMode.MUX:
+        select = [cfg.key.substream("select", i) for i in range(N)]
+    pre = dot_product_layer(
+        w_bits, x_bits, bits[2 * N * n :], M, cfg.mode, select, scale=s_w.scale * s_x.scale
+    )
     out = 0.0
-    for i in range(net.N):
-        w_streams = [
-            sng_encode(
-                prescale(float(net.hidden_weights[i, j]), s_w),
-                cfg.M,
-                Encoding.BIPOLAR,
-                cfg.key.substream("weights", i, j),
-            )
-            for j in range(net.n)
-        ]
-        x_streams = [
-            sng_encode(
-                prescale(float(point[j]), s_x),
-                cfg.M,
-                Encoding.BIPOLAR,
-                cfg.key.substream("inputs", i, j),
-            )
-            for j in range(net.n)
-        ]
-        b_stream = sng_encode(
-            prescale(float(net.hidden_biases[i]), s_b),
-            cfg.M,
-            Encoding.BIPOLAR,
-            cfg.key.substream("bias", i),
-        )
-        pre = dot_product_sc(
-            w_streams,
-            x_streams,
-            b_stream,
-            cfg.mode,
-            cfg.key.substream("select", i),
-            scale=inv,
-        )
-        out += float(net.output_weights[i]) * activate(net.activation, pre)
+    for alpha, h in zip(net.output_weights.tolist(), activate(net.activation, pre).tolist()):
+        out += alpha * h
     return out
 
 

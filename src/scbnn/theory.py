@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitstream import Encoding, StreamKey, decode, sng_encode
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
-from .scgates import AccumulationMode
+from .scgates import AccumulationMode, GateCounts, add_counts, counting
 from .scnn import ScnnConfig, forward_scnn
 
 #: Refuse validation runs whose bound exceeds this stream length.
@@ -47,8 +47,8 @@ class BoundQuery:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
-        if self.alpha_sum is not None and not (self.alpha_sum > 0):
-            raise ValueError(f"alpha_sum must be positive, got {self.alpha_sum!r}")
+        if self.alpha_sum is not None and not (self.alpha_sum > 0 and math.isfinite(self.alpha_sum)):
+            raise ValueError(f"alpha_sum must be positive and finite, got {self.alpha_sum!r}")
 
 
 def _exact(x: float) -> Fraction:
@@ -151,13 +151,16 @@ class ConvergenceReport:
         }
 
 
-def _sweep_task(args) -> np.ndarray:
+def _sweep_task(args) -> tuple[np.ndarray, GateCounts]:
+    # Gate tallies are returned with the values: a counting() block in the
+    # caller does not reach a worker process.
     net, grid, M, mode, key, m_index, trial = args
     values = np.empty(grid.shape[0])
-    for p in range(grid.shape[0]):
-        cfg = ScnnConfig(M, key.derive(m_index, trial, p), mode)
-        values[p] = forward_scnn(net, grid[p], cfg)
-    return values
+    with counting() as counts:
+        for p in range(grid.shape[0]):
+            cfg = ScnnConfig(M, key.derive(m_index, trial, p), mode)
+            values[p] = forward_scnn(net, grid[p], cfg)
+    return values, counts
 
 
 def _loglog_slope(Ms: list[int], errs: list[float]) -> float:
@@ -204,9 +207,12 @@ def convergence_sweep(
             results = list(pool.map(_sweep_task, tasks, chunksize=8))
     else:
         results = [_sweep_task(t) for t in tasks]
+    for _, counts in results:
+        add_counts(counts)
+    values = [v for v, _ in results]
     rows = []
     for mi, M in enumerate(Ms):
-        block = np.stack(results[mi * trials : (mi + 1) * trials])  # (trials, P)
+        block = np.stack(values[mi * trials : (mi + 1) * trials])  # (trials, P)
         e_ref = np.abs(block - g_ref).ravel()
         e_tgt = np.abs(block - g_target).ravel()
         rows.append(

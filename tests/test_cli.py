@@ -128,6 +128,13 @@ class TestBound:
     def test_delta_zero_rejected(self):
         assert run("bound", "--n", "2", "--N", "10", "--epsilon", "0.1", "--delta", "0") == 2
 
+    @pytest.mark.parametrize("flag, value", [("--alpha-sum", "inf"), ("--delta", "nan")])
+    def test_non_finite_input_is_one_line_usage_error(self, flag, value, capsys):
+        argv = {"--n": "1", "--N": "2", "--epsilon": "0.1", "--delta": "0.1", flag: value}
+        assert run("bound", *[t for kv in argv.items() for t in kv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())
         alpha_sum = max(2.0, fit_report["alpha_sum"])

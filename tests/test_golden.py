@@ -1,0 +1,216 @@
+"""Golden bytes: streams and forward values pinned to exact hashes and hex
+floats, plus the layer-batched engine checked against the per-stream
+composition it replaces.
+
+The pins were recorded with numpy 2.4.6 (Philox4x64-10 and
+`Generator.random`'s 53-bit conversion) before stream generation was
+batched; any change that alters a single stream bit or the last bit of a
+forward value fails here.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scbnn import (
+    AccumulationMode,
+    Activation,
+    Encoding,
+    EncodingRangeError,
+    ReferenceNetwork,
+    ScnnConfig,
+    StreamKey,
+    activate,
+    counting,
+    dot_product_sc,
+    fit_reference,
+    forward_scnn,
+    make_target,
+    prescale,
+    sng_encode,
+    to_hex_line,
+    unit_grid,
+)
+from scbnn.bitstream import encode_many, network_prescalers
+
+MS = (1, 7, 64, 4097)
+STREAM_KEY = StreamKey(0x5CB_2018, "golden", 3, 5)
+STREAM_VALUES = {Encoding.UNIPOLAR: 0.3, Encoding.BIPOLAR: -0.35}
+
+#: sha256 of to_hex_line(sng_encode(STREAM_VALUES[enc], M, enc, STREAM_KEY)).
+SNG_SHA256 = {
+    ("u", 1): "4fc1e8a5190762422fdd58b900013fa8238bdd33edffdfdf4b7a9d99d066ac22",
+    ("u", 7): "2a454f115c95de83798901c661e47984ab6ed040f816ddf5ff4ab038de5ebc1c",
+    ("u", 64): "69c25c24cdb9429b6a52f78ff3dd5fa92c494f94fc11c9d1c717bc5b063d826b",
+    ("u", 4097): "b0842336c90b57451de5fdec9ad45cd323749b654df81334a5bd4a07e91014cb",
+    ("b", 1): "61482a99e733b50c56c119b43e12d032daf77e8c305f812954e5536868fa8c66",
+    ("b", 7): "84845438583f4bac4ac00814d4addbf610d81424fb63f530de8d2b6bf8758bd2",
+    ("b", 64): "d438ec23538dbcf8e1eced04b6fb12218c88d821b2ae6849debc01a18b4fa6d1",
+    ("b", 4097): "053bacff95157fe391c3a4f4063c9486f92fd301dde69f234aec4d3432e3134e",
+}
+
+#: float.hex of forward_scnn(README sine net, [0.25], ScnnConfig(M, StreamKey(7), mode)).
+SINE_FORWARD = {
+    ("apc", 1): "-0x1.7545f87dc1ed2p+2",
+    ("apc", 7): "0x1.33ec6b2db9980p-4",
+    ("apc", 64): "0x1.4982366d9e2f0p-3",
+    ("apc", 4097): "0x1.fd7a34e958bbap-1",
+    ("mux", 1): "0x1.eb2a09a3a542bp-1",
+    ("mux", 7): "-0x1.1d84c54d5a49ap+0",
+    ("mux", 64): "-0x1.62c0f7e1b7e50p-4",
+    ("mux", 4097): "0x1.04f54f94dab58p+0",
+}
+
+#: float.hex of forward_scnn(TWO_INPUT_NET, [0.3, 0.9], ScnnConfig(64, StreamKey(11), mode)).
+TWO_INPUT_FORWARD = {
+    "apc": "0x1.56894754109d3p+0",
+    "mux": "0x1.2d2325ecf5ae3p+1",
+}
+
+
+def _net(W, b, a, activation=Activation.TANH) -> ReferenceNetwork:
+    W = np.atleast_2d(np.asarray(W, dtype=float))
+    b = np.asarray(b, dtype=float)
+    return ReferenceNetwork(W, b, np.asarray(a, dtype=float), activation, network_prescalers(W, b))
+
+
+TWO_INPUT_NET = _net([[1.5, -0.25], [-0.75, 2.0], [0.125, 0.5]], [0.5, -3.0, 1.25], [0.8, -1.1, 0.6])
+
+
+@pytest.fixture(scope="module")
+def sine_net():
+    # The README's `scbnn fit --target sine --N 32 --seed 2 --edge-fraction
+    # 0.75 --noise-penalty 0.01`.
+    return fit_reference(
+        make_target("sine", 1), 32, unit_grid(1, None), StreamKey(2),
+        edge_fraction=0.75, noise_penalty=0.01,
+    )
+
+
+def scalar_forward(net, x, cfg):
+    """The per-stream forward pass: sng_encode, dot_product_sc and activate
+    unit by unit. Reference oracle for the layer-batched forward_scnn."""
+    point = np.asarray(x, dtype=float).reshape(-1)
+    scalers = cfg.prescalers or net.prescalers
+    s_w, s_x, s_b = (scalers[r] for r in ("weights", "inputs", "bias"))
+
+    def encode(v, scaler, key):
+        return sng_encode(prescale(float(v), scaler), cfg.M, Encoding.BIPOLAR, key)
+
+    out = 0.0
+    for i in range(net.N):
+        w = [encode(net.hidden_weights[i, j], s_w, cfg.key.substream("weights", i, j)) for j in range(net.n)]
+        xs = [encode(point[j], s_x, cfg.key.substream("inputs", i, j)) for j in range(net.n)]
+        b = encode(net.hidden_biases[i], s_b, cfg.key.substream("bias", i))
+        pre = dot_product_sc(
+            w, xs, b, cfg.mode, cfg.key.substream("select", i), scale=s_w.scale * s_x.scale
+        )
+        out += float(net.output_weights[i]) * activate(net.activation, pre)
+    return out
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("enc", list(Encoding))
+    @pytest.mark.parametrize("M", MS)
+    def test_sng_stream(self, enc, M):
+        line = to_hex_line(sng_encode(STREAM_VALUES[enc], M, enc, STREAM_KEY))
+        assert hashlib.sha256(line.encode()).hexdigest() == SNG_SHA256[(enc.tag, M)]
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    @pytest.mark.parametrize("M", MS)
+    def test_sine_forward(self, sine_net, mode, M):
+        got = forward_scnn(sine_net, [0.25], ScnnConfig(M, StreamKey(7), mode))
+        assert got.hex() == SINE_FORWARD[(mode.value, M)]
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_two_input_forward(self, mode):
+        got = forward_scnn(TWO_INPUT_NET, [0.3, 0.9], ScnnConfig(64, StreamKey(11), mode))
+        assert got.hex() == TWO_INPUT_FORWARD[mode.value]
+
+
+class TestEncodeMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        probs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12),
+        M=st.integers(1, 300),
+        j=st.integers(0, 2**64 - 1),
+    )
+    def test_rows_equal_sng_encode(self, seed, probs, M, j):
+        key = StreamKey(seed)
+        rows = encode_many(probs, key.substream_keys([("w", np.arange(len(probs)), j)]), M)
+        for i, p in enumerate(probs):
+            assert np.array_equal(rows[i], sng_encode(p, M, Encoding.UNIPOLAR, key.substream("w", i, j)).bits)
+
+    def test_streams_longer_than_a_draw_block(self):
+        # 2^16 draws per block: these streams are drawn in two chunks.
+        M = (1 << 16) + 9
+        key = StreamKey(5)
+        probs = [0.25, 0.5, 1.0]
+        rows = encode_many(probs, key.substream_keys([("w", np.arange(3), 0)]), M)
+        for i, p in enumerate(probs):
+            expected = key.substream("w", i).generator().random(M) < p
+            assert np.array_equal(rows[i], np.packbits(expected))
+
+    def test_substream_keys_match_scalar_fold(self):
+        key = StreamKey(2**64 - 3)
+        unit, coord = np.arange(4)[:, None], np.array([0, 1, 2**63], dtype=np.uint64)
+        keys = key.substream_keys([("weights", unit, coord), ("bias", unit, 0)])
+        expected = [key.substream("weights", i, j)._philox_key() for i in range(4) for j in coord.tolist()]
+        expected += [key.substream("bias", i)._philox_key() for i in range(4)]
+        assert np.array_equal(keys, np.stack(expected))
+
+    def test_rejects_bad_arguments(self):
+        keys = StreamKey(1).substream_keys([("w", np.arange(2), 0)])
+        with pytest.raises(EncodingRangeError, match="nan"):
+            encode_many([0.5, float("nan")], keys, 8)
+        with pytest.raises(EncodingRangeError):
+            encode_many([0.5, 1.5], keys, 8)
+        with pytest.raises(ValueError, match="key"):
+            encode_many([0.5], keys, 8)
+        with pytest.raises(ValueError):
+            encode_many([0.5, 0.5], keys, 0)
+
+
+class TestForwardMatchesScalarComposition:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        N=st.integers(1, 4),
+        n=st.integers(1, 3),
+        M=st.integers(1, 200),
+        mode=st.sampled_from(list(AccumulationMode)),
+        activation=st.sampled_from(list(Activation)),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_bit_identical_with_same_gate_counts(self, N, n, M, mode, activation, seed, data):
+        reals = st.floats(-4.0, 4.0, allow_nan=False)
+        W = data.draw(st.lists(reals, min_size=N * n, max_size=N * n))
+        b = data.draw(st.lists(reals, min_size=N, max_size=N))
+        a = data.draw(st.lists(reals, min_size=N, max_size=N))
+        x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
+        net = _net(np.reshape(W, (N, n)), b, a, activation)
+        cfg = ScnnConfig(M, StreamKey(seed), mode)
+        with counting() as batched_counts:
+            batched = forward_scnn(net, x, cfg)
+        with counting() as scalar_counts:
+            scalar = scalar_forward(net, x, cfg)
+        assert batched.hex() == scalar.hex()
+        assert batched_counts == scalar_counts
+
+    def test_sine_net_over_a_grid(self, sine_net):
+        for p, x in enumerate(np.linspace(0.0, 1.0, 9)):
+            for mode in AccumulationMode:
+                cfg = ScnnConfig(33, StreamKey(p), mode)
+                assert forward_scnn(sine_net, [x], cfg) == scalar_forward(sine_net, [x], cfg)
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_wide_layer_every_activation(self, activation):
+        gen = np.random.default_rng(17)
+        net = _net(gen.uniform(-3, 3, (37, 2)), gen.uniform(-3, 3, 37), gen.normal(size=37), activation)
+        for mode in AccumulationMode:
+            cfg = ScnnConfig(50, StreamKey(23), mode)
+            assert forward_scnn(net, [0.4, 0.7], cfg) == scalar_forward(net, [0.4, 0.7], cfg)

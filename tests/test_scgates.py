@@ -22,7 +22,7 @@ from scbnn import (
     sng_encode,
     xnor_mult,
 )
-from scbnn.scgates import SumTrace
+from scbnn.scgates import SumTrace, accumulator_width, dot_product_layer
 
 KEY = StreamKey(0xBEEF)
 
@@ -290,3 +290,26 @@ class TestCounting:
         assert c_mux.xnor_ops == n * M
         assert c_mux.mux_select_ops == n * M
         assert c_mux.apc_bit_adds == 0
+
+    @pytest.mark.parametrize(
+        "m, width",
+        [(0, 1), (1, 2), (2, 2), (2**53 - 2, 53), (2**53 - 1, 54), (2**64, 65)],
+    )
+    def test_accumulator_width_exact(self, m, width):
+        # smallest w with 2^w >= m + 2, including where float log2 rounds
+        assert accumulator_width(m) == width
+        assert 2**width >= m + 2 > 2 ** (width - 1)
+
+
+class TestDotProductLayer:
+    def test_shape_mismatch_rejected(self):
+        w = np.zeros((2, 3, 2), dtype=np.uint8)
+        with pytest.raises(StreamMismatchError):
+            dot_product_layer(w, w[:, :2], w[:, 0], 16, AccumulationMode.APC)
+        with pytest.raises(StreamMismatchError):
+            dot_product_layer(w, w, w[:, 0], 17, AccumulationMode.APC)
+
+    def test_mux_needs_a_select_key_per_unit(self):
+        w = np.zeros((2, 1, 2), dtype=np.uint8)
+        with pytest.raises(ValueError, match="select key"):
+            dot_product_layer(w, w, w[:, 0], 16, AccumulationMode.MUX, [KEY])

@@ -19,7 +19,9 @@ from scbnn import (
     bound_value,
     chebyshev_stream_bound_check,
     convergence_sweep,
+    counting,
     fit_reference,
+    layer_energy,
     m_min_bound,
     make_target,
     unit_grid,
@@ -57,6 +59,14 @@ class TestMinBound:
             BoundQuery(1, 1, 0.1, 1.0)
         with pytest.raises(ValueError):
             BoundQuery(1, 1, 0.1, 0.1, alpha_sum=-1.0)
+
+    @pytest.mark.parametrize(
+        "epsilon, delta, alpha_sum",
+        [(0.1, 0.1, math.inf), (0.1, 0.1, math.nan), (0.1, math.nan, None), (math.inf, 0.1, None)],
+    )
+    def test_non_finite_rejected(self, epsilon, delta, alpha_sum):
+        with pytest.raises(ValueError):
+            BoundQuery(1, 1, epsilon, delta, alpha_sum=alpha_sum)
 
     def test_halving_epsilon_quadruples_bound_value(self):
         for eps in (0.1, 0.3, 0.07):
@@ -175,6 +185,25 @@ class TestConvergenceSweep:
         seq = convergence_sweep(net, f, jobs=1, **kwargs)
         par = convergence_sweep(net, f, jobs=2, **kwargs)
         assert json.dumps(seq.to_dict(), sort_keys=True) == json.dumps(par.to_dict(), sort_keys=True)
+
+    def test_gate_counts_cross_worker_processes(self):
+        f = make_target("sine", 1)
+        net = fit_reference(f, 4, unit_grid(1, 32), StreamKey(6))
+        Ms, trials, grid = [8, 16], 30, unit_grid(1, 3)
+        tallies = []
+        for jobs in (1, 2):
+            with counting() as counts:
+                convergence_sweep(
+                    net, f, Ms, trials, grid, AccumulationMode.APC, StreamKey(4), 0.3, jobs=jobs
+                )
+            tallies.append(counts.as_dict())
+        evaluations = trials * grid.shape[0]
+        expected = {
+            cls: sum(layer_energy(1, M, 4, AccumulationMode.APC).classes()[cls] for M in Ms) * evaluations
+            for cls in tallies[0]
+        }
+        assert tallies[0] == tallies[1] == expected
+        assert expected["xnor_ops"] == (8 + 16) * 4 * evaluations
 
     def test_validation(self):
         net = degenerate_net()
