@@ -24,7 +24,6 @@ from .bitstream import (
 )
 from .bnn import (
     BinaryNetwork,
-    BinaryVector,
     binarize,
     binarize_network,
     binary_dot,

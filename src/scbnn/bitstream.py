@@ -216,6 +216,18 @@ class Bitstream:
         return cls(pack_bits(arr), int(arr.size), encoding)
 
     @classmethod
+    def from_signs(cls, signs) -> "Bitstream":
+        """Bipolar stream of a flat +1/-1 sequence (+1 is bit 1)."""
+        arr = np.asarray(signs, dtype=int)
+        if arr.ndim != 1 or not np.isin(arr, (-1, 1)).all():
+            raise ValueError("signs must be a flat sequence of +1/-1")
+        return cls(pack_bits(arr == 1), int(arr.size), Encoding.BIPOLAR)
+
+    def signs(self) -> np.ndarray:
+        """The bits as +1/-1 values (bit 1 is +1)."""
+        return self.bit_array().astype(np.int8) * 2 - 1
+
+    @classmethod
     def constant(cls, bit: int, length: int, encoding: Encoding) -> "Bitstream":
         if bit not in (0, 1):
             raise ValueError(f"constant bit must be 0 or 1, got {bit}")
@@ -308,13 +320,22 @@ def decode(s: Bitstream) -> float:
     return (2 * ones - s.length) / s.length
 
 
-def concat(a: Bitstream, b: Bitstream) -> Bitstream:
-    if a.encoding is not b.encoding:
-        raise StreamMismatchError(
-            f"cannot concatenate {a.encoding.value} and {b.encoding.value} streams"
-        )
-    bits = np.concatenate([a.bit_array(), b.bit_array()])
-    return Bitstream(pack_bits(bits), a.length + b.length, a.encoding)
+def concat(*streams: Bitstream) -> Bitstream:
+    """The streams end to end, in order; they must share one encoding."""
+    enc = streams[0].encoding
+    for s in streams:
+        if s.encoding is not enc:
+            raise StreamMismatchError(
+                f"cannot concatenate {enc.value} and {s.encoding.value} streams"
+            )
+    lengths = np.array([s.length for s in streams])
+    padded = 8 * ((lengths + 7) // 8)
+    bits = np.unpackbits(np.concatenate([s.bits for s in streams]))
+    # Offset of each unpacked bit within its own stream; the pad bits are
+    # the ones at or past that stream's length.
+    offset = np.arange(bits.size) - np.repeat(np.cumsum(padded) - padded, padded)
+    keep = offset < np.repeat(lengths, padded)
+    return Bitstream(np.packbits(bits[keep]), int(lengths.sum()), enc)
 
 
 # ---------------------------------------------------------------------------

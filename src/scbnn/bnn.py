@@ -1,8 +1,10 @@
 """Binary neural networks: +/-1 inputs, weights, and biases with real
 output weights, plus the stochastic binarization that produces them.
 
-Bit convention (shared package-wide): stored bit 1 means +1, bit 0 means -1,
-so the +/-1 inner product is 2*popcount(XNOR) - m.
+A +/-1 vector of m values is a bipolar `Bitstream` of length m: stored bit
+1 means +1 and bit 0 means -1 (the convention shared package-wide), so the
++/-1 inner product is 2*popcount(XNOR) - m, and chunking the vector into
+n = m/M streams of M bits (`transform`) is a reshape of the same bits.
 """
 
 from __future__ import annotations
@@ -13,66 +15,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import (
-    StreamKey,
-    StreamMismatchError,
-    pack_bits,
-    unpack_bits,
-    zero_pad_bits,
+from .bitstream import Bitstream, Encoding, StreamKey, StreamMismatchError, zero_pad_bits
+from .netcore import (
+    Activation, SchemaError, activate, load_json_object, _require, _require_activation, _require_stream,
 )
-from .netcore import Activation, SchemaError, activate, _reject_constant, _require
 
 
-@dataclass(frozen=True, eq=False)
-class BinaryVector:
-    """Packed vector of +/-1 values (bit 1 <-> +1)."""
+def binary_dot(a: Bitstream, b: Bitstream) -> int:
+    """+/-1 inner product via the XNOR-popcount identity.
 
-    bits: np.ndarray
-    length: int
-
-    def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"binary vector length must be >= 1, got {self.length}")
-        expected = (self.length + 7) // 8
-        if self.bits.shape != (expected,):
-            raise ValueError(
-                f"packed storage has {self.bits.shape[0]} bytes, "
-                f"expected {expected} for length {self.length}"
-            )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinaryVector):
-            return NotImplemented
-        return self.length == other.length and np.array_equal(self.bits, other.bits)
-
-    @classmethod
-    def from_signs(cls, signs) -> "BinaryVector":
-        arr = np.asarray(signs, dtype=int)
-        if arr.ndim != 1 or not np.isin(arr, (-1, 1)).all():
-            raise ValueError("signs must be a flat sequence of +1/-1")
-        return cls(pack_bits(arr == 1), int(arr.size))
-
-    @classmethod
-    def from_bits(cls, bits) -> "BinaryVector":
-        if isinstance(bits, str):
-            bits = [int(c) for c in bits]
-        arr = np.asarray(bits, dtype=np.uint8)
-        if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
-            raise ValueError("bits must be a flat sequence of 0s and 1s")
-        return cls(pack_bits(arr), int(arr.size))
-
-    def bit_array(self) -> np.ndarray:
-        return unpack_bits(self.bits, self.length)
-
-    def signs(self) -> np.ndarray:
-        return self.bit_array().astype(np.int8) * 2 - 1
-
-    def popcount(self) -> int:
-        return int(np.bitwise_count(self.bits).sum())
-
-
-def binary_dot(a: BinaryVector, b: BinaryVector) -> int:
-    """+/-1 inner product via the XNOR-popcount identity."""
+    Tallies no gate ops: it is the BNN reference that the equivalence check
+    compares the counted SC datapath against.
+    """
     if a.length != b.length:
         raise StreamMismatchError(
             f"binary vectors disagree in length: {a.length} vs {b.length}"
@@ -98,7 +52,7 @@ def binarize(w: float, key: StreamKey) -> int:
 class BinaryNetwork:
     """Hidden layer with +/-1 weights and biases; real output weights."""
 
-    binary_weights: list[BinaryVector]
+    binary_weights: list[Bitstream]  # bipolar, one per unit
     binary_biases: np.ndarray  # (N,) of +/-1
     output_weights: np.ndarray  # (N,)
     activation: Activation
@@ -111,6 +65,8 @@ class BinaryNetwork:
         self.output_weights = np.asarray(self.output_weights, dtype=float).reshape(-1)
         m = self.binary_weights[0].length
         for idx, w in enumerate(self.binary_weights):
+            if w.encoding is not Encoding.BIPOLAR:
+                raise ValueError(f"binary_weights[{idx}] is {w.encoding.value}, expected bipolar")
             if w.length != m:
                 raise ValueError(
                     f"binary_weights[{idx}] has length {w.length}, expected {m}"
@@ -148,7 +104,7 @@ def binarize_network(net, key: StreamKey) -> BinaryNetwork:
             signs[i, j] = binarize(net.hidden_weights[i, j], key.substream("binweights", i, j))
         biases[i] = binarize(net.hidden_biases[i], key.substream("binbias", i))
     return BinaryNetwork(
-        binary_weights=[BinaryVector.from_signs(signs[i]) for i in range(net.N)],
+        binary_weights=[Bitstream.from_signs(signs[i]) for i in range(net.N)],
         binary_biases=biases,
         output_weights=net.output_weights.copy(),
         activation=net.activation,
@@ -156,7 +112,7 @@ def binarize_network(net, key: StreamKey) -> BinaryNetwork:
     )
 
 
-def forward_bnn(bnet: BinaryNetwork, x_B: BinaryVector) -> float:
+def forward_bnn(bnet: BinaryNetwork, x_B: Bitstream) -> float:
     """Exact integer preactivations, exact activation and output layer."""
     if x_B.length != bnet.m:
         raise StreamMismatchError(
@@ -191,19 +147,6 @@ def save_binary_network(bnet: BinaryNetwork, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
-def _vector_from_hex(payload: str, m: int, where: str) -> BinaryVector:
-    try:
-        raw = bytes.fromhex(payload)
-    except ValueError:
-        raise SchemaError(f"{where}: bad hex payload") from None
-    packed = np.frombuffer(raw, dtype=np.uint8).copy()
-    if packed.size != (m + 7) // 8:
-        raise SchemaError(f"{where}: payload has {packed.size} bytes, expected m={m}")
-    if not np.array_equal(packed, zero_pad_bits(packed, m)):
-        raise SchemaError(f"{where}: nonzero pad bits")
-    return BinaryVector(packed, m)
-
-
 def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> BinaryNetwork:
     if doc.get("binary") is not True:
         raise SchemaError(f"{where}: missing \"binary\": true flag")
@@ -212,16 +155,14 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
     N = _require(doc, "N", int, where)
     if m < 1 or N < 1:
         raise SchemaError(f"{where}: m and N must be >= 1, got m={m}, N={N}")
-    act_name = _require(doc, "activation", str, where)
-    try:
-        activation = Activation(act_name)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown activation {act_name!r}") from None
+    activation = _require_activation(doc, where)
     weight_rows = _require(doc, "binary_weights", list, where)
     if len(weight_rows) != N:
         raise SchemaError(f"{where}: binary_weights has {len(weight_rows)} rows, expected N={N}")
+    # A row is the hex payload of a bipolar hex line, so it passes the same
+    # hex, size and pad-bit checks.
     weights = [
-        _vector_from_hex(row, m, f"{where}: binary_weights[{idx}]")
+        _require_stream(f"M:{m};enc:b;{row}", m, f"{where}: binary_weights[{idx}]")
         for idx, row in enumerate(weight_rows)
     ]
     biases = _require(doc, "binary_biases", list, where)
@@ -241,11 +182,4 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
 
 
 def load_binary_network(path: str | os.PathLike) -> BinaryNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: weight file must contain a JSON object")
-    return binary_network_from_dict(doc, where=str(path))
+    return binary_network_from_dict(load_json_object(path, "weight file"), where=str(path))

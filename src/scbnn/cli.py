@@ -19,16 +19,15 @@ import numpy as np
 
 from . import __version__
 from .bitstream import (
+    Bitstream,
+    Encoding,
     EncodingRangeError,
     GENERATOR_FAMILY,
     StreamFormatError,
     StreamKey,
     StreamMismatchError,
-    from_hex_line,
-    to_hex_line,
 )
 from .bnn import (
-    BinaryVector,
     binarize_network,
     binary_network_from_dict,
     binary_network_to_dict,
@@ -40,8 +39,10 @@ from .netcore import (
     SchemaError,
     fit_reference,
     forward_reference,
+    load_json_object,
     load_network,
     make_target,
+    network_from_dict,
     network_to_dict,
     unit_grid,
 )
@@ -56,7 +57,8 @@ from .theory import (
 )
 from .transform import (
     ChunkError,
-    ScnnStreamBundle,
+    bundle_from_dict,
+    bundle_to_dict,
     chunk_network,
     preactivation_equivalence_check,
     scnn_to_bnn,
@@ -106,11 +108,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> N
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    return doc
+    config = load_json_object(path, "config")
+    seed = config.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise SchemaError(f"{path}: seed must be an integer, got {seed!r}")
+    return config
 
 
 def _resolve(args_value, config: dict, key: str, default):
@@ -205,16 +207,11 @@ def _cmd_fit(args) -> int:
 
 def _load_any_network(path: str):
     """Returns ('reference'|'binary'|'bundle', object)."""
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: expected a JSON object")
+    doc = load_json_object(path, "network file")
     if doc.get("form") == "scnn-streams":
-        return "bundle", _bundle_from_dict(doc, path)
+        return "bundle", bundle_from_dict(doc, path)
     if doc.get("binary") is True:
         return "binary", binary_network_from_dict(doc, where=path)
-    from .netcore import network_from_dict
-
     return "reference", network_from_dict(doc, where=path)
 
 
@@ -224,7 +221,7 @@ def _cmd_eval(args) -> int:
     if kind == "binary":
         if not args.x_bits:
             raise ValueError("binary networks need --x-bits (e.g. 1011 for +,-,+,+)")
-        x = BinaryVector.from_bits(args.x_bits)
+        x = Bitstream.from_bits(args.x_bits, Encoding.BIPOLAR)
         print(f"bnn {forward_bnn(net, x)!r}")
         return 0
     if kind == "bundle":
@@ -360,34 +357,6 @@ def _cmd_bound(args) -> int:
     return 0 if report.passed else 1
 
 
-def _bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
-    return {
-        "form": "scnn-streams",
-        "name": bundle.name,
-        "M": bundle.M,
-        "n": bundle.n,
-        "N": bundle.N,
-        "activation": bundle.activation.value,
-        "output_weights": [float(a) for a in bundle.output_weights],
-        "weight_streams": [[to_hex_line(s) for s in unit] for unit in bundle.weight_streams],
-        "bias_streams": [to_hex_line(s) for s in bundle.bias_streams],
-    }
-
-
-def _bundle_from_dict(doc: dict, where: str) -> ScnnStreamBundle:
-    try:
-        return ScnnStreamBundle(
-            M=int(doc["M"]),
-            weight_streams=[[from_hex_line(s) for s in unit] for unit in doc["weight_streams"]],
-            bias_streams=[from_hex_line(s) for s in doc["bias_streams"]],
-            output_weights=np.array(doc["output_weights"], dtype=float),
-            activation=Activation(doc["activation"]),
-            name=doc.get("name", "scnn-streams"),
-        )
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"{where}: malformed stream bundle ({exc})") from None
-
-
 def _cmd_convert(args) -> int:
     kind, net = _load_any_network(args.network)
     seed = args.seed if args.seed is not None else 0
@@ -411,16 +380,12 @@ def _cmd_convert(args) -> int:
         if kind != "binary":
             raise ValueError("--to-scnn expects a binary network file")
         M = args.to_scnn
-        bundle = chunk_network(net, M)
-        doc = _bundle_to_dict(bundle)
         path = out / "scnn_streams.json"
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump({"meta": _metadata({**resolved, "mode": "to-scnn", "M": M}, seed), **doc},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, bundle_to_dict(chunk_network(net, M)),
+                    _metadata({**resolved, "mode": "to-scnn", "M": M}, seed))
         # equivalence check on a keyed random input vector
         gen = StreamKey(seed).substream("convert-input").generator()
-        x = BinaryVector.from_bits((gen.random(net.m) < 0.5).astype(np.uint8))
+        x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
         report = preactivation_equivalence_check(net, x, M)
         for u in report.units:
             status = "PASS" if u.passed else "FAIL"

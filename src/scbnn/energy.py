@@ -17,7 +17,7 @@ equivalent SCNN layer. Units are abstract gate-ops; no joules are claimed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .scgates import AccumulationMode, GateCounts, accumulator_width
 
@@ -86,19 +86,8 @@ def bnn_layer_energy(m: int, N: int, mode: AccumulationMode) -> EnergyReport:
         raise ValueError(f"bit budget m must be >= 1, got {m}")
     if N < 1:
         raise ValueError(f"layer width N must be >= 1, got {N}")
-    base = _report(m, 1, N, mode, per_layer=True)
     label = "O(m·N)" if mode is AccumulationMode.MUX else "O(m·log(m)·N)"
-    return EnergyReport(
-        xnor_ops=base.xnor_ops,
-        and_ops=base.and_ops,
-        mux_select_ops=base.mux_select_ops,
-        apc_bit_adds=base.apc_bit_adds,
-        n=base.n,
-        M=base.M,
-        N=base.N,
-        mode=mode,
-        asymptotic_label=label,
-    )
+    return replace(_report(m, 1, N, mode, per_layer=True), asymptotic_label=label)
 
 
 def _report(n: int, M: int, N: int, mode: AccumulationMode, per_layer: bool) -> EnergyReport:

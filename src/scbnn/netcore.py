@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitstream import PreScaler, StreamKey, network_prescalers
+from .bitstream import Bitstream, PreScaler, StreamFormatError, StreamKey, from_hex_line, network_prescalers
 
 
 class SchemaError(ValueError):
@@ -311,10 +311,28 @@ def sup_error(net: ReferenceNetwork, f: TargetFunction, grid: np.ndarray) -> flo
 
 
 # ---------------------------------------------------------------------------
-# Weight files: a single JSON document, decimal numbers only.
+# JSON input and weight files: a single JSON document, decimal numbers only.
 
 def _reject_constant(token: str):
-    raise SchemaError(f"non-finite number {token!r} not permitted in weight files")
+    raise SchemaError(f"non-finite number {token!r} not permitted")
+
+
+def load_json_object(path: str | os.PathLike, what: str) -> dict:
+    """The JSON object in the file at `path`, `what` naming it in errors.
+
+    Every JSON input goes through here, so NaN and Infinity are rejected
+    everywhere and malformed JSON is a one-line SchemaError.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh, parse_constant=_reject_constant)
+        except json.JSONDecodeError as exc:
+            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
+        except SchemaError as exc:
+            raise SchemaError(f"{path}: {exc}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: {what} must contain a JSON object")
+    return doc
 
 
 def network_to_dict(net: ReferenceNetwork) -> dict:
@@ -349,17 +367,34 @@ def _require(doc: dict, key: str, kind, where: str):
     return value
 
 
+def _require_activation(doc: dict, where: str) -> Activation:
+    name = _require(doc, "activation", str, where)
+    try:
+        return Activation(name)
+    except ValueError:
+        raise SchemaError(f"{where}: unknown activation {name!r}") from None
+
+
+def _require_stream(line, M: int, where: str) -> Bitstream:
+    """Parse a hex line of M bits; any fault is a SchemaError naming `where`."""
+    if not isinstance(line, str):
+        raise SchemaError(f"{where}: expected a bitstream line")
+    try:
+        s = from_hex_line(line)
+    except StreamFormatError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+    if s.length != M:
+        raise SchemaError(f"{where}: stream has {s.length} bits, expected M={M}")
+    return s
+
+
 def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork:
     name = _require(doc, "name", str, where)
     n = _require(doc, "n", int, where)
     N = _require(doc, "N", int, where)
     if N < 1 or n < 1:
         raise SchemaError(f"{where}: N and n must be >= 1, got N={N}, n={n}")
-    act_name = _require(doc, "activation", str, where)
-    try:
-        activation = Activation(act_name)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown activation {act_name!r}") from None
+    activation = _require_activation(doc, where)
     rows = _require(doc, "hidden_weights", list, where)
     if len(rows) != N:
         raise SchemaError(f"{where}: hidden_weights has {len(rows)} rows, expected N={N}")
@@ -393,11 +428,4 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
 
 
 def load_network(path: str | os.PathLike) -> ReferenceNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path}: weight file must contain a JSON object")
-    return network_from_dict(doc, where=str(path))
+    return network_from_dict(load_json_object(path, "weight file"), where=str(path))

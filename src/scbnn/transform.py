@@ -1,10 +1,12 @@
 """BNN <-> SCNN equivalence: chunk m binary values into n = m/M bipolar
-streams of length M and back, bit-exactly.
+streams of length M and back, bit-exactly, and the stream-bundle file.
 
-Chunk order is storage order: stream j takes bits jM .. (j+1)M - 1. The
-bias stream is the bias bit sign-extended to M clocks (a constant +/-1
-stream), so the APC total over the n+1 term streams reproduces the BNN
-integer preactivation with the bias weighted by M:
+A +/-1 vector is already a bipolar `Bitstream` of m bits, so chunking is a
+reshape of its bits into n rows of M and joining is `concat`. Chunk order
+is storage order: stream j takes bits jM .. (j+1)M - 1. The bias stream is
+the bias bit sign-extended to M clocks (a constant +/-1 stream), so the APC
+total over the n+1 term streams reproduces the BNN integer preactivation
+with the bias weighted by M:
 
     2*total - (n+1)*M == w.x + M*b
 """
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, pack_bits
-from .bnn import BinaryNetwork, BinaryVector, binary_dot
-from .netcore import Activation
+from .bitstream import Bitstream, Encoding, concat, to_hex_line
+from .bnn import BinaryNetwork, binary_dot
+from .netcore import Activation, SchemaError, _require, _require_activation, _require_stream
 from .scgates import apc_sum, xnor_mult
 
 
@@ -43,18 +45,15 @@ class ChunkSpec:
         return self.m // self.M
 
 
-def split_vector(v: BinaryVector, M: int) -> list[Bitstream]:
-    """Chunk a binary vector into n bipolar streams of length M."""
+def split_vector(v: Bitstream, M: int) -> list[Bitstream]:
+    """Chunk a +/-1 vector into n bipolar streams of length M."""
     spec = ChunkSpec(v.length, M)
-    bits = v.bit_array()
-    return [
-        Bitstream(pack_bits(bits[j * M : (j + 1) * M]), M, Encoding.BIPOLAR)
-        for j in range(spec.n)
-    ]
+    rows = np.packbits(v.bit_array().reshape(spec.n, M), axis=1)
+    return [Bitstream(row, M, Encoding.BIPOLAR) for row in rows]
 
 
-def join_streams(streams: list[Bitstream]) -> BinaryVector:
-    """Concatenate equal-length bipolar streams back into a binary vector."""
+def join_streams(streams: list[Bitstream]) -> Bitstream:
+    """Concatenate equal-length bipolar streams back into a +/-1 vector."""
     if not streams:
         raise ChunkError("cannot join an empty stream list")
     M = streams[0].length
@@ -63,8 +62,7 @@ def join_streams(streams: list[Bitstream]) -> BinaryVector:
             raise ChunkError(f"stream {idx} has length {s.length}, expected {M}")
         if s.encoding is not Encoding.BIPOLAR:
             raise ChunkError(f"stream {idx} is {s.encoding.value}, expected bipolar")
-    bits = np.concatenate([s.bit_array() for s in streams])
-    return BinaryVector(pack_bits(bits), len(streams) * M)
+    return concat(*streams)
 
 
 def sign_extension_stream(bias: int, M: int) -> Bitstream:
@@ -113,7 +111,7 @@ def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
     )
 
 
-def bnn_to_scnn(bnet: BinaryNetwork, x_B: BinaryVector, M: int) -> ScnnStreamBundle:
+def bnn_to_scnn(bnet: BinaryNetwork, x_B: Bitstream, M: int) -> ScnnStreamBundle:
     """Transform a BNN plus one input vector into SCNN stream form."""
     if x_B.length != bnet.m:
         raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
@@ -122,7 +120,7 @@ def bnn_to_scnn(bnet: BinaryNetwork, x_B: BinaryVector, M: int) -> ScnnStreamBun
     return bundle
 
 
-def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, BinaryVector | None]:
+def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, Bitstream | None]:
     """Exact inverse of bnn_to_scnn: concatenate chunks in order.
 
     Bias streams must be constant (a sign extension); anything else has no
@@ -145,9 +143,62 @@ def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, BinaryVector |
         activation=bundle.activation,
         name=bundle.name,
     )
-    assert bnet.m == bundle.n * bundle.M  # total bit budget is preserved
+    if bnet.m != bundle.n * bundle.M:
+        raise ChunkError(f"joined units have {bnet.m} bits, expected n*M = {bundle.n * bundle.M}")
     x_B = join_streams(bundle.input_streams) if bundle.input_streams else None
     return bnet, x_B
+
+
+# ---------------------------------------------------------------------------
+# Stream-bundle file: the header fields plus hex lines (see bitstream).
+
+def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
+    return {
+        "form": "scnn-streams",
+        "name": bundle.name,
+        "M": bundle.M,
+        "n": bundle.n,
+        "N": bundle.N,
+        "activation": bundle.activation.value,
+        "output_weights": [float(a) for a in bundle.output_weights],
+        "weight_streams": [[to_hex_line(s) for s in unit] for unit in bundle.weight_streams],
+        "bias_streams": [to_hex_line(s) for s in bundle.bias_streams],
+    }
+
+
+def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundle:
+    """Parse a stream-bundle document, checking its M, n and N headers
+    against the streams and lists it holds."""
+    M = _require(doc, "M", int, where)
+    n = _require(doc, "n", int, where)
+    N = _require(doc, "N", int, where)
+    if M < 1 or n < 1 or N < 1:
+        raise SchemaError(f"{where}: M, n and N must be >= 1, got M={M}, n={n}, N={N}")
+    name = _require(doc, "name", str, where)
+    activation = _require_activation(doc, where)
+    rows = _require(doc, "weight_streams", list, where)
+    biases = _require(doc, "bias_streams", list, where)
+    outputs = _require(doc, "output_weights", list, where)
+    for field, items in (("weight_streams", rows), ("bias_streams", biases), ("output_weights", outputs)):
+        if len(items) != N:
+            raise SchemaError(f"{where}: {field} has {len(items)} entries, expected N={N}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{where}: weight_streams[{i}] must be a list of n={n} streams")
+    for i, a in enumerate(outputs):
+        if isinstance(a, bool) or not isinstance(a, (int, float)):
+            raise SchemaError(f"{where}: output_weights[{i}] must be a number")
+    return ScnnStreamBundle(
+        M=M,
+        weight_streams=[
+            [_require_stream(s, M, f"{where}: weight_streams[{i}][{j}]") for j, s in enumerate(row)]
+            for i, row in enumerate(rows)
+        ],
+        bias_streams=[_require_stream(s, M, f"{where}: bias_streams[{i}]") for i, s in enumerate(biases)],
+        output_weights=np.array(outputs, dtype=float),
+        activation=activation,
+        name=name,
+    )
 
 
 @dataclass(frozen=True)
@@ -176,7 +227,7 @@ class EquivalenceReport:
 
 
 def preactivation_equivalence_check(
-    bnet: BinaryNetwork, x_B: BinaryVector, M: int
+    bnet: BinaryNetwork, x_B: Bitstream, M: int
 ) -> EquivalenceReport:
     """Verify, unit by unit, that the chunked SC datapath reproduces the
     BNN integer preactivation exactly (bias entering as its sign extension).

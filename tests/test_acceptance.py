@@ -15,7 +15,6 @@ from scbnn import (
     AccumulationMode,
     Activation,
     BinaryNetwork,
-    BinaryVector,
     Bitstream,
     BoundQuery,
     Encoding,
@@ -177,12 +176,12 @@ class TestAcceptance:
             m = int(gen.integers(1, 65))
             N = int(gen.integers(1, 4))
             bnet = BinaryNetwork(
-                [BinaryVector.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
+                [Bitstream.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
                 gen.choice([-1, 1], N),
                 gen.normal(size=N),
                 Activation.SIGMOID,
             )
-            x = BinaryVector.from_signs(gen.choice([-1, 1], m))
+            x = Bitstream.from_signs(gen.choice([-1, 1], m))
             for M in range(1, m + 1):
                 if m % M:
                     continue

@@ -14,6 +14,7 @@ from scbnn import (
     PreScaler,
     StreamFormatError,
     StreamKey,
+    StreamMismatchError,
     concat,
     decode,
     from_hex_line,
@@ -141,13 +142,35 @@ class TestPopcount:
     def test_word_boundary(self):
         assert popcount(Bitstream.constant(1, 65, Encoding.UNIPOLAR)) == 65
 
-    @given(st.lists(st.integers(0, 1), min_size=1, max_size=70),
-           st.lists(st.integers(0, 1), min_size=1, max_size=70))
+    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=70), min_size=1, max_size=4))
     @settings(max_examples=60)
-    def test_concat_additivity(self, b1, b2):
-        s1 = Bitstream.from_bits(b1, Encoding.UNIPOLAR)
-        s2 = Bitstream.from_bits(b2, Encoding.UNIPOLAR)
-        assert popcount(concat(s1, s2)) == popcount(s1) + popcount(s2)
+    def test_concat_additivity(self, parts):
+        streams = [Bitstream.from_bits(b, Encoding.UNIPOLAR) for b in parts]
+        joined = concat(*streams)
+        assert popcount(joined) == sum(popcount(s) for s in streams)
+        assert joined.bit_array().tolist() == [bit for b in parts for bit in b]
+
+    def test_concat_rejects_mixed_encodings(self):
+        u = Bitstream.from_bits("101", Encoding.UNIPOLAR)
+        b = Bitstream.from_bits("1", Encoding.BIPOLAR)
+        with pytest.raises(StreamMismatchError, match="unipolar and bipolar"):
+            concat(u, u, b)
+
+
+class TestSigns:
+    """A +/-1 vector is a bipolar stream: bit 1 is +1."""
+
+    def test_from_bits_and_signs_agree(self):
+        v = Bitstream.from_bits("10110", Encoding.BIPOLAR)
+        assert np.array_equal(v.signs(), [1, -1, 1, 1, -1])
+        assert Bitstream.from_signs([1, -1, 1, 1, -1]) == v
+
+    def test_rejects_non_signs(self):
+        with pytest.raises(ValueError):
+            Bitstream.from_signs([1, 0, -1])
+
+    def test_popcount(self):
+        assert popcount(Bitstream.from_bits("1" * 65, Encoding.BIPOLAR)) == 65
 
 
 class TestPreScaler:

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from scbnn import (
     Activation,
     BinaryNetwork,
-    BinaryVector,
+    Bitstream,
+    Encoding,
     SchemaError,
     StreamKey,
     binarize,
@@ -121,7 +122,7 @@ class TestBinarizeNetwork:
 class TestForwardBnn:
     def _bnet(self, rows, biases, outputs):
         return BinaryNetwork(
-            [BinaryVector.from_signs(r) for r in rows],
+            [Bitstream.from_signs(r) for r in rows],
             np.asarray(biases),
             np.asarray(outputs, dtype=float),
             Activation.SIGMOID,
@@ -130,63 +131,54 @@ class TestForwardBnn:
     def test_self_inner_product(self):
         w = [1, -1, 1, 1, -1]
         bnet = self._bnet([w], [1], [1.0])
-        x = BinaryVector.from_signs(w)
+        x = Bitstream.from_signs(w)
         assert binary_dot(bnet.binary_weights[0], x) == 5
 
     def test_negated_inner_product(self):
         w = [1, -1, 1, 1, -1]
-        x = BinaryVector.from_signs([-v for v in w])
+        x = Bitstream.from_signs([-v for v in w])
         bnet = self._bnet([w], [1], [1.0])
         assert binary_dot(bnet.binary_weights[0], x) == -5
 
     def test_direct_small_case(self):
-        w = BinaryVector.from_signs([1, -1, 1, 1])
-        x = BinaryVector.from_signs([1, 1, -1, 1])
+        w = Bitstream.from_signs([1, -1, 1, 1])
+        x = Bitstream.from_signs([1, 1, -1, 1])
         assert binary_dot(w, x) == 0
 
     def test_forward_value(self):
         bnet = self._bnet([[1, -1], [1, 1]], [1, -1], [2.0, -1.0])
-        x = BinaryVector.from_signs([1, 1])
+        x = Bitstream.from_signs([1, 1])
         # units: (0 + 1) and (2 - 1)
         from scbnn import activate
 
         expect = 2.0 * activate(Activation.SIGMOID, 1.0) - 1.0 * activate(Activation.SIGMOID, 1.0)
         assert forward_bnn(bnet, x) == pytest.approx(expect, abs=1e-15)
 
+    def test_unipolar_weight_stream_rejected(self):
+        w = Bitstream.from_bits("10", Encoding.UNIPOLAR)
+        with pytest.raises(ValueError, match="bipolar"):
+            BinaryNetwork([w], np.array([1]), np.array([1.0]), Activation.SIGMOID)
+
     def test_length_mismatch(self):
         bnet = self._bnet([[1, -1]], [1], [1.0])
         with pytest.raises(Exception):
-            forward_bnn(bnet, BinaryVector.from_signs([1, 1, 1]))
+            forward_bnn(bnet, Bitstream.from_signs([1, 1, 1]))
 
     @given(sign_lists, st.data())
     @settings(max_examples=80)
     def test_xnor_popcount_identity(self, signs, data):
         other = data.draw(st.lists(st.sampled_from([-1, 1]), min_size=len(signs), max_size=len(signs)))
-        a = BinaryVector.from_signs(signs)
-        b = BinaryVector.from_signs(other)
+        a = Bitstream.from_signs(signs)
+        b = Bitstream.from_signs(other)
         scalar = sum(u * v for u, v in zip(signs, other))
         assert binary_dot(a, b) == scalar
-
-
-class TestBinaryVector:
-    def test_from_bits_and_signs_agree(self):
-        v = BinaryVector.from_bits("10110")
-        assert np.array_equal(v.signs(), [1, -1, 1, 1, -1])
-        assert BinaryVector.from_signs([1, -1, 1, 1, -1]) == v
-
-    def test_rejects_non_signs(self):
-        with pytest.raises(ValueError):
-            BinaryVector.from_signs([1, 0, -1])
-
-    def test_popcount(self):
-        assert BinaryVector.from_bits("1" * 65).popcount() == 65
 
 
 class TestBinarySerialization:
     def _bnet(self):
         gen = np.random.default_rng(5)
         return BinaryNetwork(
-            [BinaryVector.from_signs(gen.choice([-1, 1], 19)) for _ in range(3)],
+            [Bitstream.from_signs(gen.choice([-1, 1], 19)) for _ in range(3)],
             gen.choice([-1, 1], 3),
             gen.normal(size=3),
             Activation.TANH,

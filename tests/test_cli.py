@@ -1,14 +1,23 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scbnn import Activation, BinaryNetwork, BinaryVector, save_binary_network
+from scbnn import Activation, BinaryNetwork, Bitstream, save_binary_network
 from scbnn.cli import main
 
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -27,7 +36,7 @@ def bnn_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("bnn")
     gen = np.random.default_rng(21)
     bnet = BinaryNetwork(
-        [BinaryVector.from_signs(gen.choice([-1, 1], 12)) for _ in range(3)],
+        [Bitstream.from_signs(gen.choice([-1, 1], 12)) for _ in range(3)],
         gen.choice([-1, 1], 3),
         gen.normal(size=3),
         Activation.SIGMOID,
@@ -66,6 +75,14 @@ class TestFit:
         assert run("fit", "--config", cfg, "--target", "linear", "--out-dir", out) == 0
         report = json.loads((out / "fit_report.json").read_text())
         assert report["target"] == "linear"  # flag wins over config
+
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_non_integer_config_seed_is_usage_error(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "target": {"name": "sine"}}))
+        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
+        assert_one_line_error(capsys)
 
 
 class TestEval:
@@ -115,6 +132,16 @@ class TestSweep:
         assert run("sweep", "--network", sine_net, "--target", "sine",
                    "--Ms", "16", "--trials", "0", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
+    def test_non_finite_config_value_is_usage_error(self, sine_net, tmp_path, capsys, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"sweep": {"epsilon": %s}}' % value)
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "16",
+                   "--trials", "30", "--grid-points", "2", "--config", cfg,
+                   "--out-dir", tmp_path / "o") == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o" / "sweep_summary.json").exists()
+
     def test_missing_network_file(self, tmp_path):
         assert run("sweep", "--network", tmp_path / "nope.json", "--target", "sine",
                    "--Ms", "16", "--out-dir", tmp_path) == 2
@@ -132,8 +159,7 @@ class TestBound:
     def test_non_finite_input_is_one_line_usage_error(self, flag, value, capsys):
         argv = {"--n": "1", "--N": "2", "--epsilon": "0.1", "--delta": "0.1", flag: value}
         assert run("bound", *[t for kv in argv.items() for t in kv]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert_one_line_error(capsys)
 
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())
@@ -176,6 +202,94 @@ class TestConvert:
 
     def test_needs_a_mode(self, bnn_file, tmp_path):
         assert run("convert", "--network", bnn_file, "--out-dir", tmp_path) == 2
+
+
+@pytest.fixture(scope="module")
+def bundle_doc(bnn_file, tmp_path_factory):
+    out = tmp_path_factory.mktemp("bundle")
+    assert run("convert", "--network", bnn_file, "--to-scnn", "4", "--out-dir", out) == 0
+    return json.loads((out / "scnn_streams.json").read_text())
+
+
+class TestBundleHeaders:
+    """The bundle's M, n and N headers must agree with its streams and lists
+    (bnn_file chunked at M=4: n=3 streams per unit, N=3 units)."""
+
+    def _to_bnn(self, doc, tmp_path):
+        path = tmp_path / "scnn_streams.json"
+        path.write_text(json.dumps(doc))
+        return run("convert", "--network", path, "--to-bnn", "--out-dir", tmp_path / "o")
+
+    def test_consistent_bundle_converts(self, bundle_doc, tmp_path):
+        assert self._to_bnn(bundle_doc, tmp_path) == 0
+
+    @pytest.mark.parametrize("field, value", [("M", 3), ("n", 2), ("N", 4), ("M", "4")])
+    def test_wrong_header_is_usage_error(self, bundle_doc, tmp_path, capsys, field, value):
+        assert self._to_bnn({**bundle_doc, field: value}, tmp_path) == 2
+        assert_one_line_error(capsys)
+
+    def test_bias_stream_longer_than_M(self, bundle_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(bundle_doc))
+        doc["bias_streams"][0] = "M:5;enc:b;f8"
+        assert self._to_bnn(doc, tmp_path) == 2
+        assert_one_line_error(capsys)
+
+    def test_non_finite_output_weight(self, bundle_doc, tmp_path, capsys):
+        doc = json.loads(json.dumps(bundle_doc))
+        doc["output_weights"][1] = float("nan")
+        assert self._to_bnn(doc, tmp_path) == 2
+        err = capsys.readouterr().err
+        # Rejected by the JSON reader, which names the file and the token.
+        assert err.startswith(f"error: {tmp_path / 'scnn_streams.json'}: ") and "'NaN'" in err
+        assert err.count("\n") == 1
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-20, 20)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12)
+    | st.builds("M:{};enc:{};{}".format, st.integers(-1, 13), st.sampled_from("ubx"),
+                st.text("0123456789abcdefg", max_size=5)),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=8), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def mutate(doc, data):
+    """Replace or delete one node of a JSON document, at any depth."""
+    node = doc
+    while True:
+        key = data.draw(st.sampled_from(list(node) if isinstance(node, dict) else range(len(node))))
+        child = node[key]
+        if isinstance(child, (dict, list)) and child and data.draw(st.booleans()):
+            node = child
+            continue
+        if isinstance(node, dict) and data.draw(st.booleans()):
+            del node[key]
+        else:
+            node[key] = data.draw(json_values)
+        return doc
+
+
+class TestParserFuzz:
+    """Mutated bundle and binary-weight documents exit 0 or 2, never with a
+    traceback."""
+
+    def _run_mutated(self, doc, data, *argv):
+        doc = mutate(json.loads(json.dumps(doc)), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "net.json"
+            path.write_text(json.dumps(doc))
+            assert run("convert", "--network", path, *argv, "--out-dir", Path(tmp) / "o") in (0, 2)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_bundle(self, bundle_doc, data):
+        self._run_mutated(bundle_doc, data, "--to-bnn")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_binary_weight_file(self, bnn_file, data):
+        self._run_mutated(json.loads(bnn_file.read_text()), data, "--to-scnn", "4")
 
 
 class TestEnergy:

@@ -1,14 +1,16 @@
-"""Golden bytes: streams and forward values pinned to exact hashes and hex
-floats, plus the layer-batched engine checked against the per-stream
-composition it replaces.
+"""Golden bytes: streams, forward values and CLI output files pinned to
+exact hashes and hex floats, plus the layer-batched engine checked against
+the per-stream composition it replaces.
 
 The pins were recorded with numpy 2.4.6 (Philox4x64-10 and
-`Generator.random`'s 53-bit conversion) before stream generation was
-batched; any change that alters a single stream bit or the last bit of a
-forward value fails here.
+`Generator.random`'s 53-bit conversion): the stream and forward pins before
+stream generation was batched, the BNN-path file pins before the BNN input
+vector became a bipolar `Bitstream`. Any change that alters a single stream
+bit, the last bit of a forward value or one output byte fails here.
 """
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from scbnn import (
     unit_grid,
 )
 from scbnn.bitstream import encode_many, network_prescalers
+from scbnn.cli import main
+from scbnn.netcore import save_network
 
 MS = (1, 7, 64, 4097)
 STREAM_KEY = StreamKey(0x5CB_2018, "golden", 3, 5)
@@ -69,6 +73,26 @@ TWO_INPUT_FORWARD = {
     "apc": "0x1.56894754109d3p+0",
     "mux": "0x1.2d2325ecf5ae3p+1",
 }
+
+
+#: sha256 of the CLI's BNN-path output files for BNN_NET (see TestBnnPathBytes).
+BNN_BINARIZE_SHA256 = "257d7907656ea433f04bc12efb1a5a12d56be5de3d02136e018642570d70342b"
+BNN_TO_SCNN_SHA256 = {
+    1: "aa4dfd83dcfedc80da3d673dc10589f28d7b8ca2149bf34f6b3b080200a72474",
+    3: "4f03d8ad672b7e46cff0f8d2d113ed1c28d4616aaaae9fa2d114a1eca2d0e29a",
+    8: "fa1baeee0bb3c2158955329ca6802b259b38c76824ea11fa59c537f5a7ff6891",
+}
+BNN_TO_BNN_SHA256 = {
+    1: "065c784250d9ab2889570311e359c7ec0fc23c658d2422e840f5ad05946dfed4",
+    3: "55e3269d36056d51edcdc8c76ad0c6e56a9b8b4aa7ac5481f994b19fc4a61c8d",
+    8: "7e7a2a0dcbfb6cb1bb60de455a70ea8f09f9f5d0c981f63d83f6cd78ab1b83f7",
+}
+#: sha256 of network.json from `scbnn fit --target sine --seed 2`.
+FIT_SINE_SHA256 = "2668a9dc78b685112cf06223a1ecf67dddef76c9e72df108ac30c5909a8847c0"
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _net(W, b, a, activation=Activation.TANH) -> ReferenceNetwork:
@@ -214,3 +238,44 @@ class TestForwardMatchesScalarComposition:
         for mode in AccumulationMode:
             cfg = ScnnConfig(50, StreamKey(23), mode)
             assert forward_scnn(net, [0.4, 0.7], cfg) == scalar_forward(net, [0.4, 0.7], cfg)
+
+
+class TestBnnPathBytes:
+    """`convert --binarize`, `--to-scnn M` and `--to-bnn` on a small keyed
+    net with m = 24 inputs: M = 3 gives chunks that are not byte-aligned."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("bnn-path")
+        gen = StreamKey(0x5CB_2018, "golden-bnn").generator()
+        W, b = gen.uniform(-1.5, 1.5, (5, 24)), gen.uniform(-1.5, 1.5, 5)
+        save_network(_net(W, b, gen.normal(size=5)), out / "reference.json")
+        argv = ["convert", "--network", out / "reference.json", "--binarize", "--seed", "9",
+                "--out-dir", out / "binary"]
+        assert main([str(a) for a in argv]) == 0
+        for M in (1, 3, 8):
+            argv = ["convert", "--network", out / "binary" / "binary_network.json",
+                    "--to-scnn", M, "--seed", "9", "--out-dir", out / f"scnn{M}"]
+            assert main([str(a) for a in argv]) == 0
+            argv = ["convert", "--network", out / f"scnn{M}" / "scnn_streams.json",
+                    "--to-bnn", "--seed", "9", "--out-dir", out / f"bnn{M}"]
+            assert main([str(a) for a in argv]) == 0
+        return out
+
+    def test_binarize(self, runs):
+        assert _sha256(runs / "binary" / "binary_network.json") == BNN_BINARIZE_SHA256
+
+    @pytest.mark.parametrize("M", (1, 3, 8))
+    def test_to_scnn(self, runs, M):
+        assert _sha256(runs / f"scnn{M}" / "scnn_streams.json") == BNN_TO_SCNN_SHA256[M]
+
+    @pytest.mark.parametrize("M", (1, 3, 8))
+    def test_to_bnn_round_trip(self, runs, M):
+        assert _sha256(runs / f"bnn{M}" / "binary_network.json") == BNN_TO_BNN_SHA256[M]
+        back = json.loads((runs / f"bnn{M}" / "binary_network.json").read_text())
+        orig = json.loads((runs / "binary" / "binary_network.json").read_text())
+        assert back["binary_weights"] == orig["binary_weights"]
+
+    def test_fit_sine_seed_2(self, tmp_path):
+        assert main(["fit", "--target", "sine", "--seed", "2", "--out-dir", str(tmp_path)]) == 0
+        assert _sha256(tmp_path / "network.json") == FIT_SINE_SHA256

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from scbnn import (
     Activation,
     BinaryNetwork,
-    BinaryVector,
     ChunkError,
     ChunkSpec,
     Encoding,
@@ -22,7 +21,7 @@ from scbnn.transform import join_streams, sign_extension_stream
 
 def random_bnet(gen, m, N):
     return BinaryNetwork(
-        [BinaryVector.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
+        [Bitstream.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
         gen.choice([-1, 1], N),
         gen.normal(size=N),
         Activation.SIGMOID,
@@ -49,7 +48,7 @@ class TestChunkSpec:
 
 class TestSplitJoin:
     def test_worked_example(self):
-        x = BinaryVector.from_signs([1, -1, 1, 1, 1, -1])
+        x = Bitstream.from_signs([1, -1, 1, 1, 1, -1])
         streams = split_vector(x, 3)
         assert len(streams) == 2
         assert decode(streams[0]) == pytest.approx(1 / 3)
@@ -57,12 +56,12 @@ class TestSplitJoin:
 
     def test_single_chunk_is_mean(self):
         signs = [1, -1, -1, 1, 1, 1, -1, 1]
-        x = BinaryVector.from_signs(signs)
+        x = Bitstream.from_signs(signs)
         (s,) = split_vector(x, 8)
         assert decode(s) == sum(signs) / 8
 
     def test_one_bit_chunks(self):
-        x = BinaryVector.from_signs([1, -1, 1])
+        x = Bitstream.from_signs([1, -1, 1])
         streams = split_vector(x, 1)
         assert [decode(s) for s in streams] == [1.0, -1.0, 1.0]
 
@@ -86,7 +85,7 @@ class TestSplitJoin:
     @settings(max_examples=60)
     def test_split_join_round_trip(self, seed, M):
         gen = np.random.default_rng(seed)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], 24))
+        x = Bitstream.from_signs(gen.choice([-1, 1], 24))
         assert join_streams(split_vector(x, M)) == x
 
 
@@ -94,7 +93,7 @@ class TestNetworkTransform:
     def test_round_trip_bit_exact(self):
         gen = np.random.default_rng(17)
         bnet = random_bnet(gen, 24, 3)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], 24))
+        x = Bitstream.from_signs(gen.choice([-1, 1], 24))
         for M in divisors(24):
             bundle = bnn_to_scnn(bnet, x, M)
             assert bundle.n == 24 // M and bundle.m == 24
@@ -114,7 +113,7 @@ class TestNetworkTransform:
     def test_non_constant_bias_rejected_on_join(self):
         gen = np.random.default_rng(3)
         bnet = random_bnet(gen, 8, 2)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], 8))
+        x = Bitstream.from_signs(gen.choice([-1, 1], 8))
         bundle = bnn_to_scnn(bnet, x, 4)
         bundle.bias_streams[0] = Bitstream.from_bits("1010", Encoding.BIPOLAR)
         with pytest.raises(ChunkError, match="sign extension"):
@@ -124,14 +123,14 @@ class TestNetworkTransform:
         gen = np.random.default_rng(3)
         bnet = random_bnet(gen, 8, 2)
         with pytest.raises(ChunkError):
-            bnn_to_scnn(bnet, BinaryVector.from_signs(gen.choice([-1, 1], 9)), 4)
+            bnn_to_scnn(bnet, Bitstream.from_signs(gen.choice([-1, 1], 9)), 4)
 
 
 class TestEquivalence:
     def test_one_bit_chunks_trivial(self):
         gen = np.random.default_rng(0)
         bnet = random_bnet(gen, 10, 4)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], 10))
+        x = Bitstream.from_signs(gen.choice([-1, 1], 10))
         report = preactivation_equivalence_check(bnet, x, 1)
         assert report.all_passed
         # at M=1 the identity literally reads 2*total - (m+1) = w.x + b
@@ -141,7 +140,7 @@ class TestEquivalence:
     def test_small_random_instance(self):
         gen = np.random.default_rng(8)
         bnet = random_bnet(gen, 8, 3)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], 8))
+        x = Bitstream.from_signs(gen.choice([-1, 1], 8))
         report = preactivation_equivalence_check(bnet, x, 4)
         assert report.all_passed
         for i, u in enumerate(report.units):
@@ -151,12 +150,12 @@ class TestEquivalence:
     def test_maximal_agreement(self):
         m, M = 12, 4
         bnet = BinaryNetwork(
-            [BinaryVector.from_signs([1] * m)],
+            [Bitstream.from_signs([1] * m)],
             np.array([1]),
             np.array([1.0]),
             Activation.SIGMOID,
         )
-        x = BinaryVector.from_signs([1] * m)
+        x = Bitstream.from_signs([1] * m)
         report = preactivation_equivalence_check(bnet, x, M)
         assert report.all_passed
         # all n+1 term streams are all-ones: both sides equal m + M
@@ -170,7 +169,7 @@ class TestEquivalence:
         m, M = shape
         gen = np.random.default_rng(seed)
         bnet = random_bnet(gen, m, 2)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], m))
+        x = Bitstream.from_signs(gen.choice([-1, 1], m))
         report = preactivation_equivalence_check(bnet, x, M)
         assert report.all_passed
         assert not report.failures()
@@ -180,7 +179,7 @@ class TestEquivalence:
         gen = np.random.default_rng(4)
         m, M = 12, 3
         bnet = random_bnet(gen, m, 2)
-        x = BinaryVector.from_signs(gen.choice([-1, 1], m))
+        x = Bitstream.from_signs(gen.choice([-1, 1], m))
         report = preactivation_equivalence_check(bnet, x, M)
         for i, u in enumerate(report.units):
             wx = int(np.dot(bnet.binary_weights[i].signs(), x.signs()))
