@@ -60,7 +60,7 @@ from .scgates import (
     mux_add,
     xnor_mult,
 )
-from .scnn import ErrorProfile, ScnnConfig, forward_scnn, scnn_error_profile
+from .scnn import ErrorProfile, ScnnConfig, forward_scnn, forward_scnn_grid, scnn_error_profile
 from .theory import (
     BoundQuery,
     BoundReport,

@@ -169,6 +169,9 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
     outputs = _require(doc, "output_weights", list, where)
     if len(biases) != N or len(outputs) != N:
         raise SchemaError(f"{where}: biases/outputs must each have N={N} entries")
+    for i, b in enumerate(biases):
+        if type(b) is not int or b not in (-1, 1):
+            raise SchemaError(f"{where}: binary_biases[{i}] must be the integer +1 or -1")
     try:
         return BinaryNetwork(
             binary_weights=weights,

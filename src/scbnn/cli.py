@@ -13,6 +13,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import astuple, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +38,7 @@ from .energy import bnn_layer_energy, layer_energy
 from .netcore import (
     Activation,
     SchemaError,
+    _check_json_type,
     fit_reference,
     forward_reference,
     load_json_object,
@@ -51,6 +53,7 @@ from .scnn import ScnnConfig, forward_scnn
 from .theory import (
     BoundQuery,
     InfeasibleBoundError,
+    SweepRow,
     bound_validation,
     convergence_sweep,
     m_min_bound,
@@ -106,22 +109,24 @@ def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> N
 
 
 def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    config = load_json_object(path, "config")
-    seed = config.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise SchemaError(f"{path}: seed must be an integer, got {seed!r}")
-    return config
+    return load_json_object(path, "config") if path else {}
 
 
-def _resolve(args_value, config: dict, key: str, default):
-    """Flag > config > default."""
+def _resolve(args_value, config: dict, key: str, default, kind):
+    """Flag > config > default. `key` is a dotted path into the config
+    ("sweep.trials"); a config value must have the JSON type `kind`, or be
+    a list of them when `kind` is `[type]`."""
     if args_value is not None:
         return args_value
-    if key in config:
-        return config[key]
-    return default
+    *sections, name = key.split(".")
+    for section in sections:
+        config = _check_json_type(config.get(section, {}), dict, f"config {section}")
+    if name not in config:
+        return default
+    if isinstance(kind, list):
+        items = _check_json_type(config[name], list, f"config {key}")
+        return [_check_json_type(v, kind[0], f"config {key}[{i}]") for i, v in enumerate(items)]
+    return _check_json_type(config[name], kind, f"config {key}")
 
 
 def _out_dir(path: str) -> Path:
@@ -145,20 +150,18 @@ def _parse_target(name: str, n: int, params: list[str]):
 
 def _cmd_fit(args) -> int:
     config = _load_config(args.config)
-    seed = _resolve(args.seed, config, "seed", 0)
-    fit_cfg = config.get("fit", {})
-    target_cfg = config.get("target", {})
-    target_name = _resolve(args.target, target_cfg, "name", None)
+    seed = _resolve(args.seed, config, "seed", 0, int)
+    target_name = _resolve(args.target, config, "target.name", None, str)
     if target_name is None:
         raise ValueError("no target function given (use --target or config)")
-    n = int(_resolve(args.n, target_cfg, "n", 1))
-    N = int(_resolve(args.N, fit_cfg, "N", 32))
-    grid_points = int(_resolve(args.grid_points, fit_cfg, "grid", 0)) or None
-    activation = Activation(_resolve(args.activation, fit_cfg, "activation", "tanh"))
-    edge_fraction = float(_resolve(args.edge_fraction, fit_cfg, "edge_fraction", 0.5))
-    noise_penalty = float(_resolve(args.noise_penalty, fit_cfg, "noise_penalty", 1e-3))
-    ridge = float(_resolve(args.ridge, fit_cfg, "ridge", 1e-8))
-    f = _parse_target(target_name, n, args.target_param or target_cfg.get("params", []))
+    n = _resolve(args.n, config, "target.n", 1, int)
+    N = _resolve(args.N, config, "fit.N", 32, int)
+    grid_points = _resolve(args.grid_points, config, "fit.grid", None, int)
+    activation = Activation(_resolve(args.activation, config, "fit.activation", "tanh", str))
+    edge_fraction = _resolve(args.edge_fraction, config, "fit.edge_fraction", 0.5, float)
+    noise_penalty = _resolve(args.noise_penalty, config, "fit.noise_penalty", 1e-3, float)
+    ridge = _resolve(args.ridge, config, "fit.ridge", 1e-8, float)
+    f = _parse_target(target_name, n, _resolve(args.target_param, config, "target.params", [], [str]))
     grid = unit_grid(n, grid_points)
     net = fit_reference(
         f,
@@ -217,7 +220,6 @@ def _load_any_network(path: str):
 
 def _cmd_eval(args) -> int:
     kind, net = _load_any_network(args.network)
-    seed = args.seed if args.seed is not None else 0
     if kind == "binary":
         if not args.x_bits:
             raise ValueError("binary networks need --x-bits (e.g. 1011 for +,-,+,+)")
@@ -231,42 +233,37 @@ def _cmd_eval(args) -> int:
     point = [float(v) for v in args.x.split(",")]
     print(f"reference {forward_reference(net, point)!r}")
     if args.scnn:
-        cfg = ScnnConfig(args.M or 4096, StreamKey(seed), AccumulationMode(args.mode or "apc"))
+        cfg = ScnnConfig(args.M, StreamKey(args.seed), AccumulationMode(args.mode))
         print(f"scnn {forward_scnn(net, point, cfg)!r} (M={cfg.M}, mode={cfg.mode.value})")
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
-    sweep_cfg = config.get("sweep", {})
-    target_cfg = config.get("target", {})
-    seed = _resolve(args.seed, config, "seed", 0)
+    seed = _resolve(args.seed, config, "seed", 0, int)
     net = load_network(args.network)
-    target_name = _resolve(args.target, target_cfg, "name", None)
+    target_name = _resolve(args.target, config, "target.name", None, str)
     if target_name is None:
         raise ValueError("no target function given (use --target or config)")
-    f = _parse_target(target_name, net.n, args.target_param or target_cfg.get("params", []))
-    Ms = args.Ms or sweep_cfg.get("Ms")
+    f = _parse_target(target_name, net.n, _resolve(args.target_param, config, "target.params", [], [str]))
+    Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
     if isinstance(Ms, str):
         Ms = [int(v) for v in Ms.split(",")]
     if not Ms:
         raise ValueError("no stream lengths given (use --Ms or config sweep.Ms)")
-    trials = int(_resolve(args.trials, sweep_cfg, "trials", 200))
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    epsilon = float(_resolve(args.epsilon, sweep_cfg, "epsilon", 0.15))
-    grid_points = int(_resolve(args.grid_points, sweep_cfg, "grid", 17))
-    mode = AccumulationMode(_resolve(args.mode, config, "mode", "apc"))
-    jobs = args.jobs or 1
+    trials = _resolve(args.trials, config, "sweep.trials", 200, int)
+    epsilon = _resolve(args.epsilon, config, "sweep.epsilon", 0.15, float)
+    grid_points = _resolve(args.grid_points, config, "sweep.grid", 17, int)
+    mode = AccumulationMode(_resolve(args.mode, config, "mode", "apc", str))
     grid = unit_grid(net.n, grid_points)
     report = convergence_sweep(
-        net, f, list(Ms), trials, grid, mode, StreamKey(seed), epsilon, jobs=jobs
+        net, f, Ms, trials, grid, mode, StreamKey(seed), epsilon, jobs=args.jobs
     )
     resolved = {
         "command": "sweep",
         "network": net.name,
         "target": target_name,
-        "Ms": list(Ms),
+        "Ms": Ms,
         "trials": trials,
         "epsilon": epsilon,
         "grid": grid_points,
@@ -275,39 +272,10 @@ def _cmd_sweep(args) -> int:
     }
     meta = _metadata(resolved, seed)
     out = _out_dir(args.out_dir)
-    header = [
-        "M",
-        "trials",
-        "grid_size",
-        "median_vs_reference",
-        "max_vs_reference",
-        "rms_vs_reference",
-        "median_vs_target",
-        "max_vs_target",
-        "rms_vs_target",
-        "failure_rate",
-    ]
-    rows = [
-        [
-            r.M,
-            r.trials,
-            r.grid_size,
-            r.median_vs_reference,
-            r.max_vs_reference,
-            r.rms_vs_reference,
-            r.median_vs_target,
-            r.max_vs_target,
-            r.rms_vs_target,
-            r.failure_rate,
-        ]
-        for r in report.rows
-    ]
-    _write_csv(out / "sweep.csv", header, rows, meta)
+    header = [field.name for field in fields(SweepRow)]
+    _write_csv(out / "sweep.csv", header, [astuple(r) for r in report.rows], meta)
     plot_header = ["M", "median_vs_reference", "rms_vs_reference", "median_vs_target", "rms_vs_target", "failure_rate"]
-    plot_rows = [
-        [r.M, r.median_vs_reference, r.rms_vs_reference, r.median_vs_target, r.rms_vs_target, r.failure_rate]
-        for r in report.rows
-    ]
+    plot_rows = [[getattr(r, name) for name in plot_header] for r in report.rows]
     _write_csv(out / "sweep_plot.csv", plot_header, plot_rows, meta)
     _write_json(out / "sweep_summary.json", report.to_dict(), meta)
     print(f"sweep {net.name} vs {target_name}: slope_median {report.slope_median!r}")
@@ -330,11 +298,9 @@ def _cmd_bound(args) -> int:
         raise ValueError("--validate needs --network and --target")
     net = load_network(args.network)
     f = _parse_target(args.target, net.n, args.target_param or [])
-    seed = args.seed if args.seed is not None else 0
-    grid = unit_grid(net.n, args.grid_points or 9)
+    grid = unit_grid(net.n, args.grid_points)
     report = bound_validation(
-        q, net, f, args.trials or 40, StreamKey(seed), grid=grid,
-        mode=AccumulationMode(args.mode or "apc"),
+        q, net, f, args.trials, StreamKey(args.seed), grid=grid, mode=AccumulationMode(args.mode)
     )
     status = "PASS" if report.passed else "FAIL"
     print(
@@ -349,24 +315,23 @@ def _cmd_bound(args) -> int:
             "epsilon": args.epsilon,
             "delta": args.delta,
             "alpha_sum": args.alpha_sum,
-            "trials": args.trials or 40,
-            "grid": args.grid_points or 9,
-            "seed": seed,
+            "trials": args.trials,
+            "grid": args.grid_points,
+            "seed": args.seed,
         }
-        _write_json(_out_dir(args.out_dir) / "bound_report.json", vars(report), _metadata(resolved, seed))
+        _write_json(_out_dir(args.out_dir) / "bound_report.json", vars(report), _metadata(resolved, args.seed))
     return 0 if report.passed else 1
 
 
 def _cmd_convert(args) -> int:
     kind, net = _load_any_network(args.network)
-    seed = args.seed if args.seed is not None else 0
     out = _out_dir(args.out_dir)
-    resolved = {"command": "convert", "input": os.path.basename(args.network), "seed": seed}
+    resolved = {"command": "convert", "input": os.path.basename(args.network), "seed": args.seed}
     if args.binarize:
         if kind != "reference":
             raise ValueError("--binarize expects a reference network file")
-        bnet = binarize_network(net, StreamKey(seed))
-        meta = _metadata({**resolved, "mode": "binarize"}, seed)
+        bnet = binarize_network(net, StreamKey(args.seed))
+        meta = _metadata({**resolved, "mode": "binarize"}, args.seed)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
         _write_json(
             out / "conversion_report.json",
@@ -382,9 +347,9 @@ def _cmd_convert(args) -> int:
         M = args.to_scnn
         path = out / "scnn_streams.json"
         _write_json(path, bundle_to_dict(chunk_network(net, M)),
-                    _metadata({**resolved, "mode": "to-scnn", "M": M}, seed))
+                    _metadata({**resolved, "mode": "to-scnn", "M": M}, args.seed))
         # equivalence check on a keyed random input vector
-        gen = StreamKey(seed).substream("convert-input").generator()
+        gen = StreamKey(args.seed).substream("convert-input").generator()
         x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
         report = preactivation_equivalence_check(net, x, M)
         for u in report.units:
@@ -402,7 +367,7 @@ def _cmd_convert(args) -> int:
         _write_json(
             out / "binary_network.json",
             binary_network_to_dict(bnet),
-            _metadata({**resolved, "mode": "to-bnn"}, seed),
+            _metadata({**resolved, "mode": "to-bnn"}, args.seed),
         )
         print(f"joined {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
@@ -411,7 +376,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    mode = AccumulationMode(args.mode or "apc")
+    mode = AccumulationMode(args.mode)
     if args.bnn:
         if args.m is None or args.N is None:
             raise ValueError("--bnn needs --m and --N")
@@ -467,9 +432,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="comma-separated reals (reference/scnn)")
     p.add_argument("--x-bits", help="bit string, 1 = +1 (binary networks)")
     p.add_argument("--scnn", action="store_true", help="also evaluate the stochastic pass")
-    p.add_argument("--M", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--M", type=int, default=4096)
+    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="Monte-Carlo convergence sweep over stream lengths")
@@ -481,7 +446,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--grid-points", type=int)
     p.add_argument("--mode", choices=["mux", "apc"])
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
     p.add_argument("--out-dir", required=True)
@@ -497,10 +462,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network")
     p.add_argument("--target")
     p.add_argument("--target-param", action="append", metavar="K=V")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
-    p.add_argument("--seed", type=int)
+    p.add_argument("--trials", type=int, default=40)
+    p.add_argument("--grid-points", type=int, default=9)
+    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_bound)
 
@@ -509,7 +474,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--binarize", action="store_true")
     p.add_argument("--to-scnn", type=int, metavar="M")
     p.add_argument("--to-bnn", action="store_true")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_convert)
 
@@ -519,7 +484,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--bnn", action="store_true")
     p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_energy)
 

@@ -22,29 +22,18 @@ from dataclasses import dataclass, replace
 from .scgates import AccumulationMode, GateCounts, accumulator_width
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    xnor_ops: int
-    and_ops: int
-    mux_select_ops: int
-    apc_bit_adds: int
+@dataclass(kw_only=True)
+class EnergyReport(GateCounts):
+    """Closed-form gate-op counts of one neuron or layer, with the
+    parameterization they were computed for."""
+
     n: int
     M: int
     N: int
     mode: AccumulationMode
     asymptotic_label: str
 
-    @property
-    def total(self) -> int:
-        return self.xnor_ops + self.and_ops + self.mux_select_ops + self.apc_bit_adds
-
-    def classes(self) -> dict[str, int]:
-        return {
-            "xnor_ops": self.xnor_ops,
-            "and_ops": self.and_ops,
-            "mux_select_ops": self.mux_select_ops,
-            "apc_bit_adds": self.apc_bit_adds,
-        }
+    classes = GateCounts.as_dict
 
     def matches(self, counts: GateCounts) -> bool:
         """Exact classwise agreement with instrumented simulator tallies."""
@@ -101,7 +90,6 @@ def _report(n: int, M: int, N: int, mode: AccumulationMode, per_layer: bool) -> 
         label = "O(n·M·log(n·M)·N)" if per_layer else "O(n·M·log(n·M))"
     return EnergyReport(
         xnor_ops=xnor,
-        and_ops=0,
         mux_select_ops=mux_sel,
         apc_bit_adds=apc,
         n=n,

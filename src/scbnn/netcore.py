@@ -173,7 +173,7 @@ def unit_grid(n: int, points_per_axis: int | None = None) -> np.ndarray:
     """Uniform grid over [0, 1]^n as a (points^n, n) array."""
     if n < 1:
         raise ValueError(f"grid dimension must be >= 1, got {n}")
-    p = points_per_axis or _DEFAULT_GRID_POINTS.get(n, 8)
+    p = _DEFAULT_GRID_POINTS.get(n, 8) if points_per_axis is None else points_per_axis
     if p < 1:
         raise ValueError(f"points per axis must be >= 1, got {p}")
     axis = np.linspace(0.0, 1.0, p)
@@ -354,17 +354,19 @@ def save_network(net: ReferenceNetwork, path: str | os.PathLike) -> None:
         fh.write("\n")
 
 
+def _check_json_type(value, kind, what: str):
+    """`value` if it has the JSON type `kind` (int, float, str, list or dict),
+    else a SchemaError naming `what`. A bool is neither an int nor a number;
+    an int is a number and comes back as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        raise SchemaError(f"{what} must be {'a number' if kind is float else kind.__name__}")
+    return float(value) if kind is float else value
+
+
 def _require(doc: dict, key: str, kind, where: str):
     if key not in doc:
         raise SchemaError(f"{where}: missing field {key!r}")
-    value = doc[key]
-    if kind is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise SchemaError(f"{where}: field {key!r} must be a number")
-        return float(value)
-    if not isinstance(value, kind):
-        raise SchemaError(f"{where}: field {key!r} must be {kind.__name__}")
-    return value
+    return _check_json_type(doc[key], kind, f"{where}: field {key!r}")
 
 
 def _require_activation(doc: dict, where: str) -> Activation:

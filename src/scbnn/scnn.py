@@ -8,7 +8,7 @@ independently per unit. Results are pure functions of (net, x, config).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -81,6 +81,18 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     return out
 
 
+def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: int) -> np.ndarray:
+    """`forward_scnn` at every row of `grid`; row p runs under the key
+    `cfg.key.derive(*indices, p)`, so each caller keeps its own key scheme
+    (a sweep passes (m_index, trial), bound validation (trial,)).
+    """
+    grid = np.atleast_2d(np.asarray(grid, dtype=float))
+    return np.array([
+        forward_scnn(net, x, replace(cfg, key=cfg.key.derive(*indices, p)))
+        for p, x in enumerate(grid)
+    ])
+
+
 @dataclass
 class ErrorProfile:
     """Per-point SCNN errors against the reference network and the target."""
@@ -91,11 +103,11 @@ class ErrorProfile:
 
     def summary(self) -> dict[str, float]:
         return {
-            "max_vs_reference": float(self.vs_reference.max()),
             "median_vs_reference": float(np.median(self.vs_reference)),
+            "max_vs_reference": float(self.vs_reference.max()),
             "rms_vs_reference": float(np.sqrt(np.mean(self.vs_reference**2))),
-            "max_vs_target": float(self.vs_target.max()),
             "median_vs_target": float(np.median(self.vs_target)),
+            "max_vs_target": float(self.vs_target.max()),
             "rms_vs_target": float(np.sqrt(np.mean(self.vs_target**2))),
         }
 
@@ -116,8 +128,5 @@ def scnn_error_profile(
         raise ValueError("grid is empty")
     g_ref = np.atleast_1d(forward_reference(net, grid))
     g_target = np.atleast_1d(f(grid))
-    g_sc = np.empty(grid.shape[0])
-    for p in range(grid.shape[0]):
-        point_cfg = ScnnConfig(cfg.M, cfg.key.derive(p), cfg.mode, cfg.prescalers)
-        g_sc[p] = forward_scnn(net, grid[p], point_cfg)
+    g_sc = forward_scnn_grid(net, grid, cfg)
     return ErrorProfile(grid, np.abs(g_sc - g_ref), np.abs(g_sc - g_target))

@@ -20,7 +20,7 @@ import numpy as np
 from .bitstream import Encoding, StreamKey, decode, sng_encode
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
-from .scnn import ScnnConfig, forward_scnn
+from .scnn import ErrorProfile, ScnnConfig, forward_scnn_grid
 
 #: Refuse validation runs whose bound exceeds this stream length.
 M_FEASIBLE_CAP = 1 << 26
@@ -154,12 +154,9 @@ class ConvergenceReport:
 def _sweep_task(args) -> tuple[np.ndarray, GateCounts]:
     # Gate tallies are returned with the values: a counting() block in the
     # caller does not reach a worker process.
-    net, grid, M, mode, key, m_index, trial = args
-    values = np.empty(grid.shape[0])
+    net, grid, cfg, m_index, trial = args
     with counting() as counts:
-        for p in range(grid.shape[0]):
-            cfg = ScnnConfig(M, key.derive(m_index, trial, p), mode)
-            values[p] = forward_scnn(net, grid[p], cfg)
+        values = forward_scnn_grid(net, grid, cfg, m_index, trial)
     return values, counts
 
 
@@ -194,11 +191,13 @@ def convergence_sweep(
         raise ValueError(f"need trials >= 30, got {trials}")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     g_ref = np.atleast_1d(forward_reference(net, grid))
     g_target = np.atleast_1d(f(grid))
     tasks = [
-        (net, grid, M, mode, key, mi, t)
+        (net, grid, ScnnConfig(M, key, mode), mi, t)
         for mi, M in enumerate(Ms)
         for t in range(trials)
     ]
@@ -213,20 +212,15 @@ def convergence_sweep(
     rows = []
     for mi, M in enumerate(Ms):
         block = np.stack(values[mi * trials : (mi + 1) * trials])  # (trials, P)
-        e_ref = np.abs(block - g_ref).ravel()
-        e_tgt = np.abs(block - g_target).ravel()
+        # Errors of every trial at every grid point, trial-major.
+        errors = ErrorProfile(grid, np.abs(block - g_ref).ravel(), np.abs(block - g_target).ravel())
         rows.append(
             SweepRow(
                 M=M,
                 trials=trials,
                 grid_size=grid.shape[0],
-                median_vs_reference=float(np.median(e_ref)),
-                max_vs_reference=float(e_ref.max()),
-                rms_vs_reference=float(np.sqrt(np.mean(e_ref**2))),
-                median_vs_target=float(np.median(e_tgt)),
-                max_vs_target=float(e_tgt.max()),
-                rms_vs_target=float(np.sqrt(np.mean(e_tgt**2))),
-                failure_rate=float(np.mean(e_tgt >= epsilon)),
+                **errors.summary(),
+                failure_rate=float(np.mean(errors.vs_target >= epsilon)),
             )
         )
     return ConvergenceReport(
@@ -277,15 +271,12 @@ def bound_validation(
         grid = unit_grid(net.n, 9)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     g_target = np.atleast_1d(f(grid))
+    cfg = ScnnConfig(M, key, mode)
     failures = 0
-    samples = 0
     for t in range(trials):
-        for p in range(grid.shape[0]):
-            cfg = ScnnConfig(M, key.derive(t, p), mode)
-            err = abs(forward_scnn(net, grid[p], cfg) - float(g_target[p]))
-            if err >= q.epsilon:
-                failures += 1
-            samples += 1
+        values = forward_scnn_grid(net, grid, cfg, t)
+        failures += int(np.count_nonzero(np.abs(values - g_target) >= q.epsilon))
+    samples = trials * grid.shape[0]
     rate = failures / samples
     se = math.sqrt(q.delta * (1.0 - q.delta) / samples)
     threshold = q.delta + 2.0 * se

@@ -84,6 +84,26 @@ class TestFit:
         assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("config, key", [
+        ({"fit": {"N": 8.7}}, "fit.N"),
+        ({"fit": {"grid": "64"}}, "fit.grid"),
+        ({"fit": {"ridge": True}}, "fit.ridge"),
+        ({"target": {"name": "sine", "params": ["cycles=1", 2]}}, "target.params[1]"),
+        ({"fit": [4]}, "fit"),
+    ])
+    def test_wrong_config_type_names_the_key(self, tmp_path, capsys, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": {"name": "sine"}, **config}))
+        assert run("fit", "--config", cfg, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "network.json").exists()
+
+    def test_zero_grid_points_is_usage_error(self, tmp_path, capsys):
+        assert run("fit", "--target", "sine", "--grid-points", "0", "--out-dir", tmp_path) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "network.json").exists()
+
 
 class TestEval:
     def test_reference_and_scnn(self, sine_net, capsys):
@@ -98,6 +118,17 @@ class TestEval:
 
     def test_binary_needs_bits(self, bnn_file):
         assert run("eval", "--network", bnn_file, "--x", "0.5") == 2
+
+    def test_zero_stream_length_is_usage_error(self, sine_net, capsys):
+        assert run("eval", "--network", sine_net, "--x", "0.25", "--scnn", "--M", "0") == 2
+        assert_one_line_error(capsys)
+
+    def test_boolean_dimension_is_usage_error(self, sine_net, tmp_path, capsys):
+        doc = json.loads(sine_net.read_text())
+        path = tmp_path / "net.json"
+        path.write_text(json.dumps({**doc, "n": True}))
+        assert run("eval", "--network", path, "--x", "0.25") == 2
+        assert_one_line_error(capsys)
 
 
 class TestSweep:
@@ -146,6 +177,41 @@ class TestSweep:
         assert run("sweep", "--network", tmp_path / "nope.json", "--target", "sine",
                    "--Ms", "16", "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("sweep, key", [
+        ({"Ms": 16}, "sweep.Ms"),
+        ({"Ms": "16,64"}, "sweep.Ms"),
+        ({"Ms": [16, 64.5]}, "sweep.Ms[1]"),
+        ({"trials": [1]}, "sweep.trials"),
+        ({"epsilon": "0.2"}, "sweep.epsilon"),
+        ({"grid": None}, "sweep.grid"),
+    ])
+    def test_wrong_config_type_names_the_key(self, sine_net, tmp_path, capsys, sweep, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sweep": {"Ms": [16], "trials": 30, "grid": 2, **sweep}}))
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--config", cfg,
+                   "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
+        assert not (tmp_path / "o" / "sweep.csv").exists()
+
+    def test_config_values_of_the_right_type(self, sine_net, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 9, "mode": "mux", "target": {"name": "sine", "params": ["cycles=1"]},
+            "sweep": {"Ms": [16, 64], "trials": 30, "epsilon": 1, "grid": 2},
+        }))
+        assert run("sweep", "--network", sine_net, "--config", cfg, "--out-dir", tmp_path / "o") == 0
+        summary = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())
+        assert summary["epsilon"] == 1.0 and summary["mode"] == "mux"
+        assert [r["M"] for r in summary["rows"]] == [16, 64]
+
+    @pytest.mark.parametrize("flag", ["--jobs", "--grid-points"])
+    def test_zero_is_usage_error_not_default(self, sine_net, tmp_path, capsys, flag):
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "16",
+                   "--trials", "30", flag, "0", "--out-dir", tmp_path) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "sweep.csv").exists()
+
 
 class TestBound:
     def test_prints_reference_bound(self, capsys):
@@ -160,6 +226,14 @@ class TestBound:
         argv = {"--n": "1", "--N": "2", "--epsilon": "0.1", "--delta": "0.1", flag: value}
         assert run("bound", *[t for kv in argv.items() for t in kv]) == 2
         assert_one_line_error(capsys)
+
+    @pytest.mark.parametrize("flag", ["--trials", "--grid-points"])
+    def test_zero_validation_size_is_usage_error(self, sine_net, tmp_path, capsys, flag):
+        assert run("bound", "--n", "1", "--N", "8", "--epsilon", "1.0", "--delta", "0.25",
+                   "--alpha-sum", "2.0", "--validate", "--network", sine_net, "--target", "sine",
+                   flag, "0", "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "bound_report.json").exists()
 
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())
@@ -202,6 +276,17 @@ class TestConvert:
 
     def test_needs_a_mode(self, bnn_file, tmp_path):
         assert run("convert", "--network", bnn_file, "--out-dir", tmp_path) == 2
+
+    @pytest.mark.parametrize("bias", [1.5, True, 9.223372036854776e18, 3])
+    def test_binary_bias_must_be_plus_or_minus_one(self, bnn_file, tmp_path, capsys, bias):
+        doc = json.loads(bnn_file.read_text())
+        doc["binary_biases"][2] = bias
+        path = tmp_path / "bnet.json"
+        path.write_text(json.dumps(doc))
+        assert run("convert", "--network", path, "--to-scnn", "4", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "binary_biases[2]" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "scnn_streams.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -271,8 +356,8 @@ def mutate(doc, data):
 
 
 class TestParserFuzz:
-    """Mutated bundle and binary-weight documents exit 0 or 2, never with a
-    traceback."""
+    """Mutated bundle, binary-weight and config documents exit 0 or 2, never
+    with a traceback."""
 
     def _run_mutated(self, doc, data, *argv):
         doc = mutate(json.loads(json.dumps(doc)), data)
@@ -290,6 +375,18 @@ class TestParserFuzz:
     @given(data=st.data())
     def test_binary_weight_file(self, bnn_file, data):
         self._run_mutated(json.loads(bnn_file.read_text()), data, "--to-scnn", "4")
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_sweep_config(self, sine_net, data):
+        doc = mutate({
+            "seed": 3, "mode": "apc", "target": {"name": "sine", "params": ["cycles=1"]},
+            "sweep": {"Ms": [4, 8], "trials": 30, "epsilon": 0.3, "grid": 2},
+        }, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "cfg.json"
+            cfg.write_text(json.dumps(doc))
+            assert run("sweep", "--network", sine_net, "--config", cfg, "--out-dir", Path(tmp) / "o") in (0, 2)
 
 
 class TestEnergy:

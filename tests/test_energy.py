@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scbnn import (
     AccumulationMode,
     Encoding,
+    GateCounts,
     StreamKey,
     bnn_layer_energy,
     counting,
@@ -65,6 +66,15 @@ class TestClosedForm:
         assert layer_energy(2, 8, 3, AccumulationMode.MUX).asymptotic_label == "O(n·M·N)"
         assert "log" in layer_energy(2, 8, 3, AccumulationMode.APC).asymptotic_label
         assert bnn_layer_energy(16, 3, AccumulationMode.MUX).asymptotic_label == "O(m·N)"
+
+
+class TestReportIsGateCounts:
+    def test_counts_are_the_gate_count_fields(self):
+        rep = layer_energy(4, 64, 8, AccumulationMode.APC)
+        assert isinstance(rep, GateCounts)
+        assert rep.classes() == GateCounts(**rep.classes()).as_dict()
+        assert rep.total == sum(rep.classes().values())
+        assert list(rep.to_dict()) == [*rep.classes(), "total", "n", "M", "N", "mode", "asymptotic_label"]
 
 
 class TestBnnEquivalence:

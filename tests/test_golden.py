@@ -5,7 +5,8 @@ the per-stream composition it replaces.
 The pins were recorded with numpy 2.4.6 (Philox4x64-10 and
 `Generator.random`'s 53-bit conversion): the stream and forward pins before
 stream generation was batched, the BNN-path file pins before the BNN input
-vector became a bipolar `Bitstream`. Any change that alters a single stream
+vector became a bipolar `Bitstream`, and the sweep, bound, energy and
+error-profile pins before those paths shared one grid loop. Any change that alters a single stream
 bit, the last bit of a forward value or one output byte fails here.
 """
 
@@ -32,6 +33,7 @@ from scbnn import (
     forward_scnn,
     make_target,
     prescale,
+    scnn_error_profile,
     sng_encode,
     to_hex_line,
     unit_grid,
@@ -89,6 +91,57 @@ BNN_TO_BNN_SHA256 = {
 }
 #: sha256 of network.json from `scbnn fit --target sine --seed 2`.
 FIT_SINE_SHA256 = "2668a9dc78b685112cf06223a1ecf67dddef76c9e72df108ac30c5909a8847c0"
+
+#: sha256 of the sweep files for the acceptance-C9 config (see TestExperimentBytes).
+SWEEP_C9_SHA256 = {
+    "apc": {
+        "sweep.csv": "e97bfdab3f07216217800c991d04865b5aff1ba92fcfe340fded72d16668e4aa",
+        "sweep_plot.csv": "3906fba70e6de3743338f09f8408157b80854530ba73b36a4a47fb3fad9a9196",
+        "sweep_summary.json": "7d292597ac5dfa4a7ba8f6d30d21d343b0bb13f38a3c2603b8b035078c21fb40",
+    },
+    "mux": {
+        "sweep.csv": "85b4f6d7fe4a9c8193df625bdb664252991e36f447a95cbdb6ff84e30a88b442",
+        "sweep_plot.csv": "e8455ff10a9402fad4dd89b196a2b68dfb0582cbc5e81f9f348a3e73e98498c2",
+        "sweep_summary.json": "1f80ccb1aa2ebc23abd828b64569ad92d60cb423c7c1a569be5f2f8e85f4267e",
+    },
+}
+#: sha256 of bound_report.json from `bound --validate --mode mux` on a linear
+#: N=2 net: M=23, 35 samples, failure rate 0.4 (zero failures would not show
+#: a miscounted failure).
+BOUND_MUX_SHA256 = "5baaa2c190e082c45325ba23e1355036a32c2528c025daefccc477650b7a2692"
+#: sha256 of energy.json and energy.csv from `energy --n 4 --M 64 --N 8 --mode apc`
+#: and `energy --bnn --m 256 --N 8 --mode mux`.
+ENERGY_SHA256 = {
+    "layer-apc": {
+        "energy.json": "206620578fae5e966a1c1f3e4ed2db2b5c394eb79415a294c872c63ca7a30adb",
+        "energy.csv": "4e703975d1cbd09fb89e2c44113f5be0ce1eac55f077f922db9ad93171297b46",
+    },
+    "bnn-mux": {
+        "energy.json": "cb59f26adb7e4e6d0e421577a8ec7b632ce50deb2cd7f9f6dc45e4342de8d046",
+        "energy.csv": "9c4103c95f99810466343aa7ba2483031079191f1b7602fb52ebc9d7401dfc31",
+    },
+}
+ENERGY_ARGV = {
+    "layer-apc": ["--n", "4", "--M", "64", "--N", "8", "--mode", "apc"],
+    "bnn-mux": ["--bnn", "--m", "256", "--N", "8", "--mode", "mux"],
+}
+#: float.hex of scnn_error_profile(C9 sine net, sine, unit_grid(1, 5),
+#: ScnnConfig(64, StreamKey(21), MUX)): vs_reference and summary().
+PROFILE_VS_REFERENCE = [
+    "0x1.43ab4cfe9c3f9p-1",
+    "0x1.e90755351f396p+1",
+    "0x1.88fe016d416fep+0",
+    "0x1.149ee25de27a7p+2",
+    "0x1.e6f2741a085fdp+0",
+]
+PROFILE_SUMMARY = {
+    "max_vs_reference": "0x1.149ee25de27a7p+2",
+    "median_vs_reference": "0x1.e6f2741a085fdp+0",
+    "rms_vs_reference": "0x1.687627c151ebap+1",
+    "max_vs_target": "0x1.1385617f987a1p+2",
+    "median_vs_target": "0x1.ee9bb9bf01c74p+0",
+    "rms_vs_target": "0x1.682d5f10581b0p+1",
+}
 
 
 def _sha256(path) -> str:
@@ -279,3 +332,50 @@ class TestBnnPathBytes:
     def test_fit_sine_seed_2(self, tmp_path):
         assert main(["fit", "--target", "sine", "--seed", "2", "--out-dir", str(tmp_path)]) == 0
         assert _sha256(tmp_path / "network.json") == FIT_SINE_SHA256
+
+
+class TestExperimentBytes:
+    """Sweep, bound-validation and energy files, and one error profile: the
+    grid-evaluation paths and the error statistics they report."""
+
+    @pytest.fixture(scope="class")
+    def c9_net(self, tmp_path_factory):
+        out = tmp_path_factory.mktemp("c9-fit")
+        argv = ["fit", "--target", "sine", "--N", "8", "--grid-points", "64", "--seed", "6",
+                "--out-dir", str(out)]
+        assert main(argv) == 0
+        return out / "network.json"
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_sweep_c9(self, c9_net, tmp_path, mode):
+        argv = ["sweep", "--network", str(c9_net), "--target", "sine", "--Ms", "16,64",
+                "--trials", "30", "--epsilon", "0.3", "--grid-points", "5", "--seed", "12345",
+                "--mode", mode.value, "--out-dir", str(tmp_path)]
+        assert main(argv) == 0
+        got = {name: _sha256(tmp_path / name) for name in SWEEP_C9_SHA256[mode.value]}
+        assert got == SWEEP_C9_SHA256[mode.value]
+
+    def test_bound_validation_mux(self, tmp_path):
+        assert main(["fit", "--target", "linear", "--N", "2", "--seed", "1",
+                     "--out-dir", str(tmp_path / "fit")]) == 0
+        argv = ["bound", "--n", "1", "--N", "2", "--epsilon", "0.3", "--delta", "0.5",
+                "--alpha-sum", "0.5", "--validate", "--network", str(tmp_path / "fit" / "network.json"),
+                "--target", "linear", "--trials", "7", "--grid-points", "5", "--seed", "3",
+                "--mode", "mux", "--out-dir", str(tmp_path / "bound")]
+        assert main(argv) == 0
+        assert _sha256(tmp_path / "bound" / "bound_report.json") == BOUND_MUX_SHA256
+
+    @pytest.mark.parametrize("case", sorted(ENERGY_ARGV))
+    def test_energy(self, tmp_path, case):
+        assert main(["energy", *ENERGY_ARGV[case], "--out-dir", str(tmp_path)]) == 0
+        got = {name: _sha256(tmp_path / name) for name in ENERGY_SHA256[case]}
+        assert got == ENERGY_SHA256[case]
+
+    def test_error_profile(self):
+        sine = make_target("sine", 1)
+        net = fit_reference(sine, 8, unit_grid(1, 64), StreamKey(6))
+        prof = scnn_error_profile(
+            net, sine, unit_grid(1, 5), ScnnConfig(64, StreamKey(21), AccumulationMode.MUX)
+        )
+        assert [v.hex() for v in prof.vs_reference.tolist()] == PROFILE_VS_REFERENCE
+        assert {k: v.hex() for k, v in prof.summary().items()} == PROFILE_SUMMARY

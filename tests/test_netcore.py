@@ -174,6 +174,10 @@ class TestTargets:
         with pytest.raises(ValueError):
             unit_grid(0)
 
+    def test_zero_points_per_axis_is_not_the_default(self):
+        with pytest.raises(ValueError, match="points per axis"):
+            unit_grid(1, 0)
+
 
 class TestWeightFiles:
     def test_round_trip_bit_exact(self, tmp_path):

@@ -14,9 +14,12 @@ from scbnn import (
     ScnnConfig,
     StreamKey,
     activate,
+    counting,
     fit_reference,
     forward_reference,
     forward_scnn,
+    forward_scnn_grid,
+    layer_energy,
     make_target,
     scnn_error_profile,
     unit_grid,
@@ -151,6 +154,29 @@ class TestErrorProfile:
         for k in ("max_vs_reference", "median_vs_reference", "rms_vs_reference",
                   "max_vs_target", "median_vs_target", "rms_vs_target"):
             assert k in s and np.isfinite(s[k])
+
+
+class TestForwardScnnGrid:
+    def test_row_p_runs_under_derived_key(self):
+        net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
+        grid = unit_grid(1, 4)
+        for mode in AccumulationMode:
+            cfg = ScnnConfig(40, KEY, mode)
+            got = forward_scnn_grid(net, grid, cfg, 3, 1)
+            want = [forward_scnn(net, x, ScnnConfig(40, KEY.derive(3, 1, p), mode)) for p, x in enumerate(grid)]
+            assert got.tolist() == want
+
+    def test_one_forward_call_and_one_layer_of_gates_per_point(self, monkeypatch):
+        import scbnn.scnn
+
+        net = net_of([[0.7], [-1.2], [2.0]], [0.2, 0.5, -1.0], [1.0, -0.5, 0.25])
+        calls = []
+        monkeypatch.setattr(scbnn.scnn, "forward_scnn", lambda *a: calls.append(a) or forward_scnn(*a))
+        with counting() as counts:
+            values = forward_scnn_grid(net, unit_grid(1, 5), ScnnConfig(16, KEY))
+        assert len(calls) == values.shape[0] == 5
+        per_point = layer_energy(1, 16, 3, AccumulationMode.APC)
+        assert counts.as_dict() == {k: 5 * v for k, v in per_point.classes().items()}
 
 
 class TestPreactivationConvergence:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from fractions import Fraction
@@ -12,6 +13,7 @@ from scbnn import (
     AccumulationMode,
     Activation,
     BoundQuery,
+    ErrorProfile,
     InfeasibleBoundError,
     ReferenceNetwork,
     StreamKey,
@@ -27,6 +29,7 @@ from scbnn import (
     unit_grid,
 )
 from scbnn.bitstream import network_prescalers
+from scbnn.theory import SweepRow
 
 KEY = StreamKey(0x7E07)
 
@@ -213,6 +216,13 @@ class TestConvergenceSweep:
             convergence_sweep(net, f, [16, 4], 30, grid, AccumulationMode.APC, KEY, 0.1)
         with pytest.raises(ValueError, match="trials"):
             convergence_sweep(net, f, [4, 16], 10, grid, AccumulationMode.APC, KEY, 0.1)
+        with pytest.raises(ValueError, match="jobs"):
+            convergence_sweep(net, f, [4, 16], 30, grid, AccumulationMode.APC, KEY, 0.1, jobs=0)
+
+    def test_row_statistics_are_the_error_profile_summary(self):
+        names = [field.name for field in dataclasses.fields(SweepRow)]
+        summary = ErrorProfile(np.zeros((1, 1)), np.ones(1), np.ones(1)).summary()
+        assert names == ["M", "trials", "grid_size", *summary, "failure_rate"]
 
 
 class TestBoundValidation:
