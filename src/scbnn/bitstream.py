@@ -106,13 +106,17 @@ class StreamKey:
     i: int = 0
     j: int = 0
 
+    def __post_init__(self):
+        if not 0 <= self.seed <= _MASK64:
+            raise ValueError(f"seed {self.seed} is outside the 64-bit range [0, 2^64)")
+
     def substream(self, role: str, i: int = 0, j: int = 0) -> "StreamKey":
         """Key for a named substream under the same master seed."""
         return StreamKey(self.seed, role, i, j)
 
     def derive(self, *indices: int) -> "StreamKey":
         """Fold indices into a fresh master key (for trials, grid points...)."""
-        h = _fold(self.seed & _MASK64, _DERIVE_SALT)
+        h = _fold(self.seed, _DERIVE_SALT)
         h = _fold(h, _role_hash(self.role))
         h = _fold(h, self.i)
         h = _fold(h, self.j)
@@ -121,7 +125,7 @@ class StreamKey:
         return StreamKey(h)
 
     def _philox_key(self) -> np.ndarray:
-        k0 = _fold(self.seed & _MASK64, _role_hash(self.role))
+        k0 = _fold(self.seed, _role_hash(self.role))
         k0 = _fold(_fold(k0, self.i), self.j)
         k1 = _fold(k0, _KEY2_SALT)
         return np.array([k0, k1], dtype=np.uint64)
@@ -138,7 +142,7 @@ class StreamKey:
         k0s, i_all, j_all = [], [], []
         for role, i, j in groups:
             i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64))
-            k0s.append(np.full(i.size, _fold(self.seed & _MASK64, _role_hash(role)), dtype=np.uint64))
+            k0s.append(np.full(i.size, _fold(self.seed, _role_hash(role)), dtype=np.uint64))
             i_all.append(i.reshape(-1))
             j_all.append(j.reshape(-1))
         k0 = _fold(_fold(np.concatenate(k0s), np.concatenate(i_all)), np.concatenate(j_all))
@@ -171,7 +175,7 @@ def zero_pad_bits(packed: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Bitstream:
     """Immutable M-bit stream with an encoding tag.
 

@@ -5,6 +5,8 @@ A +/-1 vector of m values is a bipolar `Bitstream` of length m: stored bit
 1 means +1 and bit 0 means -1 (the convention shared package-wide), so the
 +/-1 inner product is 2*popcount(XNOR) - m, and chunking the vector into
 n = m/M streams of M bits (`transform`) is a reshape of the same bits.
+`binarize_network` draws every sign of a network as a one-bit stream in one
+keyed `encode_many` call; the scalar `binarize` is its per-element reference.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, StreamKey, StreamMismatchError, zero_pad_bits
+from .bitstream import Bitstream, Encoding, StreamKey, StreamMismatchError, encode_many, zero_pad_bits
 from .netcore import (
-    Activation, SchemaError, activate, load_json_object, _require, _require_activation, _require_stream,
+    Activation, SchemaError, activate, load_json_object, _require, _require_activation, _require_streams,
 )
 
 
@@ -94,18 +96,20 @@ class BinaryNetwork:
 def binarize_network(net, key: StreamKey) -> BinaryNetwork:
     """One-shot stochastic binarization of hidden weights and biases.
 
-    Output weights stay real. Each element gets its own substream, so the
-    result is deterministic in `key`.
+    Output weights stay real. Weight (i, j) is ``binarize(w, key.substream(
+    "binweights", i, j))`` and bias i ``binarize(b, key.substream("binbias",
+    i))``, so the result is deterministic in `key`.
     """
-    signs = np.empty((net.N, net.n), dtype=int)
-    biases = np.empty(net.N, dtype=int)
-    for i in range(net.N):
-        for j in range(net.n):
-            signs[i, j] = binarize(net.hidden_weights[i, j], key.substream("binweights", i, j))
-        biases[i] = binarize(net.hidden_biases[i], key.substream("binbias", i))
+    N, n = net.hidden_weights.shape
+    keys = key.substream_keys(
+        [("binweights", np.arange(N)[:, None], np.arange(n)[None, :]), ("binbias", np.arange(N), 0)]
+    )
+    probs = hard_sigmoid(np.concatenate([net.hidden_weights.reshape(-1), net.hidden_biases]))
+    bits = encode_many(probs, keys, 1)[:, 0] >> 7  # a one-bit stream is its byte's MSB
+    rows = np.packbits(bits[: N * n].reshape(N, n), axis=1)
     return BinaryNetwork(
-        binary_weights=[Bitstream.from_signs(signs[i]) for i in range(net.N)],
-        binary_biases=biases,
+        binary_weights=[Bitstream(row, n, Encoding.BIPOLAR) for row in rows],
+        binary_biases=2 * bits[N * n :].astype(int) - 1,
         output_weights=net.output_weights.copy(),
         activation=net.activation,
         name=f"{net.name}-binarized",
@@ -161,10 +165,7 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
         raise SchemaError(f"{where}: binary_weights has {len(weight_rows)} rows, expected N={N}")
     # A row is the hex payload of a bipolar hex line, so it passes the same
     # hex, size and pad-bit checks.
-    weights = [
-        _require_stream(f"M:{m};enc:b;{row}", m, f"{where}: binary_weights[{idx}]")
-        for idx, row in enumerate(weight_rows)
-    ]
+    weights = _require_streams([f"M:{m};enc:b;{row}" for row in weight_rows], m, f"{where}: binary_weights")
     biases = _require(doc, "binary_biases", list, where)
     outputs = _require(doc, "output_weights", list, where)
     if len(biases) != N or len(outputs) != N:

@@ -135,14 +135,24 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _parse_target(name: str, n: int, params: list[str]):
-    kwargs = {}
-    for item in params:
+def _resolve_target(args, config: dict, n: int):
+    """(name, target) from --target/--target-param over config
+    target.name/target.params. The config's params belong to the config's
+    target, so they are dropped when --target names a different one."""
+    config_name = _resolve(None, config, "target.name", None, str)
+    name = config_name if args.target is None else args.target
+    if name is None:
+        raise ValueError("no target function given (use --target or config)")
+    items = _resolve(args.target_param, config, "target.params", [], [str])
+    if args.target_param is None and name != config_name:
+        items = []
+    params = {}
+    for item in items:
         if "=" not in item:
             raise ValueError(f"target param {item!r} must look like name=value")
         k, v = item.split("=", 1)
-        kwargs[k] = float(v)
-    return make_target(name, n, **kwargs)
+        params[k] = float(v)
+    return name, make_target(name, n, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +161,6 @@ def _parse_target(name: str, n: int, params: list[str]):
 def _cmd_fit(args) -> int:
     config = _load_config(args.config)
     seed = _resolve(args.seed, config, "seed", 0, int)
-    target_name = _resolve(args.target, config, "target.name", None, str)
-    if target_name is None:
-        raise ValueError("no target function given (use --target or config)")
     n = _resolve(args.n, config, "target.n", 1, int)
     N = _resolve(args.N, config, "fit.N", 32, int)
     grid_points = _resolve(args.grid_points, config, "fit.grid", None, int)
@@ -161,7 +168,7 @@ def _cmd_fit(args) -> int:
     edge_fraction = _resolve(args.edge_fraction, config, "fit.edge_fraction", 0.5, float)
     noise_penalty = _resolve(args.noise_penalty, config, "fit.noise_penalty", 1e-3, float)
     ridge = _resolve(args.ridge, config, "fit.ridge", 1e-8, float)
-    f = _parse_target(target_name, n, _resolve(args.target_param, config, "target.params", [], [str]))
+    target_name, f = _resolve_target(args, config, n)
     grid = unit_grid(n, grid_points)
     net = fit_reference(
         f,
@@ -242,10 +249,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     seed = _resolve(args.seed, config, "seed", 0, int)
     net = load_network(args.network)
-    target_name = _resolve(args.target, config, "target.name", None, str)
-    if target_name is None:
-        raise ValueError("no target function given (use --target or config)")
-    f = _parse_target(target_name, net.n, _resolve(args.target_param, config, "target.params", [], [str]))
+    target_name, f = _resolve_target(args, config, net.n)
     Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
     if isinstance(Ms, str):
         Ms = [int(v) for v in Ms.split(",")]
@@ -297,7 +301,7 @@ def _cmd_bound(args) -> int:
     if not args.network or not args.target:
         raise ValueError("--validate needs --network and --target")
     net = load_network(args.network)
-    f = _parse_target(args.target, net.n, args.target_param or [])
+    _, f = _resolve_target(args, {}, net.n)
     grid = unit_grid(net.n, args.grid_points)
     report = bound_validation(
         q, net, f, args.trials, StreamKey(args.seed), grid=grid, mode=AccumulationMode(args.mode)
@@ -324,13 +328,14 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    key = StreamKey(args.seed)
     kind, net = _load_any_network(args.network)
     out = _out_dir(args.out_dir)
     resolved = {"command": "convert", "input": os.path.basename(args.network), "seed": args.seed}
     if args.binarize:
         if kind != "reference":
             raise ValueError("--binarize expects a reference network file")
-        bnet = binarize_network(net, StreamKey(args.seed))
+        bnet = binarize_network(net, key)
         meta = _metadata({**resolved, "mode": "binarize"}, args.seed)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
         _write_json(
@@ -349,7 +354,7 @@ def _cmd_convert(args) -> int:
         _write_json(path, bundle_to_dict(chunk_network(net, M)),
                     _metadata({**resolved, "mode": "to-scnn", "M": M}, args.seed))
         # equivalence check on a keyed random input vector
-        gen = StreamKey(args.seed).substream("convert-input").generator()
+        gen = key.substream("convert-input").generator()
         x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
         report = preactivation_equivalence_check(net, x, M)
         for u in report.units:

@@ -14,7 +14,9 @@ from typing import Callable
 
 import numpy as np
 
-from .bitstream import Bitstream, PreScaler, StreamFormatError, StreamKey, from_hex_line, network_prescalers
+from .bitstream import (
+    Bitstream, Encoding, PreScaler, StreamFormatError, StreamKey, from_hex_line, network_prescalers, zero_pad_bits,
+)
 
 
 class SchemaError(ValueError):
@@ -144,29 +146,40 @@ class TargetFunction:
         return float(vals[0]) if single else vals
 
 
+#: Each target's parameters with their defaults, and its values at points
+#: of shape (P, n) given those parameters.
+_TARGETS = {
+    "constant": ({"value": 0.3}, lambda pts, value: np.full(pts.shape[0], value)),
+    "linear": ({}, lambda pts: pts.mean(axis=1)),
+    "sine": ({"cycles": 1.0}, lambda pts, cycles: np.sin(2.0 * math.pi * cycles * pts.mean(axis=1))),
+    "bump": (
+        {"width": 0.15},
+        lambda pts, width: np.exp(-((pts - 0.5) ** 2).sum(axis=1) / (2.0 * width**2)),
+    ),
+}
+
+
 def make_target(name: str, n: int = 1, **params) -> TargetFunction:
-    """Target registry; raises ValueError for unknown names."""
-    if name == "constant":
-        c = float(params.get("value", 0.3))
-        return TargetFunction(name, n, lambda pts: np.full(pts.shape[0], c))
-    if name == "linear":
-        return TargetFunction(name, n, lambda pts: pts.mean(axis=1))
-    if name == "sine":
-        cycles = float(params.get("cycles", 1.0))
-        return TargetFunction(
-            name, n, lambda pts: np.sin(2.0 * math.pi * cycles * pts.mean(axis=1))
-        )
-    if name == "bump":
-        width = float(params.get("width", 0.15))
-        return TargetFunction(
-            name,
-            n,
-            lambda pts: np.exp(-((pts - 0.5) ** 2).sum(axis=1) / (2.0 * width**2)),
-        )
-    raise ValueError(f"unknown target function {name!r}")
+    """Target registry; raises ValueError for unknown names, for parameters
+    the target does not take and for non-finite parameter values."""
+    if name not in _TARGETS:
+        raise ValueError(f"unknown target function {name!r}")
+    defaults, fn = _TARGETS[name]
+    kwargs = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
+            raise ValueError(f"target {name!r} has no parameter {key!r} (takes: {', '.join(defaults) or 'none'})")
+        kwargs[key] = float(value)
+        if not math.isfinite(kwargs[key]):
+            raise ValueError(f"target parameter {key}={value!r} must be finite")
+    return TargetFunction(name, n, lambda pts: fn(pts, **kwargs))
 
 
 _DEFAULT_GRID_POINTS = {1: 256, 2: 64, 3: 16}
+
+#: Largest grid `unit_grid` builds: 2^20 points of n float64 coordinates.
+#: The default of 8 points per axis passes it up to n = 6 (262,144 points).
+MAX_GRID_POINTS = 1 << 20
 
 
 def unit_grid(n: int, points_per_axis: int | None = None) -> np.ndarray:
@@ -176,6 +189,11 @@ def unit_grid(n: int, points_per_axis: int | None = None) -> np.ndarray:
     p = _DEFAULT_GRID_POINTS.get(n, 8) if points_per_axis is None else points_per_axis
     if p < 1:
         raise ValueError(f"points per axis must be >= 1, got {p}")
+    if p**n > MAX_GRID_POINTS:
+        raise ValueError(
+            f"a grid of {p} points per axis in n={n} dimensions has {p**n} points, "
+            f"more than the limit of {MAX_GRID_POINTS}"
+        )
     axis = np.linspace(0.0, 1.0, p)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
@@ -388,6 +406,24 @@ def _require_stream(line, M: int, where: str) -> Bitstream:
     if s.length != M:
         raise SchemaError(f"{where}: stream has {s.length} bits, expected M={M}")
     return s
+
+
+def _require_streams(lines: list, M: int, where: str) -> list[Bitstream]:
+    """`_require_stream` of each line, `where[j]` naming line j. Bipolar
+    lines of M bits are parsed together (one `bytes.fromhex`, one pad-bit
+    test); any other line sends all of them through `_require_stream`."""
+    prefix = f"M:{M};enc:b;"
+    nbytes = (M + 7) // 8
+    size = len(prefix) + 2 * nbytes
+    if all(isinstance(s, str) and len(s) == size and s.startswith(prefix) for s in lines):
+        try:  # fails on a non-hex character, or on whitespace (fromhex skips it)
+            raw = bytes.fromhex("".join([s[len(prefix):] for s in lines]))
+            rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(lines), nbytes).copy()
+        except ValueError:
+            rows = None
+        if rows is not None and np.array_equal(rows, zero_pad_bits(rows, M)):
+            return [Bitstream(row, M, Encoding.BIPOLAR) for row in rows]
+    return [_require_stream(s, M, f"{where}[{j}]") for j, s in enumerate(lines)]
 
 
 def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork:

@@ -2,13 +2,17 @@
 streams of length M and back, bit-exactly, and the stream-bundle file.
 
 A +/-1 vector is already a bipolar `Bitstream` of m bits, so chunking is a
-reshape of its bits into n rows of M and joining is `concat`. Chunk order
-is storage order: stream j takes bits jM .. (j+1)M - 1. The bias stream is
+reshape of its bits into n rows of M (`chunk_bits`, which chunks a stack of
+vectors at once) and joining is `concat`. Chunk order is storage order:
+stream j takes bits jM .. (j+1)M - 1. The bias stream is
 the bias bit sign-extended to M clocks (a constant +/-1 stream), so the APC
 total over the n+1 term streams reproduces the BNN integer preactivation
 with the bias weighted by M:
 
     2*total - (n+1)*M == w.x + M*b
+
+The equivalence check evaluates that identity for all units on packed
+arrays, and a stream bundle's hex lines are parsed a unit at a time.
 """
 
 from __future__ import annotations
@@ -19,8 +23,8 @@ import numpy as np
 
 from .bitstream import Bitstream, Encoding, concat, to_hex_line
 from .bnn import BinaryNetwork, binary_dot
-from .netcore import Activation, SchemaError, _require, _require_activation, _require_stream
-from .scgates import apc_sum, xnor_mult
+from .netcore import Activation, SchemaError, _require, _require_activation, _require_streams
+from .scgates import GateCounts, accumulator_width, add_counts
 
 
 class ChunkError(ValueError):
@@ -45,11 +49,17 @@ class ChunkSpec:
         return self.m // self.M
 
 
+def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
+    """Chunk packed m-bit vectors, shape (..., ceil(m/8)), into packed
+    n = m/M chunks of M bits, shape (..., n, ceil(M/8)), with zero pad bits."""
+    n = ChunkSpec(m, M).n
+    unpacked = np.unpackbits(bits, axis=-1, count=m)
+    return np.packbits(unpacked.reshape(*bits.shape[:-1], n, M), axis=-1)
+
+
 def split_vector(v: Bitstream, M: int) -> list[Bitstream]:
     """Chunk a +/-1 vector into n bipolar streams of length M."""
-    spec = ChunkSpec(v.length, M)
-    rows = np.packbits(v.bit_array().reshape(spec.n, M), axis=1)
-    return [Bitstream(row, M, Encoding.BIPOLAR) for row in rows]
+    return [Bitstream(row, M, Encoding.BIPOLAR) for row in chunk_bits(v.bits, v.length, M)]
 
 
 def join_streams(streams: list[Bitstream]) -> Bitstream:
@@ -100,7 +110,6 @@ class ScnnStreamBundle:
 
 def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
     """Chunk every unit's weight bits; sign-extend every bias."""
-    ChunkSpec(bnet.m, M)
     return ScnnStreamBundle(
         M=M,
         weight_streams=[split_vector(w, M) for w in bnet.binary_weights],
@@ -168,7 +177,7 @@ def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
 
 def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundle:
     """Parse a stream-bundle document, checking its M, n and N headers
-    against the streams and lists it holds."""
+    against the streams and lists it holds (a unit's lines at a time)."""
     M = _require(doc, "M", int, where)
     n = _require(doc, "n", int, where)
     N = _require(doc, "N", int, where)
@@ -190,11 +199,8 @@ def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundl
             raise SchemaError(f"{where}: output_weights[{i}] must be a number")
     return ScnnStreamBundle(
         M=M,
-        weight_streams=[
-            [_require_stream(s, M, f"{where}: weight_streams[{i}][{j}]") for j, s in enumerate(row)]
-            for i, row in enumerate(rows)
-        ],
-        bias_streams=[_require_stream(s, M, f"{where}: bias_streams[{i}]") for i, s in enumerate(biases)],
+        weight_streams=[_require_streams(row, M, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)],
+        bias_streams=_require_streams(biases, M, f"{where}: bias_streams"),
         output_weights=np.array(outputs, dtype=float),
         activation=activation,
         name=name,
@@ -231,27 +237,26 @@ def preactivation_equivalence_check(
 ) -> EquivalenceReport:
     """Verify, unit by unit, that the chunked SC datapath reproduces the
     BNN integer preactivation exactly (bias entering as its sign extension).
+
+    The SC side runs on the packed chunks of all units at once and tallies
+    what `xnor_mult` per chunk pair and `apc_sum` over each unit's n + 1
+    term streams would; `binary_dot` on the unchunked vectors is the BNN side.
     """
-    bundle = bnn_to_scnn(bnet, x_B, M)
-    spec = ChunkSpec(bnet.m, M)
+    if x_B.length != bnet.m:
+        raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
+    n, N = ChunkSpec(bnet.m, M).n, bnet.N
+    w_bits = chunk_bits(np.stack([w.bits for w in bnet.binary_weights]), bnet.m, M)
+    x_bits = chunk_bits(x_B.bits, bnet.m, M)
+    add_counts(GateCounts(xnor_ops=N * n * M, apc_bit_adds=N * (n + 1) * M * accumulator_width((n + 1) * M)))
+    # Pad bits are zero in both, so each XNOR product has M - popcount(w ^ x)
+    # ones; the bias stream has M ones for +1 and none for -1.
+    mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(1, 2), dtype=np.int64)
+    totals = n * M - mismatches + M * (bnet.binary_biases == 1)
     units = []
-    for i in range(bnet.N):
-        products = [
-            xnor_mult(w, x) for w, x in zip(bundle.weight_streams[i], bundle.input_streams)
-        ]
-        trace = apc_sum(products + [bundle.bias_streams[i]])
+    for i, total in enumerate(totals.tolist()):
         wx = binary_dot(bnet.binary_weights[i], x_B)
         b = int(bnet.binary_biases[i])
-        lhs = 2 * trace.total - (spec.n + 1) * M
+        lhs = 2 * total - (n + 1) * M
         rhs = wx + M * b
-        units.append(
-            UnitEquivalence(
-                unit=i,
-                bnn_preactivation=wx + b,
-                sc_total=trace.total,
-                lhs=lhs,
-                rhs=rhs,
-                passed=lhs == rhs,
-            )
-        )
-    return EquivalenceReport(m=bnet.m, M=M, n=spec.n, units=units)
+        units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, passed=lhs == rhs))
+    return EquivalenceReport(m=bnet.m, M=M, n=n, units=units)

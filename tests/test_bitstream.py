@@ -255,6 +255,14 @@ class TestStreamKey:
     def test_derive_deterministic(self):
         assert StreamKey(5).derive(1, 2, 3) == StreamKey(5).derive(1, 2, 3)
 
+    @pytest.mark.parametrize("seed", [2**64, -1, -(2**64)])
+    def test_seed_outside_64_bits_rejected(self, seed):
+        with pytest.raises(ValueError, match="64-bit range"):
+            StreamKey(seed)
+
+    def test_64_bit_seeds_accepted(self):
+        assert StreamKey(0).derive(1) != StreamKey(2**64 - 1).derive(1)
+
     def test_exact_rational_decode_semantics(self):
         # decode is a single integer quotient: matches Fraction exactly
         for bits in ("10110", "0011001", "1" * 13):

@@ -106,6 +106,24 @@ class TestBinarizeNetwork:
         assert np.array_equal(bnet.output_weights, net.output_weights)
         assert bnet.m == net.n and bnet.N == net.N
 
+    @given(
+        shape=st.tuples(st.integers(1, 4), st.integers(1, 12)),
+        seed=st.integers(0, 2**64 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_equals_per_element_binarize(self, shape, seed, data):
+        N, n = shape
+        values = st.sampled_from([-1.0, 0.0, 1.0, -2.5, 3.0]) | st.floats(-3.0, 3.0)
+        W = np.reshape(data.draw(st.lists(values, min_size=N * n, max_size=N * n)), (N, n))
+        b = data.draw(st.lists(values, min_size=N, max_size=N))
+        key = StreamKey(seed)
+        bnet = binarize_network(self._net(W, b), key)
+        for i in range(N):
+            signs = [binarize(W[i, j], key.substream("binweights", i, j)) for j in range(n)]
+            assert np.array_equal(bnet.binary_weights[i].signs(), signs)
+            assert bnet.binary_biases[i] == binarize(b[i], key.substream("binbias", i))
+
     def test_elementwise_unbiasedness(self):
         w = 0.3
         net = self._net([[w]], [0.0])

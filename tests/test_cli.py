@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import tempfile
 from pathlib import Path
@@ -7,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbnn import Activation, BinaryNetwork, Bitstream, save_binary_network
+from scbnn import Activation, BinaryNetwork, Bitstream, SchemaError, save_binary_network
 from scbnn.cli import main
+from scbnn.netcore import _require_stream
 
 
 def run(*argv):
@@ -103,6 +106,71 @@ class TestFit:
         assert run("fit", "--target", "sine", "--grid-points", "0", "--out-dir", tmp_path) == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "network.json").exists()
+
+
+class TestSeedAndTargetParams:
+    """A seed outside [0, 2^64) and a target parameter the target does not
+    take, or that is not finite, exit 2 with one line and write nothing."""
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_seed_flag_outside_64_bits(self, tmp_path, capsys, seed):
+        assert run("fit", "--target", "sine", "--N", "4", "--seed", seed, "--out-dir", tmp_path) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "network.json").exists()
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_config_seed_outside_64_bits(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "target": {"name": "sine"}}))
+        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "o" / "network.json").exists()
+
+    @pytest.mark.parametrize("seed", [2**64, -1])
+    def test_convert_seed_outside_64_bits(self, bnn_file, tmp_path, capsys, seed):
+        assert run("convert", "--network", bnn_file, "--to-scnn", "4", "--seed", seed,
+                   "--out-dir", tmp_path) == 2
+        assert_one_line_error(capsys)
+        assert not (tmp_path / "scnn_streams.json").exists()
+
+    def test_largest_seed_is_accepted(self, tmp_path):
+        assert run("fit", "--target", "sine", "--N", "4", "--grid-points", "16",
+                   "--seed", 2**64 - 1, "--out-dir", tmp_path) == 0
+
+    @pytest.mark.parametrize("param", ["cycle=3", "cycles=nan", "cycles=inf", "cycles=-inf", "value=0.2"])
+    def test_fit(self, tmp_path, capsys, param):
+        assert run("fit", "--target", "sine", "--N", "4", "--target-param", param,
+                   "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert param.split("=")[0] in err and err.count("\n") == 1
+        assert not (tmp_path / "network.json").exists()
+
+    def test_config_params_belong_to_the_config_target(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycle=2"]}}))
+        argv = ("fit", "--config", cfg, "--N", "4", "--grid-points", "16")
+        assert run(*argv, "--out-dir", tmp_path / "a") == 2
+        assert run(*argv, "--target", "sine", "--out-dir", tmp_path / "b") == 2
+        assert "'cycle'" in capsys.readouterr().err
+        assert run(*argv, "--target", "linear", "--out-dir", tmp_path / "c") == 0
+
+    @pytest.mark.parametrize("param", ["cycle=3", "cycles=nan"])
+    def test_sweep(self, sine_net, tmp_path, capsys, param):
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--target-param", param,
+                   "--Ms", "4", "--trials", "30", "--grid-points", "2", "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert param.split("=")[0] in err and err.count("\n") == 1
+        assert not (tmp_path / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("param", ["width=0.2", "cycles=inf"])
+    def test_bound_validate(self, sine_net, tmp_path, capsys, param):
+        assert run("bound", "--n", "1", "--N", "8", "--epsilon", "1.0", "--delta", "0.25",
+                   "--alpha-sum", "2.0", "--validate", "--network", sine_net, "--target", "sine",
+                   "--target-param", param, "--trials", "2", "--grid-points", "2",
+                   "--out-dir", tmp_path) == 2
+        err = capsys.readouterr().err
+        assert param.split("=")[0] in err and err.count("\n") == 1
+        assert not (tmp_path / "bound_report.json").exists()
 
 
 class TestEval:
@@ -327,6 +395,59 @@ class TestBundleHeaders:
         # Rejected by the JSON reader, which names the file and the token.
         assert err.startswith(f"error: {tmp_path / 'scnn_streams.json'}: ") and "'NaN'" in err
         assert err.count("\n") == 1
+
+
+@pytest.fixture(scope="module", params=[4, 12])
+def bundle_at(bnn_file, tmp_path_factory, request):
+    """bnn_file chunked at M=4 (one byte, four pad bits per stream) and at
+    M=12 (two bytes, four pad bits)."""
+    out = tmp_path_factory.mktemp(f"bundle{request.param}")
+    assert run("convert", "--network", bnn_file, "--to-scnn", request.param, "--out-dir", out) == 0
+    return request.param, json.loads((out / "scnn_streams.json").read_text())
+
+
+def _set_low_pad_bit(line):
+    return line[:-1] + format(int(line[-1], 16) | 1, "x")
+
+
+CORRUPTIONS = {
+    "bad hex": lambda line: line[:-1] + "g",
+    "too long": lambda line: line + "00",
+    "too short": lambda line: line[:-2],
+    "pad bit": _set_low_pad_bit,
+    "wrong M": lambda line: line.replace("M:", "M:1", 1),
+    "not a string": lambda line: 7,
+}
+
+
+class TestCorruptStreamLine:
+    """One corrupted stream line exits 2 with the one-line message of the
+    line-by-line parser (`_require_stream`), which names that line."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(sorted(CORRUPTIONS)))
+    def test_same_message_as_line_parser(self, bundle_at, data, kind):
+        M, doc = bundle_at
+        doc = json.loads(json.dumps(doc))
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, doc["N"] - 1))
+            j = data.draw(st.integers(0, doc["n"] - 1))
+            lines, index, field = doc["weight_streams"][i], j, f"weight_streams[{i}][{j}]"
+        else:
+            i = data.draw(st.integers(0, doc["N"] - 1))
+            lines, index, field = doc["bias_streams"], i, f"bias_streams[{i}]"
+        lines[index] = CORRUPTIONS[kind](lines[index])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "scnn_streams.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError) as expected:
+                _require_stream(lines[index], M, f"{path}: {field}")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run("convert", "--network", path, "--to-bnn", "--out-dir", Path(tmp) / "o")
+            assert code == 2
+            assert err.getvalue() == f"error: {expected.value}\n"
+            assert not (Path(tmp) / "o" / "binary_network.json").exists()
 
 
 json_values = st.recursive(

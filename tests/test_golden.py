@@ -83,11 +83,13 @@ BNN_TO_SCNN_SHA256 = {
     1: "aa4dfd83dcfedc80da3d673dc10589f28d7b8ca2149bf34f6b3b080200a72474",
     3: "4f03d8ad672b7e46cff0f8d2d113ed1c28d4616aaaae9fa2d114a1eca2d0e29a",
     8: "fa1baeee0bb3c2158955329ca6802b259b38c76824ea11fa59c537f5a7ff6891",
+    12: "c2172368f6d5852dbec0fec2eb07b360def342862a9889bb99b5452a4f6d09cb",
 }
 BNN_TO_BNN_SHA256 = {
     1: "065c784250d9ab2889570311e359c7ec0fc23c658d2422e840f5ad05946dfed4",
     3: "55e3269d36056d51edcdc8c76ad0c6e56a9b8b4aa7ac5481f994b19fc4a61c8d",
     8: "7e7a2a0dcbfb6cb1bb60de455a70ea8f09f9f5d0c981f63d83f6cd78ab1b83f7",
+    12: "d7635d10c7a2d7927e207e6f20e8a3ac4db4db33ce88256ca2e581f7bbafb01f",
 }
 #: sha256 of network.json from `scbnn fit --target sine --seed 2`.
 FIT_SINE_SHA256 = "2668a9dc78b685112cf06223a1ecf67dddef76c9e72df108ac30c5909a8847c0"
@@ -295,7 +297,8 @@ class TestForwardMatchesScalarComposition:
 
 class TestBnnPathBytes:
     """`convert --binarize`, `--to-scnn M` and `--to-bnn` on a small keyed
-    net with m = 24 inputs: M = 3 gives chunks that are not byte-aligned."""
+    net with m = 24 inputs: M = 3 gives chunks that are not byte-aligned,
+    and M = 12 gives two-byte chunks with four pad bits each."""
 
     @pytest.fixture(scope="class")
     def runs(self, tmp_path_factory):
@@ -306,7 +309,7 @@ class TestBnnPathBytes:
         argv = ["convert", "--network", out / "reference.json", "--binarize", "--seed", "9",
                 "--out-dir", out / "binary"]
         assert main([str(a) for a in argv]) == 0
-        for M in (1, 3, 8):
+        for M in (1, 3, 8, 12):
             argv = ["convert", "--network", out / "binary" / "binary_network.json",
                     "--to-scnn", M, "--seed", "9", "--out-dir", out / f"scnn{M}"]
             assert main([str(a) for a in argv]) == 0
@@ -318,11 +321,11 @@ class TestBnnPathBytes:
     def test_binarize(self, runs):
         assert _sha256(runs / "binary" / "binary_network.json") == BNN_BINARIZE_SHA256
 
-    @pytest.mark.parametrize("M", (1, 3, 8))
+    @pytest.mark.parametrize("M", (1, 3, 8, 12))
     def test_to_scnn(self, runs, M):
         assert _sha256(runs / f"scnn{M}" / "scnn_streams.json") == BNN_TO_SCNN_SHA256[M]
 
-    @pytest.mark.parametrize("M", (1, 3, 8))
+    @pytest.mark.parametrize("M", (1, 3, 8, 12))
     def test_to_bnn_round_trip(self, runs, M):
         assert _sha256(runs / f"bnn{M}" / "binary_network.json") == BNN_TO_BNN_SHA256[M]
         back = json.loads((runs / f"bnn{M}" / "binary_network.json").read_text())

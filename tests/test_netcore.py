@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from scbnn import (
     unit_grid,
 )
 from scbnn.bitstream import network_prescalers
+from scbnn.netcore import MAX_GRID_POINTS
 
 KEY = StreamKey(0xFE11)
 GRID = unit_grid(1, 256)
@@ -177,6 +179,38 @@ class TestTargets:
     def test_zero_points_per_axis_is_not_the_default(self):
         with pytest.raises(ValueError, match="points per axis"):
             unit_grid(1, 0)
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_default_grid_too_large_fails_before_allocating(self, n):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=rf"n={n} dimensions has {8**n} points"):
+                unit_grid(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_grid_size_limit(self):
+        assert unit_grid(1, MAX_GRID_POINTS).shape == (MAX_GRID_POINTS, 1)
+        with pytest.raises(ValueError, match="more than the limit"):
+            unit_grid(1, MAX_GRID_POINTS + 1)
+        assert unit_grid(6).shape == (8**6, 6)
+
+    @pytest.mark.parametrize("name, params, match", [
+        ("sine", {"cycle": 3.0}, "no parameter 'cycle'"),
+        ("linear", {"value": 0.2}, "no parameter 'value'"),
+        ("sine", {"cycles": float("nan")}, "cycles=nan must be finite"),
+        ("bump", {"width": float("inf")}, "width=inf must be finite"),
+        ("constant", {"value": -float("inf")}, "value=-inf must be finite"),
+    ])
+    def test_bad_parameter(self, name, params, match):
+        with pytest.raises(ValueError, match=match):
+            make_target(name, 1, **params)
+
+    def test_parameters_reach_the_target(self):
+        assert make_target("constant", 1, value=0.7)([0.2]) == 0.7
+        assert make_target("sine", 1, cycles=2.0)([0.125]) == pytest.approx(1.0)
 
 
 class TestWeightFiles:

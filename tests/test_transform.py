@@ -16,7 +16,9 @@ from scbnn import (
     split_vector,
 )
 from scbnn.bitstream import Bitstream
-from scbnn.transform import join_streams, sign_extension_stream
+from scbnn.bnn import binary_dot
+from scbnn.scgates import apc_sum, counting, xnor_mult
+from scbnn.transform import UnitEquivalence, chunk_bits, join_streams, sign_extension_stream
 
 
 def random_bnet(gen, m, N):
@@ -124,6 +126,47 @@ class TestNetworkTransform:
         bnet = random_bnet(gen, 8, 2)
         with pytest.raises(ChunkError):
             bnn_to_scnn(bnet, Bitstream.from_signs(gen.choice([-1, 1], 9)), 4)
+
+
+def per_stream_check(bnet, x, M):
+    """The equivalence check stream by stream: one xnor_mult per weight/input
+    chunk pair and one apc_sum over each unit's n + 1 term streams."""
+    bundle = bnn_to_scnn(bnet, x, M)
+    units = []
+    for i in range(bnet.N):
+        products = [xnor_mult(w, xj) for w, xj in zip(bundle.weight_streams[i], bundle.input_streams)]
+        total = apc_sum(products + [bundle.bias_streams[i]]).total
+        wx, b = binary_dot(bnet.binary_weights[i], x), int(bnet.binary_biases[i])
+        lhs, rhs = 2 * total - (bundle.n + 1) * M, wx + M * b
+        units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, lhs == rhs))
+    return units
+
+
+class TestPackedAgainstPerStream:
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_every_field_and_gate_tally(self, seed, m, N):
+        gen = np.random.default_rng(seed)
+        bnet = random_bnet(gen, m, N)
+        x = Bitstream.from_signs(gen.choice([-1, 1], m))
+        for M in divisors(m):
+            with counting() as packed_counts:
+                report = preactivation_equivalence_check(bnet, x, M)
+            with counting() as stream_counts:
+                units = per_stream_check(bnet, x, M)
+            assert report.units == units
+            assert (report.m, report.M, report.n) == (m, M, m // M)
+            assert packed_counts == stream_counts
+
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_chunk_bits_of_a_stack_is_split_vector_of_each_row(self, seed, m, rows):
+        gen = np.random.default_rng(seed)
+        vectors = [Bitstream.from_signs(gen.choice([-1, 1], m)) for _ in range(rows)]
+        for M in divisors(m):
+            chunks = chunk_bits(np.stack([v.bits for v in vectors]), m, M)
+            for v, unit in zip(vectors, chunks):
+                assert [Bitstream(row, M, Encoding.BIPOLAR) for row in unit] == split_vector(v, M)
 
 
 class TestEquivalence:
