@@ -82,7 +82,6 @@ from .transform import (
     chunk_network,
     preactivation_equivalence_check,
     scnn_to_bnn,
-    split_vector,
 )
 
 __version__ = "0.1.0"

@@ -413,15 +413,18 @@ def from_hex_line(line: str) -> Bitstream:
     parts = line.strip().split(";")
     if len(parts) != 3 or not parts[0].startswith("M:") or not parts[1].startswith("enc:"):
         raise StreamFormatError(f"malformed bitstream line {line!r}")
-    try:
-        length = int(parts[0][2:])
-    except ValueError:
-        raise StreamFormatError(f"bad length field in {line!r}") from None
+    digits = parts[0][2:]
+    # Plain decimal: int() also takes "+4", "1_0", "04", "٤" and fails past 4300 digits.
+    if not (digits.isascii() and digits.isdigit()) or digits[0] == "0" or len(digits) > 19:
+        raise StreamFormatError(f"bad length field in {line!r}")
+    length = int(digits)
     enc = Encoding.from_tag(parts[1][4:])
     try:
         raw = bytes.fromhex(parts[2])
     except ValueError:
-        raise StreamFormatError(f"bad hex payload in {line!r}") from None
+        raw = None
+    if raw is None or len(parts[2]) != 2 * len(raw):  # fromhex skips whitespace
+        raise StreamFormatError(f"bad hex payload in {line!r}")
     packed = np.frombuffer(raw, dtype=np.uint8)
     if length < 1 or packed.size != (length + 7) // 8:
         raise StreamFormatError(

@@ -7,6 +7,8 @@ A +/-1 vector of m values is a bipolar `Bitstream` of length m: stored bit
 n = m/M streams of M bits (`transform`) is a reshape of the same bits.
 `binarize_network` draws every sign of a network as a one-bit stream in one
 keyed `encode_many` call; the scalar `binarize` is its per-element reference.
+A weight row of the binary weight file is a JSON string, the hex payload of
+a bipolar line of m bits, and is parsed by the stream-bundle line parser.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import numpy as np
 
 from .bitstream import Bitstream, Encoding, StreamKey, StreamMismatchError, encode_many, zero_pad_bits
 from .netcore import (
-    Activation, SchemaError, activate, load_json_object, _require, _require_activation, _require_streams,
+    Activation, SchemaError, activate, load_json_object, _check_json_type, _require, _require_activation,
+    _require_streams,
 )
 
 
@@ -163,9 +166,11 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
     weight_rows = _require(doc, "binary_weights", list, where)
     if len(weight_rows) != N:
         raise SchemaError(f"{where}: binary_weights has {len(weight_rows)} rows, expected N={N}")
+    for i, row in enumerate(weight_rows):
+        _check_json_type(row, str, f"{where}: binary_weights[{i}]")
     # A row is the hex payload of a bipolar hex line, so it passes the same
     # hex, size and pad-bit checks.
-    weights = _require_streams([f"M:{m};enc:b;{row}" for row in weight_rows], m, f"{where}: binary_weights")
+    rows = _require_streams([f"M:{m};enc:b;{row}" for row in weight_rows], m, f"{where}: binary_weights")
     biases = _require(doc, "binary_biases", list, where)
     outputs = _require(doc, "output_weights", list, where)
     if len(biases) != N or len(outputs) != N:
@@ -175,7 +180,7 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
             raise SchemaError(f"{where}: binary_biases[{i}] must be the integer +1 or -1")
     try:
         return BinaryNetwork(
-            binary_weights=weights,
+            binary_weights=[Bitstream(row, m, Encoding.BIPOLAR) for row in rows],
             binary_biases=np.array(biases, dtype=int),
             output_weights=np.array(outputs, dtype=float),
             activation=activation,

@@ -3,25 +3,26 @@ streams of length M and back, bit-exactly, and the stream-bundle file.
 
 A +/-1 vector is already a bipolar `Bitstream` of m bits, so chunking is a
 reshape of its bits into n rows of M (`chunk_bits`, which chunks a stack of
-vectors at once) and joining is `concat`. Chunk order is storage order:
-stream j takes bits jM .. (j+1)M - 1. The bias stream is
-the bias bit sign-extended to M clocks (a constant +/-1 stream), so the APC
-total over the n+1 term streams reproduces the BNN integer preactivation
-with the bias weighted by M:
+vectors at once) and joining is the reverse reshape. Chunk order is storage
+order: stream j takes bits jM .. (j+1)M - 1. The bias stream is the bias
+bit sign-extended to M clocks (a constant +/-1 stream), so the APC total
+over the n+1 term streams reproduces the BNN integer preactivation with
+the bias weighted by M:
 
     2*total - (n+1)*M == w.x + M*b
 
-The equivalence check evaluates that identity for all units on packed
-arrays, and a stream bundle's hex lines are parsed a unit at a time.
+A `ScnnStreamBundle` holds all of a network's streams as packed uint8
+arrays, so chunking, joining, the equivalence check and the hex lines of
+the bundle file all work on whole arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, concat, to_hex_line
+from .bitstream import Bitstream, Encoding
 from .bnn import BinaryNetwork, binary_dot
 from .netcore import Activation, SchemaError, _require, _require_activation, _require_streams
 from .scgates import GateCounts, accumulator_width, add_counts
@@ -57,51 +58,36 @@ def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
     return np.packbits(unpacked.reshape(*bits.shape[:-1], n, M), axis=-1)
 
 
-def split_vector(v: Bitstream, M: int) -> list[Bitstream]:
-    """Chunk a +/-1 vector into n bipolar streams of length M."""
-    return [Bitstream(row, M, Encoding.BIPOLAR) for row in chunk_bits(v.bits, v.length, M)]
-
-
-def join_streams(streams: list[Bitstream]) -> Bitstream:
-    """Concatenate equal-length bipolar streams back into a +/-1 vector."""
-    if not streams:
-        raise ChunkError("cannot join an empty stream list")
-    M = streams[0].length
-    for idx, s in enumerate(streams):
-        if s.length != M:
-            raise ChunkError(f"stream {idx} has length {s.length}, expected {M}")
-        if s.encoding is not Encoding.BIPOLAR:
-            raise ChunkError(f"stream {idx} is {s.encoding.value}, expected bipolar")
-    return concat(*streams)
-
-
-def sign_extension_stream(bias: int, M: int) -> Bitstream:
-    """The bias bit repeated for M clocks (a constant +/-1 stream)."""
-    if bias not in (-1, 1):
-        raise ValueError(f"binary bias must be +1 or -1, got {bias}")
-    return Bitstream.constant(1 if bias == 1 else 0, M, Encoding.BIPOLAR)
-
-
 @dataclass
 class ScnnStreamBundle:
-    """SCNN-form view of a BNN: per-unit weight streams, sign-extended bias
-    streams, and optionally the chunked input streams."""
+    """SCNN-form view of a BNN as packed bipolar streams of M bits, pad bits
+    zero: every unit's n weight streams, its sign-extended bias stream and,
+    optionally, the chunked input streams."""
 
     M: int
-    weight_streams: list[list[Bitstream]]  # N x n
-    bias_streams: list[Bitstream]  # N
+    weights: np.ndarray  # uint8 (N, n, ceil(M/8))
+    biases: np.ndarray  # uint8 (N, ceil(M/8))
     output_weights: np.ndarray
     activation: Activation
-    input_streams: list[Bitstream] | None = None
+    inputs: np.ndarray | None = None  # uint8 (n, ceil(M/8))
     name: str = "scnn-streams"
+
+    def __post_init__(self):
+        nbytes = (self.M + 7) // 8
+        if self.M < 1 or self.weights.ndim != 3 or self.weights.shape[2] != nbytes:
+            raise ChunkError(f"weights have shape {self.weights.shape}, expected (N, n, {nbytes}) for M={self.M}")
+        for field, shape in (("biases", (self.N, nbytes)), ("inputs", (self.n, nbytes))):
+            arr = getattr(self, field)
+            if arr is not None and arr.shape != shape:
+                raise ChunkError(f"{field} have shape {arr.shape}, expected {shape} for M={self.M}")
 
     @property
     def N(self) -> int:
-        return len(self.weight_streams)
+        return self.weights.shape[0]
 
     @property
     def n(self) -> int:
-        return len(self.weight_streams[0])
+        return self.weights.shape[1]
 
     @property
     def m(self) -> int:
@@ -110,10 +96,11 @@ class ScnnStreamBundle:
 
 def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
     """Chunk every unit's weight bits; sign-extend every bias."""
+    ones = Bitstream.constant(1, M, Encoding.BIPOLAR).bits
     return ScnnStreamBundle(
         M=M,
-        weight_streams=[split_vector(w, M) for w in bnet.binary_weights],
-        bias_streams=[sign_extension_stream(int(b), M) for b in bnet.binary_biases],
+        weights=chunk_bits(np.stack([w.bits for w in bnet.binary_weights]), bnet.m, M),
+        biases=(bnet.binary_biases == 1)[:, None] * ones,
         output_weights=bnet.output_weights.copy(),
         activation=bnet.activation,
         name=f"{bnet.name}-M{M}",
@@ -124,42 +111,46 @@ def bnn_to_scnn(bnet: BinaryNetwork, x_B: Bitstream, M: int) -> ScnnStreamBundle
     """Transform a BNN plus one input vector into SCNN stream form."""
     if x_B.length != bnet.m:
         raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
-    bundle = chunk_network(bnet, M)
-    bundle.input_streams = split_vector(x_B, M)
-    return bundle
+    return replace(chunk_network(bnet, M), inputs=chunk_bits(x_B.bits, bnet.m, M))
+
+
+def _join_chunks(chunks: np.ndarray, M: int) -> np.ndarray:
+    """Inverse of `chunk_bits`: packed chunks of M bits, shape (..., n,
+    ceil(M/8)), joined into packed n*M-bit vectors, shape (..., ceil(n*M/8))."""
+    bits = np.unpackbits(chunks, axis=-1, count=M)
+    return np.packbits(bits.reshape(*chunks.shape[:-2], -1), axis=-1)
 
 
 def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, Bitstream | None]:
-    """Exact inverse of bnn_to_scnn: concatenate chunks in order.
+    """Exact inverse of bnn_to_scnn: join each unit's chunks in order.
 
     Bias streams must be constant (a sign extension); anything else has no
     single-bit preimage.
     """
-    biases = []
-    for i, b in enumerate(bundle.bias_streams):
-        ones = int(np.bitwise_count(b.bits).sum())
-        if ones == b.length:
-            biases.append(1)
-        elif ones == 0:
-            biases.append(-1)
-        else:
-            raise ChunkError(f"bias stream {i} is not a sign extension ({ones}/{b.length} ones)")
-    weights = [join_streams(unit) for unit in bundle.weight_streams]
+    M, m = bundle.M, bundle.m
+    ones = np.bitwise_count(bundle.biases).sum(axis=1, dtype=np.int64)
+    bad = np.flatnonzero((ones != 0) & (ones != M))
+    if bad.size:
+        raise ChunkError(f"bias stream {bad[0]} is not a sign extension ({ones[bad[0]]}/{M} ones)")
     bnet = BinaryNetwork(
-        binary_weights=weights,
-        binary_biases=np.array(biases, dtype=int),
+        binary_weights=[Bitstream(row, m, Encoding.BIPOLAR) for row in _join_chunks(bundle.weights, M)],
+        binary_biases=np.where(ones == M, 1, -1),
         output_weights=bundle.output_weights.copy(),
         activation=bundle.activation,
         name=bundle.name,
     )
-    if bnet.m != bundle.n * bundle.M:
-        raise ChunkError(f"joined units have {bnet.m} bits, expected n*M = {bundle.n * bundle.M}")
-    x_B = join_streams(bundle.input_streams) if bundle.input_streams else None
+    x_B = None if bundle.inputs is None else Bitstream(_join_chunks(bundle.inputs, M), m, Encoding.BIPOLAR)
     return bnet, x_B
 
 
 # ---------------------------------------------------------------------------
 # Stream-bundle file: the header fields plus hex lines (see bitstream).
+
+def _hex_lines(rows: np.ndarray, M: int) -> list[str]:
+    """The bipolar hex line of each packed M-bit row, shape (S, ceil(M/8))."""
+    prefix = f"M:{M};enc:b;"
+    return [prefix + h for h in rows.tobytes().hex(" ", rows.shape[-1]).split(" ")]
+
 
 def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
     return {
@@ -170,8 +161,8 @@ def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
         "N": bundle.N,
         "activation": bundle.activation.value,
         "output_weights": [float(a) for a in bundle.output_weights],
-        "weight_streams": [[to_hex_line(s) for s in unit] for unit in bundle.weight_streams],
-        "bias_streams": [to_hex_line(s) for s in bundle.bias_streams],
+        "weight_streams": [_hex_lines(unit, bundle.M) for unit in bundle.weights],
+        "bias_streams": _hex_lines(bundle.biases, bundle.M),
     }
 
 
@@ -199,8 +190,8 @@ def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundl
             raise SchemaError(f"{where}: output_weights[{i}] must be a number")
     return ScnnStreamBundle(
         M=M,
-        weight_streams=[_require_streams(row, M, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)],
-        bias_streams=_require_streams(biases, M, f"{where}: bias_streams"),
+        weights=np.stack([_require_streams(row, M, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)]),
+        biases=_require_streams(biases, M, f"{where}: bias_streams"),
         output_weights=np.array(outputs, dtype=float),
         activation=activation,
         name=name,
@@ -238,20 +229,18 @@ def preactivation_equivalence_check(
     """Verify, unit by unit, that the chunked SC datapath reproduces the
     BNN integer preactivation exactly (bias entering as its sign extension).
 
-    The SC side runs on the packed chunks of all units at once and tallies
+    The SC side runs on the packed arrays of `bnn_to_scnn`, the ones the
+    bundle file is written from, for all units at once, and tallies
     what `xnor_mult` per chunk pair and `apc_sum` over each unit's n + 1
     term streams would; `binary_dot` on the unchunked vectors is the BNN side.
     """
-    if x_B.length != bnet.m:
-        raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
-    n, N = ChunkSpec(bnet.m, M).n, bnet.N
-    w_bits = chunk_bits(np.stack([w.bits for w in bnet.binary_weights]), bnet.m, M)
-    x_bits = chunk_bits(x_B.bits, bnet.m, M)
+    bundle = bnn_to_scnn(bnet, x_B, M)
+    n, N = bundle.n, bundle.N
     add_counts(GateCounts(xnor_ops=N * n * M, apc_bit_adds=N * (n + 1) * M * accumulator_width((n + 1) * M)))
     # Pad bits are zero in both, so each XNOR product has M - popcount(w ^ x)
     # ones; the bias stream has M ones for +1 and none for -1.
-    mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(1, 2), dtype=np.int64)
-    totals = n * M - mismatches + M * (bnet.binary_biases == 1)
+    mismatches = np.bitwise_count(bundle.weights ^ bundle.inputs).sum(axis=(1, 2), dtype=np.int64)
+    totals = n * M - mismatches + np.bitwise_count(bundle.biases).sum(axis=1, dtype=np.int64)
     units = []
     for i, total in enumerate(totals.tolist()):
         wx = binary_dot(bnet.binary_weights[i], x_B)

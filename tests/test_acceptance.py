@@ -188,7 +188,10 @@ class TestAcceptance:
                 bundle = bnn_to_scnn(bnet, x, M)
                 back, x_back = scnn_to_bnn(bundle)
                 round_trip = (
-                    x_back == x
+                    bundle.weights.shape == (N, m // M, (M + 7) // 8)
+                    and bundle.biases.shape == (N, (M + 7) // 8)
+                    and bundle.inputs.shape == (m // M, (M + 7) // 8)
+                    and x_back == x
                     and np.array_equal(back.binary_biases, bnet.binary_biases)
                     and all(a == b for a, b in zip(back.binary_weights, bnet.binary_weights))
                 )

@@ -218,6 +218,35 @@ class TestPreScaler:
         assert scalers["bias"].scale == scalers["weights"].scale * scalers["inputs"].scale
 
 
+@st.composite
+def hex_lines(draw):
+    """A canonical hex line with at most one change: a respelt length
+    field, another tag, upper-case hex, a character inserted between the
+    payload bytes or a pad bit set; and whitespace around the line."""
+    length = draw(st.integers(1, 20))
+    payload = bytearray(draw(st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8)))
+    pad_mask = (1 << (-length % 8)) - 1
+    payload[-1] &= 0xFF ^ pad_mask
+    field, tag, digits = str(length), draw(st.sampled_from("ub")), payload.hex()
+    change = draw(st.sampled_from(["none", "field", "tag", "upper", "insert", "pad"]))
+    if change == "field":
+        # int() reads the first five as `length`.
+        arabic = str(length).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
+        underscored = "_".join(str(length)) if length > 9 else f"0_{length}"
+        field = draw(st.sampled_from(["+{}", "0{}", " {}", arabic, underscored, "{}.0", "-{}"])).format(length)
+    elif change == "tag":
+        tag = draw(st.sampled_from(["U", "", "x", "bb"]))
+    elif change == "upper":
+        digits = digits.upper()
+    elif change == "insert":
+        cut = 2 * draw(st.integers(0, len(digits) // 2))  # fromhex skips whitespace between bytes
+        digits = digits[:cut] + draw(st.sampled_from([" ", "\t", "g", "00"])) + digits[cut:]
+    elif change == "pad" and pad_mask:
+        payload[-1] |= pad_mask
+        digits = payload.hex()
+    return draw(st.sampled_from(["{}", " {}", "{}\n", "\t{} "])).format(f"M:{field};enc:{tag};{digits}")
+
+
 class TestHexLine:
     def test_format(self):
         s = Bitstream.from_bits("0100110100", Encoding.UNIPOLAR)
@@ -244,6 +273,18 @@ class TestHexLine:
     def test_malformed(self, line):
         with pytest.raises(StreamFormatError):
             from_hex_line(line)
+
+    @given(hex_lines() | st.text("M:;encub0123456789abcdef +_٤", max_size=20))
+    @settings(max_examples=500)
+    def test_parses_only_canonical_lines(self, line):
+        """A line either fails with StreamFormatError or is the canonical
+        hex line of what it parses to, up to surrounding whitespace and the
+        case of its hex digits."""
+        try:
+            s = from_hex_line(line)
+        except StreamFormatError:
+            return
+        assert to_hex_line(s).lower() == line.strip().lower()
 
 
 class TestStreamKey:

@@ -356,6 +356,17 @@ class TestConvert:
         assert "binary_biases[2]" in err and err.count("\n") == 1
         assert not (tmp_path / "o" / "scnn_streams.json").exists()
 
+    def test_binary_weight_row_must_be_a_string(self, bnn_file, tmp_path, capsys):
+        # m = 12: the digits of 1230 would read as a valid two-byte hex row.
+        doc = json.loads(bnn_file.read_text())
+        doc["binary_weights"][1] = 1230
+        path = tmp_path / "bnet.json"
+        path.write_text(json.dumps(doc))
+        assert run("convert", "--network", path, "--to-scnn", "4", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "binary_weights[1]" in err and err.count("\n") == 1
+        assert not (tmp_path / "o" / "scnn_streams.json").exists()
+
 
 @pytest.fixture(scope="module")
 def bundle_doc(bnn_file, tmp_path_factory):
@@ -417,6 +428,7 @@ CORRUPTIONS = {
     "pad bit": _set_low_pad_bit,
     "wrong M": lambda line: line.replace("M:", "M:1", 1),
     "not a string": lambda line: 7,
+    "unipolar": lambda line: line.replace(";enc:b;", ";enc:u;"),
 }
 
 

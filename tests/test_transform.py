@@ -9,16 +9,19 @@ from scbnn import (
     ChunkError,
     ChunkSpec,
     Encoding,
+    ScnnStreamBundle,
     bnn_to_scnn,
+    chunk_network,
+    concat,
     decode,
     preactivation_equivalence_check,
     scnn_to_bnn,
-    split_vector,
+    to_hex_line,
 )
 from scbnn.bitstream import Bitstream
 from scbnn.bnn import binary_dot
 from scbnn.scgates import apc_sum, counting, xnor_mult
-from scbnn.transform import UnitEquivalence, chunk_bits, join_streams, sign_extension_stream
+from scbnn.transform import UnitEquivalence, bundle_from_dict, bundle_to_dict, chunk_bits
 
 
 def random_bnet(gen, m, N):
@@ -32,6 +35,36 @@ def random_bnet(gen, m, N):
 
 def divisors(m):
     return [d for d in range(1, m + 1) if m % d == 0]
+
+
+def sliced(v, M):
+    """The M-bit bipolar chunks of `v`, cut from its unpacked bits."""
+    bits = v.bit_array()
+    return [Bitstream.from_bits(bits[j : j + M], Encoding.BIPOLAR) for j in range(0, v.length, M)]
+
+
+def chunked(v, M):
+    """`chunk_bits` of one vector, its rows as M-bit bipolar streams."""
+    return [Bitstream(row, M, Encoding.BIPOLAR) for row in chunk_bits(v.bits, v.length, M)]
+
+
+def one_unit_bundle(streams, inputs=None):
+    """A one-unit bundle with `streams` as its weight streams and a +1 bias."""
+    M = streams[0].length
+    return ScnnStreamBundle(
+        M,
+        np.stack([s.bits for s in streams])[None],
+        Bitstream.constant(1, M, Encoding.BIPOLAR).bits[None],
+        np.ones(1),
+        Activation.SIGMOID,
+        inputs=inputs,
+    )
+
+
+def joined(streams):
+    """`scnn_to_bnn` of `streams` as one unit's weight streams."""
+    bnet, _ = scnn_to_bnn(one_unit_bundle(streams))
+    return bnet.binary_weights[0]
 
 
 class TestChunkSpec:
@@ -49,9 +82,12 @@ class TestChunkSpec:
 
 
 class TestSplitJoin:
+    """Chunking is `chunk_bits`, joining is `scnn_to_bnn`, and `concat` of
+    the chunks is the oracle for the join."""
+
     def test_worked_example(self):
         x = Bitstream.from_signs([1, -1, 1, 1, 1, -1])
-        streams = split_vector(x, 3)
+        streams = chunked(x, 3)
         assert len(streams) == 2
         assert decode(streams[0]) == pytest.approx(1 / 3)
         assert decode(streams[1]) == pytest.approx(1 / 3)
@@ -59,36 +95,46 @@ class TestSplitJoin:
     def test_single_chunk_is_mean(self):
         signs = [1, -1, -1, 1, 1, 1, -1, 1]
         x = Bitstream.from_signs(signs)
-        (s,) = split_vector(x, 8)
+        (s,) = chunked(x, 8)
         assert decode(s) == sum(signs) / 8
 
     def test_one_bit_chunks(self):
         x = Bitstream.from_signs([1, -1, 1])
-        streams = split_vector(x, 1)
+        streams = chunked(x, 1)
         assert [decode(s) for s in streams] == [1.0, -1.0, 1.0]
 
     def test_join_concatenates_in_order(self):
         s1 = Bitstream.from_bits("101", Encoding.BIPOLAR)
         s2 = Bitstream.from_bits("110", Encoding.BIPOLAR)
-        joined = join_streams([s1, s2])
-        assert np.array_equal(joined.bit_array(), [1, 0, 1, 1, 1, 0])
+        w = joined([s1, s2])
+        assert np.array_equal(w.bit_array(), [1, 0, 1, 1, 1, 0])
+        assert w == concat(s1, s2)
 
     def test_single_one_bit_stream(self):
-        joined = join_streams([Bitstream.from_bits("1", Encoding.BIPOLAR)])
-        assert np.array_equal(joined.signs(), [1])
+        w = joined([Bitstream.from_bits("1", Encoding.BIPOLAR)])
+        assert np.array_equal(w.signs(), [1])
 
     def test_join_rejects_mixed_lengths(self):
-        s1 = Bitstream.from_bits("101", Encoding.BIPOLAR)
-        s2 = Bitstream.from_bits("10", Encoding.BIPOLAR)
-        with pytest.raises(ChunkError):
-            join_streams([s1, s2])
+        # A 3-bit stream packs into one byte, a 9-bit stream into two.
+        s3 = Bitstream.from_bits("101", Encoding.BIPOLAR)
+        s9 = Bitstream.from_bits("101101101", Encoding.BIPOLAR)
+        with pytest.raises(ChunkError, match="inputs"):
+            one_unit_bundle([s3, s3], inputs=np.stack([s9.bits, s9.bits]))
+        bundle = one_unit_bundle([s3])
+        with pytest.raises(ChunkError, match="weights"):
+            ScnnStreamBundle(3, s9.bits[None, None], bundle.biases, bundle.output_weights, bundle.activation)
+        with pytest.raises(ChunkError, match="biases"):
+            ScnnStreamBundle(9, s9.bits[None, None], bundle.biases, bundle.output_weights, bundle.activation)
 
     @given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
     @settings(max_examples=60)
     def test_split_join_round_trip(self, seed, M):
         gen = np.random.default_rng(seed)
         x = Bitstream.from_signs(gen.choice([-1, 1], 24))
-        assert join_streams(split_vector(x, M)) == x
+        streams = chunked(x, M)
+        assert streams == sliced(x, M)
+        assert concat(*streams) == x
+        assert joined(streams) == x
 
 
 class TestNetworkTransform:
@@ -107,17 +153,19 @@ class TestNetworkTransform:
             assert np.array_equal(back.output_weights, bnet.output_weights)
 
     def test_sign_extension_stream(self):
-        assert decode(sign_extension_stream(1, 6)) == 1.0
-        assert decode(sign_extension_stream(-1, 6)) == -1.0
-        with pytest.raises(ValueError):
-            sign_extension_stream(0, 6)
+        for M in (1, 4, 12):
+            bnet = BinaryNetwork([Bitstream.from_signs([1] * M)] * 2, np.array([1, -1]), np.ones(2), Activation.SIGMOID)
+            biases = chunk_network(bnet, M).biases
+            assert [decode(Bitstream(row, M, Encoding.BIPOLAR)) for row in biases] == [1.0, -1.0]
+        with pytest.raises(ValueError):  # a bias of 0 has no sign extension
+            BinaryNetwork([Bitstream.from_signs([1] * 6)], np.array([0]), np.ones(1), Activation.SIGMOID)
 
     def test_non_constant_bias_rejected_on_join(self):
         gen = np.random.default_rng(3)
         bnet = random_bnet(gen, 8, 2)
         x = Bitstream.from_signs(gen.choice([-1, 1], 8))
         bundle = bnn_to_scnn(bnet, x, 4)
-        bundle.bias_streams[0] = Bitstream.from_bits("1010", Encoding.BIPOLAR)
+        bundle.biases[0] = Bitstream.from_bits("1010", Encoding.BIPOLAR).bits
         with pytest.raises(ChunkError, match="sign extension"):
             scnn_to_bnn(bundle)
 
@@ -129,15 +177,18 @@ class TestNetworkTransform:
 
 
 def per_stream_check(bnet, x, M):
-    """The equivalence check stream by stream: one xnor_mult per weight/input
-    chunk pair and one apc_sum over each unit's n + 1 term streams."""
-    bundle = bnn_to_scnn(bnet, x, M)
+    """The equivalence check stream by stream, sharing no code with the
+    packed path: chunks cut from the unpacked bits, `Bitstream.constant` bias
+    streams, one xnor_mult per weight/input chunk pair and one apc_sum over
+    each unit's n + 1 term streams."""
+    n, xs = bnet.m // M, sliced(x, M)
     units = []
-    for i in range(bnet.N):
-        products = [xnor_mult(w, xj) for w, xj in zip(bundle.weight_streams[i], bundle.input_streams)]
-        total = apc_sum(products + [bundle.bias_streams[i]]).total
-        wx, b = binary_dot(bnet.binary_weights[i], x), int(bnet.binary_biases[i])
-        lhs, rhs = 2 * total - (bundle.n + 1) * M, wx + M * b
+    for i, w in enumerate(bnet.binary_weights):
+        b = int(bnet.binary_biases[i])
+        products = [xnor_mult(wj, xj) for wj, xj in zip(sliced(w, M), xs)]
+        total = apc_sum(products + [Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)]).total
+        wx = binary_dot(w, x)
+        lhs, rhs = 2 * total - (n + 1) * M, wx + M * b
         units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, lhs == rhs))
     return units
 
@@ -166,7 +217,22 @@ class TestPackedAgainstPerStream:
         for M in divisors(m):
             chunks = chunk_bits(np.stack([v.bits for v in vectors]), m, M)
             for v, unit in zip(vectors, chunks):
-                assert [Bitstream(row, M, Encoding.BIPOLAR) for row in unit] == split_vector(v, M)
+                assert [Bitstream(row, M, Encoding.BIPOLAR) for row in unit] == sliced(v, M)
+
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_bundle_lines_are_per_stream_hex_lines(self, seed, m, N):
+        gen = np.random.default_rng(seed)
+        bnet = random_bnet(gen, m, N)
+        for M in divisors(m):
+            bundle = chunk_network(bnet, M)
+            doc = bundle_to_dict(bundle)
+            assert doc["weight_streams"] == [[to_hex_line(s) for s in sliced(w, M)] for w in bnet.binary_weights]
+            assert doc["bias_streams"] == [
+                to_hex_line(Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)) for b in bnet.binary_biases
+            ]
+            back = bundle_from_dict(doc)
+            assert np.array_equal(back.weights, bundle.weights) and np.array_equal(back.biases, bundle.biases)
 
 
 class TestEquivalence:
