@@ -5,13 +5,23 @@ streams carry values in [0, 1] with P(bit=1) = x; bipolar streams carry
 [-1, 1] with P(bit=1) = (x+1)/2. Bit generation is a pure function of a
 StreamKey, so every stream is reproducible and independently addressable.
 
-Philox4x64-10 is counter-based: a stream is fully defined by its 128-bit
-key, with the counter starting at zero. `encode_many` therefore builds one
-Philox per call and re-keys it for each stream instead of constructing a
-fresh generator per stream, and packs all streams into one (S, ceil(M/8))
-array; `StreamKey.substream_keys` folds the keys of many substreams in one
-vectorized pass. Bit t of a stream is still `Generator.random(M)[t] < p`
-under that key, so the output bytes and `GENERATOR_FAMILY` are unchanged.
+Philox4x64-10 is counter-based: a stream is a pure function of its 128-bit
+key, the counter starting at zero. `encode_many` packs S streams into one
+(S, ceil(M/8)) array. Calls of at least 512 streams of at most 32 bits
+compute the ceil(M/4) Philox blocks of all keys at once as uint64 array
+rounds; every other call re-keys one C Philox per stream. Milliseconds per
+call, array / re-keyed (median of 101 calls, one core of a 2 vCPU Xeon,
+numpy 2.4.6; 24.7 / 333 at S = 65,552, M = 1):
+
+    S       M = 1         M = 16        M = 32        M = 64
+    96      0.77 / 0.55   0.75 / 0.50   1.14 / 0.51   1.26 / 0.54
+    256     0.92 / 1.37   1.22 / 1.49   1.27 / 1.45   1.94 / 1.25
+    512     0.99 / 2.68   1.40 / 2.81   2.13 / 2.93   3.33 / 3.12
+    1632    1.28 / 8.47   2.95 / 8.19   5.48 / 9.89   10.4 / 10.2
+
+Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
+so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
+`StreamKey.substream_keys` folds the keys of many substreams in one pass.
 """
 
 from __future__ import annotations
@@ -243,9 +253,18 @@ class Bitstream:
         return cls(packed, length, encoding)
 
 
-#: Draws held at once by encode_many: short streams share a block row-wise,
-#: a stream longer than the block is drawn in block-sized chunks.
+#: Draws held at once by the re-keyed path: short streams share a block
+#: row-wise, a stream longer than the block is drawn in block-sized chunks.
 _DRAW_BLOCK = 1 << 16
+#: encode_many takes the array path for calls of at least _ARRAY_MIN_S
+#: streams of at most _ARRAY_MAX_M bits (measured table: module docstring),
+#: computing _ARRAY_BLOCKS Philox blocks at a time.
+_ARRAY_MAX_M = 32
+_ARRAY_MIN_S = 512
+_ARRAY_BLOCKS = 1 << 13
+_MASK32 = 0xFFFF_FFFF
+_PHILOX_M = (0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157)
+_PHILOX_W = (0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B)
 
 
 def encode_many(probs, keys, M: int) -> np.ndarray:
@@ -254,9 +273,7 @@ def encode_many(probs, keys, M: int) -> np.ndarray:
 
     Returns a uint8 array of shape (S, ceil(M/8)) with zero pad bits. Row s
     is bit-identical to the stream of ``Generator(Philox(key=keys[s]))
-    .random(M) < probs[s]``: one Philox is built per call and re-keyed per
-    stream (counter zero, empty buffer), which is the state a freshly
-    constructed Philox starts in.
+    .random(M) < probs[s]``, whichever of the two paths draws it.
     """
     if M < 1:
         raise ValueError(f"stream length M must be >= 1, got {M}")
@@ -267,9 +284,63 @@ def encode_many(probs, keys, M: int) -> np.ndarray:
     outside = ~((probs >= 0.0) & (probs <= 1.0))
     if outside.any():
         raise EncodingRangeError(f"probability {float(probs[outside][0])!r} outside [0, 1]")
-    out = np.empty((probs.size, (M + 7) // 8), dtype=np.uint8)
+    try:
+        out = np.empty((probs.size, (M + 7) // 8), dtype=np.uint8)
+    except MemoryError:
+        raise ValueError(
+            f"stream length M={M} is too long: {probs.size} streams of "
+            f"{(M + 7) // 8} bytes do not fit in memory"
+        ) from None
     if probs.size == 0:
         return out
+    if M <= _ARRAY_MAX_M and probs.size >= _ARRAY_MIN_S:
+        _encode_array(probs, keys, M, out)
+    else:
+        _encode_rekeyed(probs, keys, M, out)
+    return out
+
+
+def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products a * m (uint64 array
+    a, constant m), the high word summed from 32-bit halves."""
+    a_lo, a_hi = a & _MASK32, a >> 32
+    lh, hl = a_lo * (m >> 32), a_hi * (m & _MASK32)
+    mid = ((a_lo * (m & _MASK32)) >> 32) + (lh & _MASK32) + (hl & _MASK32)
+    return a_hi * (m >> 32) + (lh >> 32) + (hl >> 32) + (mid >> 32), a * m
+
+
+def _philox_raw(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """``Philox(key=k).random_raw(4 * blocks)`` for every row k of `keys`, as
+    uint64 array rounds of Philox4x64-10: block b of a fresh generator is
+    the counter (b + 1, 0, 0, 0), and the key takes a Weyl step between
+    rounds. Returns shape (len(keys), 4 * blocks)."""
+    k0, k1 = np.repeat(keys[:, 0], blocks), np.repeat(keys[:, 1], blocks)
+    c0 = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), len(keys))
+    c1 = c2 = c3 = np.zeros_like(c0)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W[0], k1 + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(c0, _PHILOX_M[0])
+        hi1, lo1 = _mulhilo(c2, _PHILOX_M[1])
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack([c0, c1, c2, c3], axis=1).reshape(len(keys), 4 * blocks)
+
+
+def _encode_array(probs, keys, M: int, out: np.ndarray) -> None:
+    """Fill `out` from numpy Philox blocks. `Generator.random` is
+    (raw >> 11) * 2^-53, so its bit is (raw >> 11) < ceil(p * 2^53)."""
+    blocks = (M + 3) // 4
+    rows = _ARRAY_BLOCKS // blocks
+    for start in range(0, probs.size, rows):
+        stop = min(probs.size, start + rows)
+        raw = _philox_raw(keys[start:stop], blocks)[:, :M]
+        below = np.ceil(probs[start:stop] * 2.0**53).astype(np.uint64)
+        out[start:stop] = np.packbits((raw >> 11) < below[:, None], axis=1)
+
+
+def _encode_rekeyed(probs, keys, M: int, out: np.ndarray) -> None:
+    """Fill `out` from one C Philox re-keyed per stream (counter zero, empty
+    buffer: the state a freshly constructed Philox starts in)."""
     bit_gen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bit_gen)
     fresh = bit_gen.state
@@ -287,7 +358,6 @@ def encode_many(probs, keys, M: int) -> np.ndarray:
                 gen.random(out=block[r - start])
             packed = np.packbits(block < probs[start:stop, None], axis=1)
             out[start:stop, lo // 8 : lo // 8 + packed.shape[1]] = packed
-    return out
 
 
 def sng_encode(x: float, M: int, enc: Encoding, key: StreamKey) -> Bitstream:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitstream import Encoding, StreamKey, decode, sng_encode
+from .bitstream import StreamKey, encode_many
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
 from .scnn import ErrorProfile, ScnnConfig, forward_scnn_grid
@@ -96,11 +96,9 @@ def chebyshev_stream_bound_check(
     if k <= 0:
         raise ValueError(f"deviation multiple k must be positive, got {k}")
     threshold = k / (2.0 * math.sqrt(M))
-    hits = 0
-    for t in range(trials):
-        s = sng_encode(x, M, Encoding.UNIPOLAR, key.substream("cheb", t))
-        if abs(decode(s) - x) >= threshold:
-            hits += 1
+    # Trial t is the unipolar stream of x under key.substream("cheb", t).
+    streams = encode_many(np.full(trials, x), key.substream_keys([("cheb", np.arange(trials), 0)]), M)
+    hits = int(np.count_nonzero(np.abs(np.bitwise_count(streams).sum(axis=1) / M - x) >= threshold))
     fraction = hits / trials
     bound = 1.0 / (k * k)
     slack = 1.0 / math.sqrt(trials)

@@ -1,6 +1,9 @@
 import math
+import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,7 +27,8 @@ from scbnn import (
     sng_encode,
     to_hex_line,
 )
-from scbnn.bitstream import network_prescalers, pow2_scale
+from scbnn import bitstream
+from scbnn.bitstream import encode_many, network_prescalers, pow2_scale
 
 KEY = StreamKey(0xC0FFEE)
 
@@ -133,6 +137,99 @@ class TestSngEncode:
             ]
         )
         assert vals.var() <= 1.1 / (4 * 400)
+
+
+def generator_rows(probs, keys, M):
+    """Per-stream oracle: the packed bits of ``Generator(Philox(key=k)).random(M) < p``."""
+    return np.array([
+        np.packbits(np.random.Generator(np.random.Philox(key=k)).random(M) < p)
+        for p, k in zip(probs, keys)
+    ])
+
+
+# Key words anywhere in [0, 2^64), often close enough to 2^64 that the Weyl
+# steps between rounds wrap.
+key_words = st.integers(0, 2**64 - 1) | st.integers(2**64 - 2**62, 2**64 - 1)
+edge_probs = st.sampled_from([0.0, 1.0, 2**-53, 1 - 2**-53, 0.5 + 2**-53]) | st.floats(0.0, 1.0)
+
+
+class TestArrayPhilox:
+    """The numpy Philox4x64-10 path of `encode_many` against numpy's own
+    generator, and against the re-keyed path."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        keys=st.lists(st.tuples(key_words, key_words), min_size=1, max_size=40),
+        M=st.integers(1, 2 * bitstream._ARRAY_MAX_M),
+        data=st.data(),
+    )
+    def test_rows_are_generator_draws(self, keys, M, data):
+        keys = np.array(keys, dtype=np.uint64)
+        probs = np.array(data.draw(st.lists(edge_probs, min_size=len(keys), max_size=len(keys))))
+        blocks = (M + 3) // 4
+        out = np.empty((len(keys), (M + 7) // 8), dtype=np.uint8)
+        # Chunks of 16 blocks, so a few dozen streams cross chunk boundaries.
+        with warnings.catch_warnings(), mock.patch.object(bitstream, "_ARRAY_BLOCKS", 16):
+            warnings.simplefilter("error")
+            raw = bitstream._philox_raw(keys, blocks)
+            bitstream._encode_array(probs, keys, M, out)
+        for row, k in zip(raw, keys):
+            assert np.array_equal(row, np.random.Philox(key=k).random_raw(4 * blocks))
+        assert np.array_equal(out, generator_rows(probs, keys, M))
+
+    def test_probabilities_on_the_draws(self):
+        # p equal to draw t gives bit t = 0, the next double above it bit 1:
+        # the comparison is strict, and the threshold rounds p * 2^53 up.
+        S, M = 600, 5
+        keys = KEY.substream_keys([("edge", np.arange(S), 0)])
+        draws = np.array([np.random.Generator(np.random.Philox(key=k)).random(M) for k in keys])
+        on_draw = draws[np.arange(S), np.arange(S) % M]
+        for probs in (on_draw, np.nextafter(on_draw, 1.0)):
+            out = np.empty((S, 1), dtype=np.uint8)
+            bitstream._encode_array(probs, keys, M, out)
+            assert np.array_equal(out, generator_rows(probs, keys, M))
+
+    @pytest.mark.parametrize("M", [1, 3, 4, 13, 16, bitstream._ARRAY_MAX_M])
+    def test_paths_agree_across_chunks(self, M):
+        S = 2 * (bitstream._ARRAY_BLOCKS // ((M + 3) // 4)) + 5
+        gen = np.random.default_rng(M)
+        keys = gen.integers(0, 2**64, (S, 2), dtype=np.uint64, endpoint=False)
+        keys[:4] = [[2**64 - 1, 2**64 - 1], [0, 0], [2**64 - 1, 0], [0, 2**64 - 1]]
+        probs = gen.random(S)
+        probs[:5] = [0.0, 1.0, 2**-53, 1 - 2**-53, 0.5 + 2**-53]
+        array, rekeyed = (np.empty((S, (M + 7) // 8), dtype=np.uint8) for _ in range(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            bitstream._encode_array(probs, keys, M, array)
+        bitstream._encode_rekeyed(probs, keys, M, rekeyed)
+        assert np.array_equal(array, rekeyed)
+
+    def test_dispatch(self):
+        # Short, wide calls take the array path; narrow or long ones the
+        # re-keyed C Philox.
+        wide, narrow = bitstream._ARRAY_MIN_S, bitstream._ARRAY_MIN_S - 1
+        cases = [(wide, 1, True), (wide, bitstream._ARRAY_MAX_M, True),
+                 (narrow, 1, False), (wide, bitstream._ARRAY_MAX_M + 1, False)]
+        for S, M, array in cases:
+            with mock.patch.object(bitstream, "_encode_array") as a, \
+                    mock.patch.object(bitstream, "_encode_rekeyed") as r:
+                encode_many(np.full(S, 0.5), np.zeros((S, 2), dtype=np.uint64), M)
+            assert (a.called, r.called) == (array, not array)
+
+    def test_memory_is_flat(self):
+        # One binarize draw of a 4096 x 16 layer: the array path holds one
+        # chunk of blocks at a time, about 1.4 MB above the output.
+        S = 65_552
+        probs = np.full(S, 0.5)
+        keys = KEY.substream_keys([("w", np.arange(S), 0)])
+        tracemalloc.start()
+        try:
+            out = encode_many(probs, keys, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (S, 1)
+        assert peak - out.nbytes < 2 * 2**20
 
 
 class TestPopcount:

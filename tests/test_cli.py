@@ -191,6 +191,11 @@ class TestEval:
         assert run("eval", "--network", sine_net, "--x", "0.25", "--scnn", "--M", "0") == 2
         assert_one_line_error(capsys)
 
+    def test_oversized_stream_length_is_usage_error(self, sine_net, capsys):
+        assert run("eval", "--network", sine_net, "--x", "0.25", "--scnn", "--M", "99999999999") == 2
+        err = capsys.readouterr().err
+        assert "M=99999999999" in err and err.count("\n") == 1
+
     def test_boolean_dimension_is_usage_error(self, sine_net, tmp_path, capsys):
         doc = json.loads(sine_net.read_text())
         path = tmp_path / "net.json"
@@ -272,6 +277,13 @@ class TestSweep:
         summary = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())
         assert summary["epsilon"] == 1.0 and summary["mode"] == "mux"
         assert [r["M"] for r in summary["rows"]] == [16, 64]
+
+    def test_oversized_stream_length_is_usage_error(self, sine_net, tmp_path, capsys):
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "99999999999",
+                   "--trials", "30", "--grid-points", "2", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert "M=99999999999" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--jobs", "--grid-points"])
     def test_zero_is_usage_error_not_default(self, sine_net, tmp_path, capsys, flag):
@@ -489,8 +501,8 @@ def mutate(doc, data):
 
 
 class TestParserFuzz:
-    """Mutated bundle, binary-weight and config documents exit 0 or 2, never
-    with a traceback."""
+    """Mutated bundle, binary-weight, reference-weight and config documents
+    exit 0 or 2, never with a traceback."""
 
     def _run_mutated(self, doc, data, *argv):
         doc = mutate(json.loads(json.dumps(doc)), data)
@@ -508,6 +520,15 @@ class TestParserFuzz:
     @given(data=st.data())
     def test_binary_weight_file(self, bnn_file, data):
         self._run_mutated(json.loads(bnn_file.read_text()), data, "--to-scnn", "4")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_reference_weight_file(self, sine_net, data):
+        doc = mutate(json.loads(sine_net.read_text()), data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "network.json"
+            path.write_text(json.dumps(doc))
+            assert run("eval", "--network", path, "--x", "0.25", "--scnn", "--M", "16") in (0, 2)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())

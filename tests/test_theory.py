@@ -13,6 +13,7 @@ from scbnn import (
     AccumulationMode,
     Activation,
     BoundQuery,
+    Encoding,
     ErrorProfile,
     InfeasibleBoundError,
     ReferenceNetwork,
@@ -22,10 +23,12 @@ from scbnn import (
     chebyshev_stream_bound_check,
     convergence_sweep,
     counting,
+    decode,
     fit_reference,
     layer_energy,
     m_min_bound,
     make_target,
+    sng_encode,
     unit_grid,
 )
 from scbnn.bitstream import network_prescalers
@@ -122,6 +125,19 @@ class TestChebyshevCheck:
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             chebyshev_stream_bound_check(0.5, 100, 100, 2.0, KEY)
+
+    @pytest.mark.parametrize("x, M, k", [(0.5, 100, 2.0), (0.3, 37, 1.5), (0.9, 1, 1.0), (0.0, 8, 2.0), (0.5, 4, 1.0)])
+    def test_matches_per_stream_draws(self, x, M, k):
+        # Oracle: trial t is one sng_encode stream under the key ("cheb", t).
+        key = KEY.substream("cheb-oracle", 3)
+        threshold = k / (2.0 * math.sqrt(M))
+        hits = sum(
+            abs(decode(sng_encode(x, M, Encoding.UNIPOLAR, key.substream("cheb", t))) - x) >= threshold
+            for t in range(1000)
+        )
+        tc = chebyshev_stream_bound_check(x, M, 1000, k, key)
+        assert tc.threshold == threshold and tc.tail_fraction == hits / 1000
+        assert tc.passed == (hits / 1000 <= 1.0 / (k * k) + 1.0 / math.sqrt(1000))
 
 
 def degenerate_net():
