@@ -1,14 +1,14 @@
 """Binary neural networks: +/-1 inputs, weights, and biases with real
 output weights, plus the stochastic binarization that produces them.
 
-A +/-1 vector of m values is a bipolar `Bitstream` of length m: stored bit
-1 means +1 and bit 0 means -1 (the convention shared package-wide), so the
-+/-1 inner product is 2*popcount(XNOR) - m, and chunking the vector into
-n = m/M streams of M bits (`transform`) is a reshape of the same bits.
-`binarize_network` draws every sign of a network as a one-bit stream in one
-keyed `encode_many` call; the scalar `binarize` is its per-element reference.
-A weight row of the binary weight file is a JSON string, the hex payload of
-a bipolar line of m bits, and is parsed by the stream-bundle line parser.
+A +/-1 vector of m values is m packed bits, bit 1 meaning +1 (the convention
+shared package-wide), so the +/-1 inner product is m - 2*popcount(w XOR x)
+and chunking into n = m/M streams of M bits (`transform`) is a reshape. A
+`BinaryNetwork`'s weights are one (N, ceil(m/8)) uint8 array and an input is
+a bipolar `Bitstream`, so `forward_bnn` is one `binary_dot` call.
+`binarize_network` draws every sign of a network in one keyed `encode_many`
+call; the scalar `binarize` is its per-element reference. A weight row of
+the binary weight file is the hex payload of a bipolar line of m bits.
 """
 
 from __future__ import annotations
@@ -19,25 +19,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, StreamKey, StreamMismatchError, encode_many, zero_pad_bits
+from .bitstream import Bitstream, StreamKey, StreamMismatchError, encode_many
 from .netcore import (
     Activation, SchemaError, activate, load_json_object, _check_json_type, _require, _require_activation,
     _require_streams,
 )
 
 
-def binary_dot(a: Bitstream, b: Bitstream) -> int:
-    """+/-1 inner product via the XNOR-popcount identity.
+def binary_dot(w_bits: np.ndarray, x_bits: np.ndarray, m: int) -> np.ndarray:
+    """+/-1 inner products of packed m-bit vectors with zero pad bits, via
+    the XNOR-popcount identity; broadcasts over the leading axes, so a
+    (N, ceil(m/8)) weight array against one input gives the N products.
 
     Tallies no gate ops: it is the BNN reference that the equivalence check
     compares the counted SC datapath against.
     """
-    if a.length != b.length:
-        raise StreamMismatchError(
-            f"binary vectors disagree in length: {a.length} vs {b.length}"
-        )
-    agreements = zero_pad_bits(np.bitwise_not(a.bits ^ b.bits), a.length)
-    return 2 * int(np.bitwise_count(agreements).sum()) - a.length
+    nbytes = (m + 7) // 8
+    if w_bits.shape[-1] != nbytes or x_bits.shape[-1] != nbytes:
+        raise StreamMismatchError(f"binary vectors of {w_bits.shape[-1]} and {x_bits.shape[-1]} bytes, m={m}")
+    return m - 2 * np.bitwise_count(w_bits ^ x_bits).sum(axis=-1, dtype=np.int64)
 
 
 def hard_sigmoid(x):
@@ -57,26 +57,22 @@ def binarize(w: float, key: StreamKey) -> int:
 class BinaryNetwork:
     """Hidden layer with +/-1 weights and biases; real output weights."""
 
-    binary_weights: list[Bitstream]  # bipolar, one per unit
+    binary_weights: np.ndarray  # uint8 (N, ceil(m/8)), packed bipolar rows, pad bits zero
+    m: int
     binary_biases: np.ndarray  # (N,) of +/-1
     output_weights: np.ndarray  # (N,)
     activation: Activation
     name: str = "binary-network"
 
     def __post_init__(self):
-        if not self.binary_weights:
-            raise ValueError("binary network needs at least one hidden unit")
         self.binary_biases = np.asarray(self.binary_biases, dtype=np.int8).reshape(-1)
         self.output_weights = np.asarray(self.output_weights, dtype=float).reshape(-1)
-        m = self.binary_weights[0].length
-        for idx, w in enumerate(self.binary_weights):
-            if w.encoding is not Encoding.BIPOLAR:
-                raise ValueError(f"binary_weights[{idx}] is {w.encoding.value}, expected bipolar")
-            if w.length != m:
-                raise ValueError(
-                    f"binary_weights[{idx}] has length {w.length}, expected {m}"
-                )
-        N = len(self.binary_weights)
+        w = self.binary_weights
+        if self.m < 1 or w.dtype != np.uint8 or w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != (self.m + 7) // 8:
+            raise ValueError(
+                f"binary_weights is {w.dtype} {w.shape}, expected uint8 (N >= 1, {(self.m + 7) // 8}) for m={self.m}"
+            )
+        N = self.N
         if self.binary_biases.shape != (N,) or self.output_weights.shape != (N,):
             raise ValueError(
                 f"inconsistent unit count: {N} weight vectors, "
@@ -88,12 +84,8 @@ class BinaryNetwork:
             raise ValueError("output_weights contains non-finite values")
 
     @property
-    def m(self) -> int:
-        return self.binary_weights[0].length
-
-    @property
     def N(self) -> int:
-        return len(self.binary_weights)
+        return self.binary_weights.shape[0]
 
 
 def binarize_network(net, key: StreamKey) -> BinaryNetwork:
@@ -109,9 +101,9 @@ def binarize_network(net, key: StreamKey) -> BinaryNetwork:
     )
     probs = hard_sigmoid(np.concatenate([net.hidden_weights.reshape(-1), net.hidden_biases]))
     bits = encode_many(probs, keys, 1)[:, 0] >> 7  # a one-bit stream is its byte's MSB
-    rows = np.packbits(bits[: N * n].reshape(N, n), axis=1)
     return BinaryNetwork(
-        binary_weights=[Bitstream(row, n, Encoding.BIPOLAR) for row in rows],
+        binary_weights=np.packbits(bits[: N * n].reshape(N, n), axis=1),
+        m=n,
         binary_biases=2 * bits[N * n :].astype(int) - 1,
         output_weights=net.output_weights.copy(),
         activation=net.activation,
@@ -122,13 +114,11 @@ def binarize_network(net, key: StreamKey) -> BinaryNetwork:
 def forward_bnn(bnet: BinaryNetwork, x_B: Bitstream) -> float:
     """Exact integer preactivations, exact activation and output layer."""
     if x_B.length != bnet.m:
-        raise StreamMismatchError(
-            f"input has {x_B.length} bits, network expects m={bnet.m}"
-        )
+        raise StreamMismatchError(f"input has {x_B.length} bits, network expects m={bnet.m}")
+    pre = binary_dot(bnet.binary_weights, x_B.bits, bnet.m) + bnet.binary_biases
     out = 0.0
-    for i, w in enumerate(bnet.binary_weights):
-        pre = binary_dot(w, x_B) + int(bnet.binary_biases[i])
-        out += float(bnet.output_weights[i]) * activate(bnet.activation, float(pre))
+    for alpha, h in zip(bnet.output_weights.tolist(), activate(bnet.activation, pre).tolist()):
+        out += alpha * h
     return out
 
 
@@ -142,7 +132,7 @@ def binary_network_to_dict(bnet: BinaryNetwork) -> dict:
         "m": bnet.m,
         "N": bnet.N,
         "activation": bnet.activation.value,
-        "binary_weights": [w.bits.tobytes().hex() for w in bnet.binary_weights],
+        "binary_weights": bnet.binary_weights.tobytes().hex(" ", bnet.binary_weights.shape[1]).split(" "),
         "binary_biases": [int(b) for b in bnet.binary_biases],
         "output_weights": [float(a) for a in bnet.output_weights],
     }
@@ -180,7 +170,8 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
             raise SchemaError(f"{where}: binary_biases[{i}] must be the integer +1 or -1")
     try:
         return BinaryNetwork(
-            binary_weights=[Bitstream(row, m, Encoding.BIPOLAR) for row in rows],
+            binary_weights=rows,
+            m=m,
             binary_biases=np.array(biases, dtype=int),
             output_weights=np.array(outputs, dtype=float),
             activation=activation,

@@ -238,6 +238,8 @@ def _cmd_eval(args) -> int:
     if not args.x:
         raise ValueError("reference networks need --x (comma-separated reals)")
     point = [float(v) for v in args.x.split(",")]
+    if not np.isfinite(point).all():
+        raise ValueError(f"--x must be finite reals, got {args.x!r}")
     print(f"reference {forward_reference(net, point)!r}")
     if args.scnn:
         cfg = ScnnConfig(args.M, StreamKey(args.seed), AccumulationMode(args.mode))

@@ -274,6 +274,9 @@ def fit_reference(
         raise ValueError(f"hidden width must be >= 1, got {N}")
     if not 0.0 <= edge_fraction <= 1.0:
         raise ValueError(f"edge_fraction must lie in [0, 1], got {edge_fraction}")
+    for name, value in (("ridge", ridge), ("noise_penalty", noise_penalty)):
+        if not (value >= 0 and math.isfinite(value)):
+            raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if grid.size == 0:
         raise ValueError("fit grid is empty")

@@ -12,7 +12,7 @@ import enum
 import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -44,22 +44,15 @@ class GateCounts:
 
     @property
     def total(self) -> int:
-        return self.xnor_ops + self.and_ops + self.mux_select_ops + self.apc_bit_adds
+        return sum(self.as_dict().values())
 
     def __iadd__(self, other: "GateCounts") -> "GateCounts":
-        self.xnor_ops += other.xnor_ops
-        self.and_ops += other.and_ops
-        self.mux_select_ops += other.mux_select_ops
-        self.apc_bit_adds += other.apc_bit_adds
+        for f in fields(GateCounts):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
         return self
 
     def as_dict(self) -> dict[str, int]:
-        return {
-            "xnor_ops": self.xnor_ops,
-            "and_ops": self.and_ops,
-            "mux_select_ops": self.mux_select_ops,
-            "apc_bit_adds": self.apc_bit_adds,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(GateCounts)}
 
 
 _active_counts: ContextVar[GateCounts | None] = ContextVar("scbnn_gate_counts", default=None)
@@ -118,18 +111,14 @@ def _check_family(streams: Sequence[Bitstream], gate: str) -> tuple[int, Encodin
 def and_mult(a: Bitstream, b: Bitstream) -> Bitstream:
     """Unipolar multiply: bitwise AND, decode(out) estimates x*y."""
     _check_pair(a, b, Encoding.UNIPOLAR, "and_mult")
-    counts = _active_counts.get()
-    if counts is not None:
-        counts.and_ops += a.length
+    add_counts(GateCounts(and_ops=a.length))
     return Bitstream(a.bits & b.bits, a.length, Encoding.UNIPOLAR)
 
 
 def xnor_mult(a: Bitstream, b: Bitstream) -> Bitstream:
     """Bipolar multiply: bitwise XNOR, decode(out) estimates a*b."""
     _check_pair(a, b, Encoding.BIPOLAR, "xnor_mult")
-    counts = _active_counts.get()
-    if counts is not None:
-        counts.xnor_ops += a.length
+    add_counts(GateCounts(xnor_ops=a.length))
     raw = np.bitwise_not(a.bits ^ b.bits)
     return Bitstream(zero_pad_bits(raw, a.length), a.length, Encoding.BIPOLAR)
 
@@ -142,16 +131,20 @@ def mux_add(streams: Sequence[Bitstream], key: StreamKey) -> Bitstream:
     """
     M, enc = _check_family(streams, "mux_add")
     k = len(streams)
-    counts = _active_counts.get()
-    if counts is not None:
-        counts.mux_select_ops += (k - 1) * M
+    add_counts(GateCounts(mux_select_ops=(k - 1) * M))
     if k == 1:
         return streams[0]
-    selection = key.generator().integers(0, k, size=M)
-    out = np.zeros_like(streams[0].bits)
-    for c, s in enumerate(streams):
-        out |= np.packbits(selection == c) & s.bits
-    return Bitstream(out, M, enc)
+    return Bitstream(_mux_select([s.bits for s in streams], M, key), M, enc)
+
+
+def _mux_select(rows: Sequence[np.ndarray], M: int, key: StreamKey) -> np.ndarray:
+    """Packed output of a MUX over the packed M-bit `rows`: clock t takes
+    its bit from the row a uniform draw under `key` selects. Uncounted."""
+    selection = key.generator().integers(0, len(rows), size=M)
+    out = np.zeros_like(rows[0])
+    for c, row in enumerate(rows):
+        out |= np.packbits(selection == c) & row
+    return out
 
 
 @dataclass(frozen=True)
@@ -189,9 +182,7 @@ def apc_sum(streams: Sequence[Bitstream]) -> SumTrace:
     """
     M, enc = _check_family(streams, "apc_sum")
     k = len(streams)
-    counts = _active_counts.get()
-    if counts is not None:
-        counts.apc_bit_adds += k * M * accumulator_width(k * M)
+    add_counts(GateCounts(apc_bit_adds=k * M * accumulator_width(k * M)))
     total = sum(popcount(s) for s in streams)
     return SumTrace(total, M, k, enc)
 
@@ -234,6 +225,18 @@ def dot_product_sc(
     return decode(out) * (n + 1) * scale
 
 
+def apc_ones(w_bits: np.ndarray, x_bits: np.ndarray, b_bits: np.ndarray, M: int) -> np.ndarray:
+    """Per unit, the APC count of ones over the n XNOR products of packed
+    M-bit weight and input streams, shape (..., n, ceil(M/8)), plus the
+    bias stream, shape (..., ceil(M/8)), as an (n+1)-th term: with zero pad
+    bits each product has M - popcount(w ^ x) ones. Uncounted: each caller
+    tallies the gates it models.
+    """
+    n = w_bits.shape[-2]
+    mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(-2, -1), dtype=np.int64)
+    return n * M - mismatches + np.bitwise_count(b_bits).sum(axis=-1, dtype=np.int64)
+
+
 def dot_product_layer(
     w_bits: np.ndarray,
     x_bits: np.ndarray,
@@ -260,18 +263,13 @@ def dot_product_layer(
     m = n * M
     if mode is AccumulationMode.APC:
         add_counts(GateCounts(xnor_ops=N * m, apc_bit_adds=N * m * accumulator_width(m)))
-        # Pad bits are zero in both inputs, so each XNOR product has
-        # M - popcount(w ^ x) ones; the bias is folded into the readout.
-        mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(1, 2), dtype=np.int64)
-        ones = m - mismatches + np.bitwise_count(b_bits).sum(axis=1, dtype=np.int64)
-        return (2 * ones - (n + 1) * M) / M * scale
+        return (2 * apc_ones(w_bits, x_bits, b_bits, M) - (n + 1) * M) / M * scale
     if select_keys is None or len(select_keys) != N:
         raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
-    add_counts(GateCounts(xnor_ops=N * m))
+    add_counts(GateCounts(xnor_ops=N * m, mux_select_ops=N * m))
     products = zero_pad_bits(np.bitwise_not(w_bits ^ x_bits), M)
     out = np.empty(N)
     for i in range(N):
-        terms = [Bitstream(row, M, Encoding.BIPOLAR) for row in products[i]]
-        terms.append(Bitstream(b_bits[i], M, Encoding.BIPOLAR))
-        out[i] = decode(mux_add(terms, select_keys[i])) * (n + 1) * scale
+        ones = int(np.bitwise_count(_mux_select([*products[i], b_bits[i]], M, select_keys[i])).sum())
+        out[i] = (2 * ones - M) / M * (n + 1) * scale
     return out

@@ -44,7 +44,7 @@ class BoundQuery:
         if self.N < 1:
             raise ValueError(f"hidden width N must be >= 1, got {self.N}")
         if not (self.epsilon > 0 and math.isfinite(self.epsilon)):
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+            raise ValueError(f"epsilon must be positive and finite, got {self.epsilon!r}")
         if not (0 < self.delta < 1):
             raise ValueError(f"delta must lie in (0, 1), got {self.delta!r}")
         if self.alpha_sum is not None and not (self.alpha_sum > 0 and math.isfinite(self.alpha_sum)):
@@ -187,8 +187,8 @@ def convergence_sweep(
         raise ValueError("Ms is empty")
     if trials < 30:
         raise ValueError(f"need trials >= 30, got {trials}")
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    if not (epsilon > 0 and math.isfinite(epsilon)):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))

@@ -1,19 +1,20 @@
 """BNN <-> SCNN equivalence: chunk m binary values into n = m/M bipolar
 streams of length M and back, bit-exactly, and the stream-bundle file.
 
-A +/-1 vector is already a bipolar `Bitstream` of m bits, so chunking is a
-reshape of its bits into n rows of M (`chunk_bits`, which chunks a stack of
-vectors at once) and joining is the reverse reshape. Chunk order is storage
-order: stream j takes bits jM .. (j+1)M - 1. The bias stream is the bias
-bit sign-extended to M clocks (a constant +/-1 stream), so the APC total
-over the n+1 term streams reproduces the BNN integer preactivation with
-the bias weighted by M:
+A +/-1 vector is m packed bits, so chunking is a reshape of its bits into
+n rows of M (`chunk_bits`, which chunks a `BinaryNetwork`'s whole
+(N, ceil(m/8)) weight array at once) and joining is the reverse reshape.
+Chunk order is storage order: stream j takes bits jM .. (j+1)M - 1. The
+bias stream is the bias bit sign-extended to M clocks (a constant +/-1
+stream), so the APC total over the n+1 term streams reproduces the BNN
+integer preactivation with the bias weighted by M:
 
     2*total - (n+1)*M == w.x + M*b
 
 A `ScnnStreamBundle` holds all of a network's streams as packed uint8
 arrays, so chunking, joining, the equivalence check and the hex lines of
-the bundle file all work on whole arrays.
+the bundle file all work on whole arrays: the check is one `apc_ones` call
+for the SC side and one `binary_dot` call for the BNN side.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .bitstream import Bitstream, Encoding
 from .bnn import BinaryNetwork, binary_dot
 from .netcore import Activation, SchemaError, _require, _require_activation, _require_streams
-from .scgates import GateCounts, accumulator_width, add_counts
+from .scgates import GateCounts, accumulator_width, add_counts, apc_ones
 
 
 class ChunkError(ValueError):
@@ -99,7 +100,7 @@ def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
     ones = Bitstream.constant(1, M, Encoding.BIPOLAR).bits
     return ScnnStreamBundle(
         M=M,
-        weights=chunk_bits(np.stack([w.bits for w in bnet.binary_weights]), bnet.m, M),
+        weights=chunk_bits(bnet.binary_weights, bnet.m, M),
         biases=(bnet.binary_biases == 1)[:, None] * ones,
         output_weights=bnet.output_weights.copy(),
         activation=bnet.activation,
@@ -133,7 +134,8 @@ def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, Bitstream | No
     if bad.size:
         raise ChunkError(f"bias stream {bad[0]} is not a sign extension ({ones[bad[0]]}/{M} ones)")
     bnet = BinaryNetwork(
-        binary_weights=[Bitstream(row, m, Encoding.BIPOLAR) for row in _join_chunks(bundle.weights, M)],
+        binary_weights=_join_chunks(bundle.weights, M),
+        m=m,
         binary_biases=np.where(ones == M, 1, -1),
         output_weights=bundle.output_weights.copy(),
         activation=bundle.activation,
@@ -229,22 +231,18 @@ def preactivation_equivalence_check(
     """Verify, unit by unit, that the chunked SC datapath reproduces the
     BNN integer preactivation exactly (bias entering as its sign extension).
 
-    The SC side runs on the packed arrays of `bnn_to_scnn`, the ones the
-    bundle file is written from, for all units at once, and tallies
-    what `xnor_mult` per chunk pair and `apc_sum` over each unit's n + 1
-    term streams would; `binary_dot` on the unchunked vectors is the BNN side.
+    The SC side runs `apc_ones` on the packed arrays of `bnn_to_scnn`, the
+    ones the bundle file is written from, and tallies what `xnor_mult` per
+    chunk pair and `apc_sum` over each unit's n + 1 term streams would;
+    `binary_dot` on the unchunked weight array is the BNN side.
     """
     bundle = bnn_to_scnn(bnet, x_B, M)
     n, N = bundle.n, bundle.N
     add_counts(GateCounts(xnor_ops=N * n * M, apc_bit_adds=N * (n + 1) * M * accumulator_width((n + 1) * M)))
-    # Pad bits are zero in both, so each XNOR product has M - popcount(w ^ x)
-    # ones; the bias stream has M ones for +1 and none for -1.
-    mismatches = np.bitwise_count(bundle.weights ^ bundle.inputs).sum(axis=(1, 2), dtype=np.int64)
-    totals = n * M - mismatches + np.bitwise_count(bundle.biases).sum(axis=1, dtype=np.int64)
+    totals = apc_ones(bundle.weights, bundle.inputs, bundle.biases, M)
+    dots = binary_dot(bnet.binary_weights, x_B.bits, bnet.m)
     units = []
-    for i, total in enumerate(totals.tolist()):
-        wx = binary_dot(bnet.binary_weights[i], x_B)
-        b = int(bnet.binary_biases[i])
+    for i, (total, wx, b) in enumerate(zip(totals.tolist(), dots.tolist(), bnet.binary_biases.tolist())):
         lhs = 2 * total - (n + 1) * M
         rhs = wx + M * b
         units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, passed=lhs == rhs))

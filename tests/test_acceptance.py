@@ -176,7 +176,8 @@ class TestAcceptance:
             m = int(gen.integers(1, 65))
             N = int(gen.integers(1, 4))
             bnet = BinaryNetwork(
-                [Bitstream.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
+                np.packbits(np.array([gen.choice([-1, 1], m) for _ in range(N)]) == 1, axis=1),
+                m,
                 gen.choice([-1, 1], N),
                 gen.normal(size=N),
                 Activation.SIGMOID,
@@ -193,7 +194,7 @@ class TestAcceptance:
                     and bundle.inputs.shape == (m // M, (M + 7) // 8)
                     and x_back == x
                     and np.array_equal(back.binary_biases, bnet.binary_biases)
-                    and all(a == b for a, b in zip(back.binary_weights, bnet.binary_weights))
+                    and np.array_equal(back.binary_weights, bnet.binary_weights)
                 )
                 equiv = preactivation_equivalence_check(bnet, x, M).all_passed
                 all_ok = all_ok and round_trip and equiv

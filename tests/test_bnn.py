@@ -9,9 +9,10 @@ from scbnn import (
     Activation,
     BinaryNetwork,
     Bitstream,
-    Encoding,
     SchemaError,
     StreamKey,
+    StreamMismatchError,
+    activate,
     binarize,
     binarize_network,
     binary_dot,
@@ -29,6 +30,16 @@ from scbnn import ReferenceNetwork
 KEY = StreamKey(0x5151)
 
 sign_lists = st.lists(st.sampled_from([-1, 1]), min_size=1, max_size=80)
+
+
+def packed_signs(rows):
+    """The packed (N, ceil(m/8)) weight array of N rows of m +1/-1 values."""
+    return np.packbits(np.asarray(rows) == 1, axis=1)
+
+
+def weight_signs(bnet):
+    """A binary network's weights as an (N, m) array of +1/-1."""
+    return np.unpackbits(bnet.binary_weights, axis=1, count=bnet.m).astype(int) * 2 - 1
 
 
 class TestHardSigmoid:
@@ -88,15 +99,15 @@ class TestBinarizeNetwork:
     def test_saturated_weights_all_plus_one(self):
         net = self._net([[1.0, 2.0], [3.5, 1.0]], [1.0, 4.0])
         bnet = binarize_network(net, KEY)
-        for w in bnet.binary_weights:
-            assert np.all(w.signs() == 1)
+        for w in weight_signs(bnet):
+            assert np.all(w == 1)
         assert np.all(bnet.binary_biases == 1)
 
     def test_idempotent_on_signs(self):
         net = self._net([[1.0, -1.0], [-1.0, 1.0]], [-1.0, 1.0])
         bnet = binarize_network(net, KEY)
-        assert np.array_equal(bnet.binary_weights[0].signs(), [1, -1])
-        assert np.array_equal(bnet.binary_weights[1].signs(), [-1, 1])
+        assert np.array_equal(weight_signs(bnet)[0], [1, -1])
+        assert np.array_equal(weight_signs(bnet)[1], [-1, 1])
         assert np.array_equal(bnet.binary_biases, [-1, 1])
 
     def test_output_weights_copied(self):
@@ -121,7 +132,7 @@ class TestBinarizeNetwork:
         bnet = binarize_network(self._net(W, b), key)
         for i in range(N):
             signs = [binarize(W[i, j], key.substream("binweights", i, j)) for j in range(n)]
-            assert np.array_equal(bnet.binary_weights[i].signs(), signs)
+            assert np.array_equal(weight_signs(bnet)[i], signs)
             assert bnet.binary_biases[i] == binarize(b[i], key.substream("binbias", i))
 
     def test_elementwise_unbiasedness(self):
@@ -129,7 +140,7 @@ class TestBinarizeNetwork:
         net = self._net([[w]], [0.0])
         trials = 4000
         draws = [
-            int(binarize_network(net, KEY.derive(t)).binary_weights[0].signs()[0])
+            int(weight_signs(binarize_network(net, KEY.derive(t)))[0, 0])
             for t in range(trials)
         ]
         p = hard_sigmoid(w)
@@ -140,7 +151,8 @@ class TestBinarizeNetwork:
 class TestForwardBnn:
     def _bnet(self, rows, biases, outputs):
         return BinaryNetwork(
-            [Bitstream.from_signs(r) for r in rows],
+            packed_signs(rows),
+            len(rows[0]),
             np.asarray(biases),
             np.asarray(outputs, dtype=float),
             Activation.SIGMOID,
@@ -150,18 +162,18 @@ class TestForwardBnn:
         w = [1, -1, 1, 1, -1]
         bnet = self._bnet([w], [1], [1.0])
         x = Bitstream.from_signs(w)
-        assert binary_dot(bnet.binary_weights[0], x) == 5
+        assert binary_dot(bnet.binary_weights[0], x.bits, 5) == 5
 
     def test_negated_inner_product(self):
         w = [1, -1, 1, 1, -1]
         x = Bitstream.from_signs([-v for v in w])
         bnet = self._bnet([w], [1], [1.0])
-        assert binary_dot(bnet.binary_weights[0], x) == -5
+        assert binary_dot(bnet.binary_weights[0], x.bits, 5) == -5
 
     def test_direct_small_case(self):
         w = Bitstream.from_signs([1, -1, 1, 1])
         x = Bitstream.from_signs([1, 1, -1, 1])
-        assert binary_dot(w, x) == 0
+        assert binary_dot(w.bits, x.bits, 4) == 0
 
     def test_forward_value(self):
         bnet = self._bnet([[1, -1], [1, 1]], [1, -1], [2.0, -1.0])
@@ -172,10 +184,22 @@ class TestForwardBnn:
         expect = 2.0 * activate(Activation.SIGMOID, 1.0) - 1.0 * activate(Activation.SIGMOID, 1.0)
         assert forward_bnn(bnet, x) == pytest.approx(expect, abs=1e-15)
 
-    def test_unipolar_weight_stream_rejected(self):
-        w = Bitstream.from_bits("10", Encoding.UNIPOLAR)
-        with pytest.raises(ValueError, match="bipolar"):
-            BinaryNetwork([w], np.array([1]), np.array([1.0]), Activation.SIGMOID)
+    @pytest.mark.parametrize(
+        "weights, m",
+        [
+            (np.zeros((2, 1), dtype=np.uint8), 9),  # a 9-bit row needs two bytes
+            (np.zeros((2, 2), dtype=np.uint8), 8),
+            (np.zeros((0, 1), dtype=np.uint8), 8),
+            (np.zeros((2, 1), dtype=np.uint8), 0),
+            (np.zeros((2, 1), dtype=np.uint8), -3),
+            (np.zeros((2, 1), dtype=np.int64), 8),
+            (np.zeros(2, dtype=np.uint8), 8),
+        ],
+        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim"],
+    )
+    def test_malformed_weight_array_rejected(self, weights, m):
+        with pytest.raises(ValueError, match="binary_weights"):
+            BinaryNetwork(weights, m, np.ones(2), np.ones(2), Activation.SIGMOID)
 
     def test_length_mismatch(self):
         bnet = self._bnet([[1, -1]], [1], [1.0])
@@ -189,14 +213,37 @@ class TestForwardBnn:
         a = Bitstream.from_signs(signs)
         b = Bitstream.from_signs(other)
         scalar = sum(u * v for u, v in zip(signs, other))
-        assert binary_dot(a, b) == scalar
+        assert binary_dot(a.bits, b.bits, len(signs)) == scalar
+
+    @given(st.integers(1, 40), st.integers(1, 5), st.sampled_from(list(Activation)), st.integers(0, 2**32))
+    @settings(max_examples=80, deadline=None)
+    def test_one_call_equals_per_unit_sums(self, m, N, activation, seed):
+        gen = np.random.default_rng(seed)
+        rows = gen.choice([-1, 1], (N, m))
+        biases, outputs = gen.choice([-1, 1], N), gen.normal(size=N) * 3
+        x = gen.choice([-1, 1], m)
+        bnet = BinaryNetwork(packed_signs(rows), m, biases, outputs, activation)
+        x_B = Bitstream.from_signs(x)
+        assert np.array_equal(binary_dot(bnet.binary_weights, x_B.bits, m), rows @ x)
+        # The unit-by-unit reference: exact integer preactivation, scalar
+        # activation, output sum in unit order.
+        expect = 0.0
+        for i in range(N):
+            expect += float(outputs[i]) * activate(activation, float(int(rows[i] @ x) + int(biases[i])))
+        assert forward_bnn(bnet, x_B) == expect
+
+    def test_byte_width_mismatch(self):
+        w = packed_signs([[1] * 9])
+        with pytest.raises(StreamMismatchError):
+            binary_dot(w, Bitstream.from_signs([1] * 8).bits, 9)
 
 
 class TestBinarySerialization:
     def _bnet(self):
         gen = np.random.default_rng(5)
         return BinaryNetwork(
-            [Bitstream.from_signs(gen.choice([-1, 1], 19)) for _ in range(3)],
+            packed_signs([gen.choice([-1, 1], 19) for _ in range(3)]),
+            19,
             gen.choice([-1, 1], 3),
             gen.normal(size=3),
             Activation.TANH,
@@ -209,7 +256,7 @@ class TestBinarySerialization:
         save_binary_network(bnet, path)
         loaded = load_binary_network(path)
         assert loaded.m == bnet.m and loaded.N == bnet.N
-        assert all(a == b for a, b in zip(loaded.binary_weights, bnet.binary_weights))
+        assert np.array_equal(loaded.binary_weights, bnet.binary_weights)
         assert np.array_equal(loaded.binary_biases, bnet.binary_biases)
         assert np.array_equal(loaded.output_weights, bnet.output_weights)
         assert loaded.activation is bnet.activation

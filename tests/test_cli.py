@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbnn import Activation, BinaryNetwork, Bitstream, SchemaError, save_binary_network
+from scbnn import Activation, BinaryNetwork, SchemaError, save_binary_network
 from scbnn.cli import main
 from scbnn.netcore import _require_stream
 
@@ -39,7 +39,8 @@ def bnn_file(tmp_path_factory):
     out = tmp_path_factory.mktemp("bnn")
     gen = np.random.default_rng(21)
     bnet = BinaryNetwork(
-        [Bitstream.from_signs(gen.choice([-1, 1], 12)) for _ in range(3)],
+        np.packbits(np.array([gen.choice([-1, 1], 12) for _ in range(3)]) == 1, axis=1),
+        12,
         gen.choice([-1, 1], 3),
         gen.normal(size=3),
         Activation.SIGMOID,
@@ -106,6 +107,23 @@ class TestFit:
         assert run("fit", "--target", "sine", "--grid-points", "0", "--out-dir", tmp_path) == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "network.json").exists()
+
+    # A config file cannot hold NaN or Infinity: its loader rejects them.
+    @pytest.mark.parametrize("key", ["ridge", "noise_penalty"])
+    @pytest.mark.parametrize("source, value", [
+        ("flag", "nan"), ("flag", "inf"), ("flag", "-1e-08"), ("config", "-1e-08"),
+    ])
+    def test_penalty_not_finite_and_non_negative_is_usage_error(self, tmp_path, capsys, key, source, value):
+        if source == "flag":
+            argv = ["--target", "sine", f"--{key.replace('_', '-')}={value}"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"target": {"name": "sine"}, "fit": {key: float(value)}}))
+            argv = ["--config", cfg]
+        assert run("fit", "--N", "4", *argv, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key} must be finite and >= 0") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestSeedAndTargetParams:
@@ -203,6 +221,14 @@ class TestEval:
         assert run("eval", "--network", path, "--x", "0.25") == 2
         assert_one_line_error(capsys)
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("scnn", [[], ["--scnn"]])
+    def test_non_finite_point_is_usage_error(self, sine_net, capsys, x, scnn):
+        assert run("eval", "--network", sine_net, f"--x={x}", *scnn) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --x must be finite") and captured.err.count("\n") == 1
+
 
 class TestSweep:
     def test_deterministic_bytes_and_parallel(self, sine_net, tmp_path):
@@ -283,6 +309,14 @@ class TestSweep:
                    "--trials", "30", "--grid-points", "2", "--out-dir", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert "M=99999999999" in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("epsilon", ["nan", "inf", "0"])
+    def test_epsilon_not_positive_and_finite_is_usage_error(self, sine_net, tmp_path, capsys, epsilon):
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "16", "--trials", "30",
+                   "--grid-points", "2", f"--epsilon={epsilon}", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: epsilon must be positive and finite") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("flag", ["--jobs", "--grid-points"])

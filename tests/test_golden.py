@@ -5,9 +5,11 @@ the per-stream composition it replaces.
 The pins were recorded with numpy 2.4.6 (Philox4x64-10 and
 `Generator.random`'s 53-bit conversion): the stream and forward pins before
 stream generation was batched, the BNN-path file pins before the BNN input
-vector became a bipolar `Bitstream`, and the sweep, bound, energy and
-error-profile pins before those paths shared one grid loop. Any change that alters a single stream
-bit, the last bit of a forward value or one output byte fails here.
+vector became a bipolar `Bitstream`, the sweep, bound, energy and
+error-profile pins before those paths shared one grid loop, and the
+`eval --x-bits` pins before a binary network became one packed array. Any
+change that alters a single stream bit, the last bit of a forward value or
+one output byte fails here.
 """
 
 import hashlib
@@ -90,6 +92,12 @@ BNN_TO_BNN_SHA256 = {
     3: "55e3269d36056d51edcdc8c76ad0c6e56a9b8b4aa7ac5481f994b19fc4a61c8d",
     8: "7e7a2a0dcbfb6cb1bb60de455a70ea8f09f9f5d0c981f63d83f6cd78ab1b83f7",
     12: "d7635d10c7a2d7927e207e6f20e8a3ac4db4db33ce88256ca2e581f7bbafb01f",
+}
+#: stdout of `eval --x-bits` on BNN_EVAL's keyed binary net, per activation.
+BNN_EVAL_STDOUT = {
+    "sigmoid": "bnn -0.4959457056356692\n",
+    "tanh": "bnn -1.6081208988497155\n",
+    "relu": "bnn 3.9249166144947822\n",
 }
 #: sha256 of network.json from `scbnn fit --target sine --seed 2`.
 FIT_SINE_SHA256 = "2668a9dc78b685112cf06223a1ecf67dddef76c9e72df108ac30c5909a8847c0"
@@ -335,6 +343,24 @@ class TestBnnPathBytes:
     def test_fit_sine_seed_2(self, tmp_path):
         assert main(["fit", "--target", "sine", "--seed", "2", "--out-dir", str(tmp_path)]) == 0
         assert _sha256(tmp_path / "network.json") == FIT_SINE_SHA256
+
+
+class TestBnnEvalBytes:
+    """`eval --x-bits` on a keyed binary net (m = 37 inputs, so the weight
+    rows end in three pad bits, and N = 7 units) for every activation."""
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_forward_bnn(self, activation, tmp_path, capsys):
+        gen = StreamKey(0x5CB_2018, "golden-bnn-eval", list(Activation).index(activation)).generator()
+        W, b = gen.uniform(-1.5, 1.5, (7, 37)), gen.uniform(-1.5, 1.5, 7)
+        save_network(_net(W, b, gen.normal(size=7), activation), tmp_path / "reference.json")
+        x_bits = "".join("1" if v < 0.5 else "0" for v in gen.random(37))
+        argv = ["convert", "--network", tmp_path / "reference.json", "--binarize", "--seed", "9",
+                "--out-dir", tmp_path]
+        assert main([str(a) for a in argv]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--network", str(tmp_path / "binary_network.json"), "--x-bits", x_bits]) == 0
+        assert capsys.readouterr().out == BNN_EVAL_STDOUT[activation.value]
 
 
 class TestExperimentBytes:

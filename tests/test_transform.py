@@ -19,18 +19,28 @@ from scbnn import (
     to_hex_line,
 )
 from scbnn.bitstream import Bitstream
-from scbnn.bnn import binary_dot
 from scbnn.scgates import apc_sum, counting, xnor_mult
 from scbnn.transform import UnitEquivalence, bundle_from_dict, bundle_to_dict, chunk_bits
 
 
 def random_bnet(gen, m, N):
     return BinaryNetwork(
-        [Bitstream.from_signs(gen.choice([-1, 1], m)) for _ in range(N)],
+        np.packbits(np.array([gen.choice([-1, 1], m) for _ in range(N)]) == 1, axis=1),
+        m,
         gen.choice([-1, 1], N),
         gen.normal(size=N),
         Activation.SIGMOID,
     )
+
+
+def weight_rows(bnet):
+    """A binary network's weight rows as m-bit bipolar streams."""
+    return [Bitstream(row, bnet.m, Encoding.BIPOLAR) for row in bnet.binary_weights]
+
+
+def all_plus_one(N, m):
+    """The packed weight array of N rows of m +1 values."""
+    return np.packbits(np.ones((N, m), dtype=np.uint8), axis=1)
 
 
 def divisors(m):
@@ -64,7 +74,7 @@ def one_unit_bundle(streams, inputs=None):
 def joined(streams):
     """`scnn_to_bnn` of `streams` as one unit's weight streams."""
     bnet, _ = scnn_to_bnn(one_unit_bundle(streams))
-    return bnet.binary_weights[0]
+    return weight_rows(bnet)[0]
 
 
 class TestChunkSpec:
@@ -148,17 +158,17 @@ class TestNetworkTransform:
             back, x_back = scnn_to_bnn(bundle)
             assert x_back == x
             assert back.m == bundle.n * M  # shared bit budget preserved
-            assert all(a == b for a, b in zip(back.binary_weights, bnet.binary_weights))
+            assert np.array_equal(back.binary_weights, bnet.binary_weights)
             assert np.array_equal(back.binary_biases, bnet.binary_biases)
             assert np.array_equal(back.output_weights, bnet.output_weights)
 
     def test_sign_extension_stream(self):
         for M in (1, 4, 12):
-            bnet = BinaryNetwork([Bitstream.from_signs([1] * M)] * 2, np.array([1, -1]), np.ones(2), Activation.SIGMOID)
+            bnet = BinaryNetwork(all_plus_one(2, M), M, np.array([1, -1]), np.ones(2), Activation.SIGMOID)
             biases = chunk_network(bnet, M).biases
             assert [decode(Bitstream(row, M, Encoding.BIPOLAR)) for row in biases] == [1.0, -1.0]
         with pytest.raises(ValueError):  # a bias of 0 has no sign extension
-            BinaryNetwork([Bitstream.from_signs([1] * 6)], np.array([0]), np.ones(1), Activation.SIGMOID)
+            BinaryNetwork(all_plus_one(1, 6), 6, np.array([0]), np.ones(1), Activation.SIGMOID)
 
     def test_non_constant_bias_rejected_on_join(self):
         gen = np.random.default_rng(3)
@@ -180,14 +190,14 @@ def per_stream_check(bnet, x, M):
     """The equivalence check stream by stream, sharing no code with the
     packed path: chunks cut from the unpacked bits, `Bitstream.constant` bias
     streams, one xnor_mult per weight/input chunk pair and one apc_sum over
-    each unit's n + 1 term streams."""
+    each unit's n + 1 term streams, with the +/-1 dot product as the BNN side."""
     n, xs = bnet.m // M, sliced(x, M)
     units = []
-    for i, w in enumerate(bnet.binary_weights):
+    for i, w in enumerate(weight_rows(bnet)):
         b = int(bnet.binary_biases[i])
         products = [xnor_mult(wj, xj) for wj, xj in zip(sliced(w, M), xs)]
         total = apc_sum(products + [Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)]).total
-        wx = binary_dot(w, x)
+        wx = int(np.dot(w.signs(), x.signs()))
         lhs, rhs = 2 * total - (n + 1) * M, wx + M * b
         units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, lhs == rhs))
     return units
@@ -227,7 +237,7 @@ class TestPackedAgainstPerStream:
         for M in divisors(m):
             bundle = chunk_network(bnet, M)
             doc = bundle_to_dict(bundle)
-            assert doc["weight_streams"] == [[to_hex_line(s) for s in sliced(w, M)] for w in bnet.binary_weights]
+            assert doc["weight_streams"] == [[to_hex_line(s) for s in sliced(w, M)] for w in weight_rows(bnet)]
             assert doc["bias_streams"] == [
                 to_hex_line(Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)) for b in bnet.binary_biases
             ]
@@ -243,7 +253,7 @@ class TestEquivalence:
         report = preactivation_equivalence_check(bnet, x, 1)
         assert report.all_passed
         # at M=1 the identity literally reads 2*total - (m+1) = w.x + b
-        for u, w in zip(report.units, bnet.binary_weights):
+        for u, w in zip(report.units, weight_rows(bnet)):
             assert u.lhs == u.bnn_preactivation
 
     def test_small_random_instance(self):
@@ -253,13 +263,14 @@ class TestEquivalence:
         report = preactivation_equivalence_check(bnet, x, 4)
         assert report.all_passed
         for i, u in enumerate(report.units):
-            wx = int(np.dot(bnet.binary_weights[i].signs(), x.signs()))
+            wx = int(np.dot(weight_rows(bnet)[i].signs(), x.signs()))
             assert u.rhs == wx + 4 * int(bnet.binary_biases[i])
 
     def test_maximal_agreement(self):
         m, M = 12, 4
         bnet = BinaryNetwork(
-            [Bitstream.from_signs([1] * m)],
+            all_plus_one(1, m),
+            m,
             np.array([1]),
             np.array([1.0]),
             Activation.SIGMOID,
@@ -291,7 +302,7 @@ class TestEquivalence:
         x = Bitstream.from_signs(gen.choice([-1, 1], m))
         report = preactivation_equivalence_check(bnet, x, M)
         for i, u in enumerate(report.units):
-            wx = int(np.dot(bnet.binary_weights[i].signs(), x.signs()))
+            wx = int(np.dot(weight_rows(bnet)[i].signs(), x.signs()))
             n = m // M
             decoded = (2 * u.sc_total - (n + 1) * M) / M
             assert decoded == (wx + M * int(bnet.binary_biases[i])) / M
