@@ -15,12 +15,14 @@ from .bitstream import (
     decode,
     encode_many,
     from_hex_line,
+    from_hex_lines,
     network_prescalers,
     popcount,
     postscale,
     prescale,
     sng_encode,
     to_hex_line,
+    to_hex_lines,
 )
 from .bnn import (
     BinaryNetwork,

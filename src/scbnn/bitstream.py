@@ -22,6 +22,11 @@ numpy 2.4.6; 24.7 / 333 at S = 65,552, M = 1):
 Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
 so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
 `StreamKey.substream_keys` folds the keys of many substreams in one pass.
+
+Files hold packed rows as hex text: a stream-bundle line or a binary weight
+row. `to_hex_lines` and `from_hex_lines` write and read a whole list of
+them at once, under one acceptance rule; `to_hex_line` and `from_hex_line`
+are their one-row cases.
 """
 
 from __future__ import annotations
@@ -52,7 +57,10 @@ class StreamMismatchError(ValueError):
 
 
 class StreamFormatError(ValueError):
-    """A serialized bitstream line is malformed."""
+    """A serialized bitstream line is malformed; `index` is its position in
+    the lines given to `from_hex_lines`."""
+
+    index: int | None = None
 
 
 class Encoding(enum.Enum):
@@ -165,16 +173,6 @@ class StreamKey:
 # ---------------------------------------------------------------------------
 # Packed bit storage (big-endian bit order, pad bits forced to zero)
 
-def pack_bits(bits) -> np.ndarray:
-    """Pack a 0/1 sequence into bytes, bit 0 in the MSB of byte 0."""
-    return np.packbits(np.asarray(bits, dtype=np.uint8))
-
-
-def unpack_bits(packed: np.ndarray, length: int) -> np.ndarray:
-    """Unpack to a uint8 array of exactly `length` bits."""
-    return np.unpackbits(packed, count=length)
-
-
 def zero_pad_bits(packed: np.ndarray, length: int) -> np.ndarray:
     """Force the pad bits after `length` in the last byte (of each row, for
     a stack of packed streams) to zero."""
@@ -217,7 +215,7 @@ class Bitstream:
         )
 
     def bit_array(self) -> np.ndarray:
-        return unpack_bits(self.bits, self.length)
+        return np.unpackbits(self.bits, count=self.length)
 
     @classmethod
     def from_bits(cls, bits, encoding: Encoding) -> "Bitstream":
@@ -227,7 +225,7 @@ class Bitstream:
         arr = np.asarray(bits, dtype=np.uint8)
         if arr.ndim != 1 or not np.isin(arr, (0, 1)).all():
             raise ValueError("bits must be a flat sequence of 0s and 1s")
-        return cls(pack_bits(arr), int(arr.size), encoding)
+        return cls(np.packbits(arr), int(arr.size), encoding)
 
     @classmethod
     def from_signs(cls, signs) -> "Bitstream":
@@ -235,7 +233,7 @@ class Bitstream:
         arr = np.asarray(signs, dtype=int)
         if arr.ndim != 1 or not np.isin(arr, (-1, 1)).all():
             raise ValueError("signs must be a flat sequence of +1/-1")
-        return cls(pack_bits(arr == 1), int(arr.size), Encoding.BIPOLAR)
+        return cls(np.packbits(arr == 1), int(arr.size), Encoding.BIPOLAR)
 
     def signs(self) -> np.ndarray:
         """The bits as +1/-1 values (bit 1 is +1)."""
@@ -473,33 +471,77 @@ def network_prescalers(weights, biases, input_bound: float = 1.0) -> dict[str, P
 
 
 # ---------------------------------------------------------------------------
-# Hex-line serialization: M:<len>;enc:<u|b>;<hex>
+# Hex lines: M:<len>;enc:<u|b>;<hex>, or the bare <hex> payload of a row
+# whose M and encoding the file states elsewhere (enc None). One rule for
+# both: whitespace around a line is ignored, the hex digits may be either
+# case, and the payload is ceil(M/8) bytes with zero pad bits.
+
+def to_hex_lines(rows: np.ndarray, M: int, enc: Encoding | None) -> list[str]:
+    """The hex line of each packed M-bit row of `rows`, shape (S, ceil(M/8))."""
+    prefix = "" if enc is None else f"M:{M};enc:{enc.tag};"
+    return [prefix + h for h in rows.tobytes().hex(" ", rows.shape[-1]).split()]
+
 
 def to_hex_line(s: Bitstream) -> str:
-    return f"M:{s.length};enc:{s.encoding.tag};{s.bits.tobytes().hex()}"
+    return to_hex_lines(s.bits[None], s.length, s.encoding)[0]
 
 
-def from_hex_line(line: str) -> Bitstream:
-    parts = line.strip().split(";")
+def _split_line(line) -> tuple[int, Encoding, str]:
+    """Length, encoding and payload of a hex line, its header checked."""
+    parts = line.strip().split(";") if isinstance(line, str) else []
     if len(parts) != 3 or not parts[0].startswith("M:") or not parts[1].startswith("enc:"):
         raise StreamFormatError(f"malformed bitstream line {line!r}")
     digits = parts[0][2:]
     # Plain decimal: int() also takes "+4", "1_0", "04", "٤" and fails past 4300 digits.
     if not (digits.isascii() and digits.isdigit()) or digits[0] == "0" or len(digits) > 19:
         raise StreamFormatError(f"bad length field in {line!r}")
-    length = int(digits)
-    enc = Encoding.from_tag(parts[1][4:])
+    return int(digits), Encoding.from_tag(parts[1][4:]), parts[2]
+
+
+def from_hex_lines(lines: list, M: int, enc: Encoding | None) -> np.ndarray:
+    """Packed rows, shape (len(lines), ceil(M/8)), of hex lines of M-bit
+    `enc` streams, all parsed at once. If any line breaks the rule or has
+    another M or encoding, the StreamFormatError gives the reason for the
+    first such line and its position as `index`."""
+    nbytes, prefix = (M + 7) // 8, "" if enc is None else f"M:{M};enc:{enc.tag};"
+    size, head = len(prefix) + 2 * nbytes, np.frombuffer(prefix.encode(), dtype=np.uint8)
+    # Fails on a non-string, a non-ASCII or non-hex character, or whitespace
+    # inside a payload (fromhex skips it, which leaves too few bytes).
     try:
-        raw = bytes.fromhex(parts[2])
-    except ValueError:
-        raw = None
-    if raw is None or len(parts[2]) != 2 * len(raw):  # fromhex skips whitespace
-        raise StreamFormatError(f"bad hex payload in {line!r}")
-    packed = np.frombuffer(raw, dtype=np.uint8)
-    if length < 1 or packed.size != (length + 7) // 8:
-        raise StreamFormatError(
-            f"payload has {packed.size} bytes, inconsistent with M={length}"
-        )
-    if not np.array_equal(packed, zero_pad_bits(packed, length)):
-        raise StreamFormatError(f"nonzero pad bits in {line!r}")
-    return Bitstream(packed.copy(), length, enc)
+        stripped = list(map(str.strip, lines))
+        if set(map(len, stripped)) <= {size}:
+            text = np.frombuffer("".join(stripped).encode("ascii"), dtype=np.uint8).reshape(-1, size)
+            if (text[:, : head.size] == head).all():
+                raw = bytes.fromhex(text[:, head.size :].tobytes().decode())
+                raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(stripped), nbytes)
+                rows = zero_pad_bits(raw, M)
+                if np.array_equal(rows, raw):
+                    return rows
+    except (TypeError, ValueError):
+        pass
+    for index, line in enumerate(lines):
+        try:
+            payload = line.strip() if isinstance(line, str) else None
+            if enc is not None:
+                length, tag, payload = _split_line(line)
+                if (length, tag) != (M, enc):
+                    raise StreamFormatError(f"stream is {length}-bit {tag.value}, expected {M}-bit {enc.value}")
+            try:
+                raw = bytes.fromhex(payload)
+            except (TypeError, ValueError):
+                raw = None
+            if raw is None or len(payload) != 2 * len(raw):  # fromhex skips whitespace
+                raise StreamFormatError(f"bad hex payload in {line!r}")
+            if len(raw) != nbytes:
+                raise StreamFormatError(f"payload has {len(raw)} bytes, inconsistent with M={M}")
+            if raw[-1] & ((1 << (-M % 8)) - 1):
+                raise StreamFormatError(f"nonzero pad bits in {line!r}")
+        except StreamFormatError as exc:
+            exc.index = index
+            raise
+    raise AssertionError("from_hex_lines: the batch and the per-line checks disagree")
+
+
+def from_hex_line(line: str) -> Bitstream:
+    length, enc, _ = _split_line(line)
+    return Bitstream(from_hex_lines([line], length, enc)[0], length, enc)

@@ -8,7 +8,7 @@ and chunking into n = m/M streams of M bits (`transform`) is a reshape. A
 a bipolar `Bitstream`, so `forward_bnn` is one `binary_dot` call.
 `binarize_network` draws every sign of a network in one keyed `encode_many`
 call; the scalar `binarize` is its per-element reference. A weight row of
-the binary weight file is the hex payload of a bipolar line of m bits.
+the binary weight file is the bare hex payload of m bits (see `bitstream`).
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import Bitstream, StreamKey, StreamMismatchError, encode_many
-from .netcore import (
-    Activation, SchemaError, activate, load_json_object, _check_json_type, _require, _require_activation,
-    _require_streams,
+from .bitstream import (
+    Bitstream, Encoding, StreamFormatError, StreamKey, StreamMismatchError, encode_many, from_hex_lines, to_hex_lines,
 )
+from .netcore import Activation, SchemaError, activate, load_json_object, _require, _require_activation
 
 
 def binary_dot(w_bits: np.ndarray, x_bits: np.ndarray, m: int) -> np.ndarray:
@@ -132,10 +131,18 @@ def binary_network_to_dict(bnet: BinaryNetwork) -> dict:
         "m": bnet.m,
         "N": bnet.N,
         "activation": bnet.activation.value,
-        "binary_weights": bnet.binary_weights.tobytes().hex(" ", bnet.binary_weights.shape[1]).split(" "),
+        "binary_weights": to_hex_lines(bnet.binary_weights, bnet.m, None),
         "binary_biases": [int(b) for b in bnet.binary_biases],
         "output_weights": [float(a) for a in bnet.output_weights],
     }
+
+
+def _require_rows(lines: list, M: int, enc: Encoding | None, where: str) -> np.ndarray:
+    """`from_hex_lines`, a fault a SchemaError naming `where[index]`."""
+    try:
+        return from_hex_lines(lines, M, enc)
+    except StreamFormatError as exc:
+        raise SchemaError(f"{where}[{exc.index}]: {exc}") from None
 
 
 def save_binary_network(bnet: BinaryNetwork, path: str | os.PathLike) -> None:
@@ -156,11 +163,7 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
     weight_rows = _require(doc, "binary_weights", list, where)
     if len(weight_rows) != N:
         raise SchemaError(f"{where}: binary_weights has {len(weight_rows)} rows, expected N={N}")
-    for i, row in enumerate(weight_rows):
-        _check_json_type(row, str, f"{where}: binary_weights[{i}]")
-    # A row is the hex payload of a bipolar hex line, so it passes the same
-    # hex, size and pad-bit checks.
-    rows = _require_streams([f"M:{m};enc:b;{row}" for row in weight_rows], m, f"{where}: binary_weights")
+    rows = _require_rows(weight_rows, m, None, f"{where}: binary_weights")
     biases = _require(doc, "binary_biases", list, where)
     outputs = _require(doc, "output_weights", list, where)
     if len(biases) != N or len(outputs) != N:

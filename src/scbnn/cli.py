@@ -19,15 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitstream import (
-    Bitstream,
-    Encoding,
-    EncodingRangeError,
-    GENERATOR_FAMILY,
-    StreamFormatError,
-    StreamKey,
-    StreamMismatchError,
-)
+from .bitstream import Bitstream, Encoding, GENERATOR_FAMILY, StreamKey
 from .bnn import (
     binarize_network,
     binary_network_from_dict,
@@ -37,7 +29,6 @@ from .bnn import (
 from .energy import bnn_layer_energy, layer_energy
 from .netcore import (
     Activation,
-    SchemaError,
     _check_json_type,
     fit_reference,
     forward_reference,
@@ -52,30 +43,17 @@ from .scgates import AccumulationMode
 from .scnn import ScnnConfig, forward_scnn
 from .theory import (
     BoundQuery,
-    InfeasibleBoundError,
     SweepRow,
     bound_validation,
     convergence_sweep,
     m_min_bound,
 )
 from .transform import (
-    ChunkError,
     bundle_from_dict,
     bundle_to_dict,
     chunk_network,
     preactivation_equivalence_check,
     scnn_to_bnn,
-)
-
-_CONFIG_ERRORS = (
-    SchemaError,
-    StreamFormatError,
-    StreamMismatchError,
-    EncodingRangeError,
-    ChunkError,
-    InfeasibleBoundError,
-    ValueError,
-    OSError,
 )
 
 
@@ -330,6 +308,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if args.binarize + (args.to_scnn is not None) + args.to_bnn != 1:
+        raise ValueError("convert needs exactly one of --binarize, --to-scnn M, --to-bnn")
     key = StreamKey(args.seed)
     kind, net = _load_any_network(args.network)
     out = _out_dir(args.out_dir)
@@ -348,25 +328,6 @@ def _cmd_convert(args) -> int:
         print(f"binarized {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
-    if args.to_scnn is not None:
-        if kind != "binary":
-            raise ValueError("--to-scnn expects a binary network file")
-        M = args.to_scnn
-        path = out / "scnn_streams.json"
-        _write_json(path, bundle_to_dict(chunk_network(net, M)),
-                    _metadata({**resolved, "mode": "to-scnn", "M": M}, args.seed))
-        # equivalence check on a keyed random input vector
-        gen = key.substream("convert-input").generator()
-        x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
-        report = preactivation_equivalence_check(net, x, M)
-        for u in report.units:
-            status = "PASS" if u.passed else "FAIL"
-            print(f"unit {u.unit}: bnn={u.bnn_preactivation} sc_total={u.sc_total} [{status}]")
-        print(f"wrote {path}")
-        if not report.all_passed:
-            print("equivalence check FAILED", file=sys.stderr)
-            return 1
-        return 0
     if args.to_bnn:
         if kind != "bundle":
             raise ValueError("--to-bnn expects an scnn-streams bundle file")
@@ -379,7 +340,24 @@ def _cmd_convert(args) -> int:
         print(f"joined {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
-    raise ValueError("convert needs one of --binarize, --to-scnn M, --to-bnn")
+    if kind != "binary":
+        raise ValueError("--to-scnn expects a binary network file")
+    M = args.to_scnn
+    path = out / "scnn_streams.json"
+    _write_json(path, bundle_to_dict(chunk_network(net, M)),
+                _metadata({**resolved, "mode": "to-scnn", "M": M}, args.seed))
+    # equivalence check on a keyed random input vector
+    gen = key.substream("convert-input").generator()
+    x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
+    report = preactivation_equivalence_check(net, x, M)
+    for u in report.units:
+        status = "PASS" if u.passed else "FAIL"
+        print(f"unit {u.unit}: bnn={u.bnn_preactivation} sc_total={u.sc_total} [{status}]")
+    print(f"wrote {path}")
+    if not report.all_passed:
+        print("equivalence check FAILED", file=sys.stderr)
+        return 1
+    return 0
 
 
 def _cmd_energy(args) -> int:
@@ -503,7 +481,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _CONFIG_ERRORS as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

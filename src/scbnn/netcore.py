@@ -14,9 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitstream import (
-    Bitstream, Encoding, PreScaler, StreamFormatError, StreamKey, from_hex_line, network_prescalers, zero_pad_bits,
-)
+from .bitstream import PreScaler, StreamKey, network_prescalers
 
 
 class SchemaError(ValueError):
@@ -396,40 +394,6 @@ def _require_activation(doc: dict, where: str) -> Activation:
         return Activation(name)
     except ValueError:
         raise SchemaError(f"{where}: unknown activation {name!r}") from None
-
-
-def _require_stream(line, M: int, where: str) -> Bitstream:
-    """Parse a bipolar hex line of M bits; a fault is a SchemaError naming `where`."""
-    if not isinstance(line, str):
-        raise SchemaError(f"{where}: expected a bitstream line")
-    try:
-        s = from_hex_line(line)
-    except StreamFormatError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
-    if s.encoding is not Encoding.BIPOLAR:
-        raise SchemaError(f"{where}: stream is {s.encoding.value}, expected bipolar")
-    if s.length != M:
-        raise SchemaError(f"{where}: stream has {s.length} bits, expected M={M}")
-    return s
-
-
-def _require_streams(lines: list, M: int, where: str) -> np.ndarray:
-    """The packed rows, shape (len(lines), ceil(M/8)), of `_require_stream`
-    of each line, `where[j]` naming line j. Lines in the canonical form are
-    parsed together (one `bytes.fromhex`, one pad-bit test); any other line
-    sends all of them through `_require_stream`."""
-    prefix = f"M:{M};enc:b;"
-    nbytes = (M + 7) // 8
-    size = len(prefix) + 2 * nbytes
-    if all(isinstance(s, str) and len(s) == size and s.startswith(prefix) for s in lines):
-        try:  # fails on a non-hex character, or on whitespace (fromhex skips it)
-            raw = bytes.fromhex("".join([s[len(prefix):] for s in lines]))
-            rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(lines), nbytes).copy()
-        except ValueError:
-            rows = None
-        if rows is not None and np.array_equal(rows, zero_pad_bits(rows, M)):
-            return rows
-    return np.stack([_require_stream(s, M, f"{where}[{j}]").bits for j, s in enumerate(lines)])
 
 
 def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork:

@@ -24,7 +24,6 @@ class ScnnConfig:
     M: int
     key: StreamKey
     mode: AccumulationMode = AccumulationMode.APC
-    prescalers: dict[str, PreScaler] | None = None  # None: use the network's
 
     def __post_init__(self):
         if self.M < 1:
@@ -54,8 +53,7 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
         raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
-    scalers = cfg.prescalers or net.prescalers
-    s_w, s_x, s_b = (scalers[r] for r in ("weights", "inputs", "bias"))
+    s_w, s_x, s_b = (net.prescalers[r] for r in ("weights", "inputs", "bias"))
     N, n, M = net.N, net.n, cfg.M
     unit, coord = np.arange(N)[:, None], np.arange(n)
     probs = np.concatenate([
@@ -97,7 +95,6 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
 class ErrorProfile:
     """Per-point SCNN errors against the reference network and the target."""
 
-    points: np.ndarray
     vs_reference: np.ndarray  # |G_SC(x) - G(x)|
     vs_target: np.ndarray  # |G_SC(x) - f(x)|
 
@@ -129,4 +126,4 @@ def scnn_error_profile(
     g_ref = np.atleast_1d(forward_reference(net, grid))
     g_target = np.atleast_1d(f(grid))
     g_sc = forward_scnn_grid(net, grid, cfg)
-    return ErrorProfile(grid, np.abs(g_sc - g_ref), np.abs(g_sc - g_target))
+    return ErrorProfile(np.abs(g_sc - g_ref), np.abs(g_sc - g_target))

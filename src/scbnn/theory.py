@@ -211,7 +211,7 @@ def convergence_sweep(
     for mi, M in enumerate(Ms):
         block = np.stack(values[mi * trials : (mi + 1) * trials])  # (trials, P)
         # Errors of every trial at every grid point, trial-major.
-        errors = ErrorProfile(grid, np.abs(block - g_ref).ravel(), np.abs(block - g_target).ravel())
+        errors = ErrorProfile(np.abs(block - g_ref).ravel(), np.abs(block - g_target).ravel())
         rows.append(
             SweepRow(
                 M=M,

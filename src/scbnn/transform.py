@@ -23,9 +23,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding
-from .bnn import BinaryNetwork, binary_dot
-from .netcore import Activation, SchemaError, _require, _require_activation, _require_streams
+from .bitstream import Bitstream, Encoding, to_hex_lines
+from .bnn import BinaryNetwork, _require_rows, binary_dot
+from .netcore import Activation, SchemaError, _require, _require_activation
 from .scgates import GateCounts, accumulator_width, add_counts, apc_ones
 
 
@@ -148,12 +148,6 @@ def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, Bitstream | No
 # ---------------------------------------------------------------------------
 # Stream-bundle file: the header fields plus hex lines (see bitstream).
 
-def _hex_lines(rows: np.ndarray, M: int) -> list[str]:
-    """The bipolar hex line of each packed M-bit row, shape (S, ceil(M/8))."""
-    prefix = f"M:{M};enc:b;"
-    return [prefix + h for h in rows.tobytes().hex(" ", rows.shape[-1]).split(" ")]
-
-
 def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
     return {
         "form": "scnn-streams",
@@ -163,8 +157,8 @@ def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
         "N": bundle.N,
         "activation": bundle.activation.value,
         "output_weights": [float(a) for a in bundle.output_weights],
-        "weight_streams": [_hex_lines(unit, bundle.M) for unit in bundle.weights],
-        "bias_streams": _hex_lines(bundle.biases, bundle.M),
+        "weight_streams": [to_hex_lines(unit, bundle.M, Encoding.BIPOLAR) for unit in bundle.weights],
+        "bias_streams": to_hex_lines(bundle.biases, bundle.M, Encoding.BIPOLAR),
     }
 
 
@@ -192,8 +186,10 @@ def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundl
             raise SchemaError(f"{where}: output_weights[{i}] must be a number")
     return ScnnStreamBundle(
         M=M,
-        weights=np.stack([_require_streams(row, M, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)]),
-        biases=_require_streams(biases, M, f"{where}: bias_streams"),
+        weights=np.stack([
+            _require_rows(row, M, Encoding.BIPOLAR, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)
+        ]),
+        biases=_require_rows(biases, M, Encoding.BIPOLAR, f"{where}: bias_streams"),
         output_weights=np.array(outputs, dtype=float),
         activation=activation,
         name=name,

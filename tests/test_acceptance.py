@@ -29,6 +29,7 @@ from scbnn import (
     counting,
     decode,
     dot_product_sc,
+    encode_many,
     fit_reference,
     hard_sigmoid,
     layer_energy,
@@ -109,12 +110,12 @@ class TestAcceptance:
         t0 = time.perf_counter()
         M = 1000
         key = StreamKey(0xC3)
-        vals = np.array(
-            [
-                decode(sng_encode(0.5, M, Encoding.UNIPOLAR, key.substream("v", t)))
-                for t in range(20_000)
-            ]
-        )
+        # Stream t is sng_encode(0.5, M, unipolar, key.substream("v", t)),
+        # all 20,000 drawn in one call; the first 500 are checked against it.
+        rows = encode_many(np.full(20_000, 0.5), key.substream_keys([("v", np.arange(20_000), 0)]), M)
+        for t in range(500):
+            assert np.array_equal(rows[t], sng_encode(0.5, M, Encoding.UNIPOLAR, key.substream("v", t)).bits)
+        vals = np.bitwise_count(rows).sum(axis=1) / M
         var = float(vals.var())
         cap = 1.1 / (4 * M)
         report("3 variance cap", var <= cap, f"empirical var {var:.3e} <= {cap:.3e}", t0)
@@ -215,15 +216,19 @@ class TestAcceptance:
         details = []
         for w in (-2.0, -0.5, 0.0, 0.3, 2.0):
             p = hard_sigmoid(w)
+            # Draw t is binarize(w, key.substream(f"w{w}", t)), all of them
+            # drawn as one-bit streams in one call; the first 2000 are
+            # checked against it.
+            keys = key.substream_keys([(f"w{w}", np.arange(trials), 0)])
+            signs = 2 * (encode_many(np.full(trials, p), keys, 1)[:, 0] >> 7).astype(int) - 1
+            assert signs[:2000].tolist() == [binarize(w, key.substream(f"w{w}", t)) for t in range(2000)]
             if p in (0.0, 1.0):
                 want = 1 if p == 1.0 else -1
-                const_ok = all(
-                    binarize(w, key.substream(f"w{w}", t)) == want for t in range(1000)
-                )
+                const_ok = bool((signs[:1000] == want).all())
                 ok = ok and const_ok
                 details.append(f"w={w}: deterministic {want:+d}")
                 continue
-            draws = sum(binarize(w, key.substream(f"w{w}", t)) for t in range(trials))
+            draws = int(signs.sum())
             mean = draws / trials
             expect = 2.0 * p - 1.0
             se = 2.0 * math.sqrt(p * (1.0 - p) / trials)

@@ -21,14 +21,17 @@ from scbnn import (
     concat,
     decode,
     from_hex_line,
+    from_hex_lines,
     popcount,
     postscale,
     prescale,
     sng_encode,
     to_hex_line,
+    to_hex_lines,
 )
 from scbnn import bitstream
 from scbnn.bitstream import encode_many, network_prescalers, pow2_scale
+from test_cli import CORRUPTIONS
 
 KEY = StreamKey(0xC0FFEE)
 
@@ -316,16 +319,17 @@ class TestPreScaler:
 
 
 @st.composite
-def hex_lines(draw):
+def hex_lines(draw, lengths=st.integers(1, 20)):
     """A canonical hex line with at most one change: a respelt length
     field, another tag, upper-case hex, a character inserted between the
-    payload bytes or a pad bit set; and whitespace around the line."""
-    length = draw(st.integers(1, 20))
+    payload bytes, a payload digit turned into whitespace or a pad bit set;
+    and whitespace around the line."""
+    length = draw(lengths)
     payload = bytearray(draw(st.binary(min_size=(length + 7) // 8, max_size=(length + 7) // 8)))
     pad_mask = (1 << (-length % 8)) - 1
     payload[-1] &= 0xFF ^ pad_mask
     field, tag, digits = str(length), draw(st.sampled_from("ub")), payload.hex()
-    change = draw(st.sampled_from(["none", "field", "tag", "upper", "insert", "pad"]))
+    change = draw(st.sampled_from(["none", "field", "tag", "upper", "insert", "space", "pad"]))
     if change == "field":
         # int() reads the first five as `length`.
         arabic = str(length).translate(str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩"))
@@ -338,10 +342,33 @@ def hex_lines(draw):
     elif change == "insert":
         cut = 2 * draw(st.integers(0, len(digits) // 2))  # fromhex skips whitespace between bytes
         digits = digits[:cut] + draw(st.sampled_from([" ", "\t", "g", "00"])) + digits[cut:]
+    elif change == "space":
+        cut = draw(st.integers(0, len(digits) - 1))
+        digits = digits[:cut] + draw(st.sampled_from([" ", "\t"])) + digits[cut + 1 :]
     elif change == "pad" and pad_mask:
         payload[-1] |= pad_mask
         digits = payload.hex()
     return draw(st.sampled_from(["{}", " {}", "{}\n", "\t{} "])).format(f"M:{field};enc:{tag};{digits}")
+
+
+@st.composite
+def hex_batches(draw):
+    """(lines, M, enc): canonical hex lines of M-bit `enc` streams, one of
+    them perhaps replaced by a `hex_lines()` draw or changed by a
+    `test_cli.CORRUPTIONS` entry; with enc None, their bare payloads.
+    Whitespace around each."""
+    M, enc = draw(st.integers(1, 20)), draw(st.sampled_from([*Encoding, None]))
+    streams = draw(st.lists(st.lists(st.integers(0, 1), min_size=M, max_size=M), min_size=1, max_size=5))
+    lines = [to_hex_line(Bitstream.from_bits(bits, enc or Encoding.BIPOLAR)) for bits in streams]
+    change, j = draw(st.sampled_from(["none", "hex_lines", *sorted(CORRUPTIONS)])), draw(st.integers(0, len(lines) - 1))
+    if change == "hex_lines":
+        lines[j] = draw(hex_lines(st.just(M) | st.integers(1, 20)))
+    elif change != "none":
+        lines[j] = CORRUPTIONS[change](lines[j])
+    if enc is None:
+        lines = [line.rsplit(";", 1)[-1] if isinstance(line, str) else line for line in lines]
+    space = st.sampled_from(["{}", " {}", "{}\n", "\t{} "])
+    return [draw(space).format(line) if isinstance(line, str) else line for line in lines], M, enc
 
 
 class TestHexLine:
@@ -382,6 +409,40 @@ class TestHexLine:
         except StreamFormatError:
             return
         assert to_hex_line(s).lower() == line.strip().lower()
+
+    @given(hex_batches())
+    @settings(max_examples=400)
+    def test_batch_agrees_with_each_line(self, batch):
+        """`from_hex_lines` returns the rows `from_hex_line` gives, or names
+        the first line `from_hex_line` rejects or reads with another M or
+        encoding. A bare row is read as the payload of a line of M bits."""
+        lines, M, enc = batch
+
+        def fault(line):
+            if enc is None and isinstance(line, str):
+                line = f"M:{M};enc:b;{line.strip()}"
+            try:
+                s = from_hex_line(line)
+            except StreamFormatError:
+                return True
+            return s.length != M or (enc is not None and s.encoding is not enc)
+
+        bad = [j for j, line in enumerate(lines) if fault(line)]
+        if bad:
+            with pytest.raises(StreamFormatError) as exc:
+                from_hex_lines(lines, M, enc)
+            assert exc.value.index == bad[0]
+        else:
+            rows = from_hex_lines(lines, M, enc)
+            oracle = [line if enc else f"M:{M};enc:b;{line.strip()}" for line in lines]
+            assert np.array_equal(rows, np.stack([from_hex_line(line).bits for line in oracle]))
+
+    @given(st.lists(st.binary(min_size=2, max_size=2), max_size=4), st.sampled_from([Encoding.BIPOLAR, None]))
+    def test_batch_round_trip(self, payloads, enc):
+        rows = bitstream.zero_pad_bits(np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, 2), 13)
+        lines = to_hex_lines(rows, 13, enc)
+        assert lines == [("" if enc is None else "M:13;enc:b;") + row.tobytes().hex() for row in rows]
+        assert np.array_equal(from_hex_lines(lines, 13, enc), rows)
 
 
 class TestStreamKey:

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scbnn import Activation, BinaryNetwork, SchemaError, save_binary_network
+from scbnn import (
+    Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines, load_binary_network, save_binary_network,
+)
 from scbnn.cli import main
-from scbnn.netcore import _require_stream
 
 
 def run(*argv):
@@ -391,6 +392,18 @@ class TestConvert:
     def test_needs_a_mode(self, bnn_file, tmp_path):
         assert run("convert", "--network", bnn_file, "--out-dir", tmp_path) == 2
 
+    @pytest.mark.parametrize("network, flags", [
+        ("sine_net", ["--binarize", "--to-scnn", "4"]),
+        ("sine_net", ["--binarize", "--to-bnn"]),
+        ("bnn_file", ["--to-scnn", "4", "--to-bnn"]),
+        ("sine_net", ["--binarize", "--to-scnn", "4", "--to-bnn"]),
+    ])
+    def test_more_than_one_mode_is_usage_error(self, request, tmp_path, capsys, network, flags):
+        out = tmp_path / "o"
+        assert run("convert", "--network", request.getfixturevalue(network), *flags, "--out-dir", out) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("bias", [1.5, True, 9.223372036854776e18, 3])
     def test_binary_bias_must_be_plus_or_minus_one(self, bnn_file, tmp_path, capsys, bias):
         doc = json.loads(bnn_file.read_text())
@@ -412,6 +425,26 @@ class TestConvert:
         err = capsys.readouterr().err
         assert "binary_weights[1]" in err and err.count("\n") == 1
         assert not (tmp_path / "o" / "scnn_streams.json").exists()
+
+    @pytest.mark.parametrize("spelling", [" {}", "{} ", "\t{}\n", "  {}  "])
+    def test_whitespace_around_a_binary_weight_row_is_ignored(self, bnn_file, tmp_path, spelling):
+        doc = json.loads(bnn_file.read_text())
+        doc["binary_weights"] = [spelling.format(row) for row in doc["binary_weights"]]
+        path = tmp_path / "bnet.json"
+        path.write_text(json.dumps(doc))
+        assert np.array_equal(load_binary_network(path).binary_weights, load_binary_network(bnn_file).binary_weights)
+
+    @pytest.mark.parametrize("row", [" abcg", "abcf ", "ab c", " a bc ", "abc0 0"])
+    def test_bad_binary_weight_row_is_quoted_as_written(self, bnn_file, tmp_path, capsys, row):
+        # m = 12: g is not a hex digit, f sets pad bits, and no whitespace may sit inside a row.
+        doc = json.loads(bnn_file.read_text())
+        doc["binary_weights"][2] = row
+        path = tmp_path / "bnet.json"
+        path.write_text(json.dumps(doc))
+        assert run("convert", "--network", path, "--to-scnn", "4", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: binary_weights[2]: ") and err.endswith(f" in {row!r}\n")
+        assert err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -479,8 +512,8 @@ CORRUPTIONS = {
 
 
 class TestCorruptStreamLine:
-    """One corrupted stream line exits 2 with the one-line message of the
-    line-by-line parser (`_require_stream`), which names that line."""
+    """One corrupted stream line exits 2 with a one-line message naming that
+    line and giving the reason the codec gives for it alone."""
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), kind=st.sampled_from(sorted(CORRUPTIONS)))
@@ -498,13 +531,13 @@ class TestCorruptStreamLine:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "scnn_streams.json"
             path.write_text(json.dumps(doc))
-            with pytest.raises(SchemaError) as expected:
-                _require_stream(lines[index], M, f"{path}: {field}")
+            with pytest.raises(StreamFormatError) as expected:
+                from_hex_lines([lines[index]], M, Encoding.BIPOLAR)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = run("convert", "--network", path, "--to-bnn", "--out-dir", Path(tmp) / "o")
             assert code == 2
-            assert err.getvalue() == f"error: {expected.value}\n"
+            assert err.getvalue() == f"error: {path}: {field}: {expected.value}\n"
             assert not (Path(tmp) / "o" / "binary_network.json").exists()
 
 

@@ -181,8 +181,7 @@ def scalar_forward(net, x, cfg):
     """The per-stream forward pass: sng_encode, dot_product_sc and activate
     unit by unit. Reference oracle for the layer-batched forward_scnn."""
     point = np.asarray(x, dtype=float).reshape(-1)
-    scalers = cfg.prescalers or net.prescalers
-    s_w, s_x, s_b = (scalers[r] for r in ("weights", "inputs", "bias"))
+    s_w, s_x, s_b = (net.prescalers[r] for r in ("weights", "inputs", "bias"))
 
     def encode(v, scaler, key):
         return sng_encode(prescale(float(v), scaler), cfg.M, Encoding.BIPOLAR, key)

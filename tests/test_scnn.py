@@ -96,13 +96,13 @@ class TestForwardScnn:
         assert abs(got - forward_reference(net, [0.5])) < 0.3
 
     def test_prescale_violation_raises(self):
-        net = net_of([[3.0]], [0.5], [1.0])
         bad = {
             "weights": PreScaler(2.0, "weights"),
             "inputs": PreScaler(1.0, "inputs"),
             "bias": PreScaler(2.0, "bias"),
         }
-        cfg = ScnnConfig(16, StreamKey(0), prescalers=bad)
+        net = ReferenceNetwork(np.array([[3.0]]), np.array([0.5]), np.array([1.0]), Activation.SIGMOID, bad)
+        cfg = ScnnConfig(16, StreamKey(0))
         with pytest.raises(EncodingRangeError):
             forward_scnn(net, [0.5], cfg)
 

@@ -237,7 +237,7 @@ class TestConvergenceSweep:
 
     def test_row_statistics_are_the_error_profile_summary(self):
         names = [field.name for field in dataclasses.fields(SweepRow)]
-        summary = ErrorProfile(np.zeros((1, 1)), np.ones(1), np.ones(1)).summary()
+        summary = ErrorProfile(np.ones(1), np.ones(1)).summary()
         assert names == ["M", "trials", "grid_size", *summary, "failure_rate"]
 
 
