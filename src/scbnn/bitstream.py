@@ -7,17 +7,17 @@ StreamKey, so every stream is reproducible and independently addressable.
 
 Philox4x64-10 is counter-based: a stream is a pure function of its 128-bit
 key, the counter starting at zero. `encode_many` packs S streams into one
-(S, ceil(M/8)) array. Calls of at least 512 streams of at most 32 bits
+(S, ceil(M/8)) array. Calls of at least 512 streams of at most 24 bits
 compute the ceil(M/4) Philox blocks of all keys at once as uint64 array
 rounds; every other call re-keys one C Philox per stream. Milliseconds per
 call, array / re-keyed (median of 101 calls, one core of a 2 vCPU Xeon,
-numpy 2.4.6; 24.7 / 333 at S = 65,552, M = 1):
+numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
-    S       M = 1         M = 16        M = 32        M = 64
-    96      0.77 / 0.55   0.75 / 0.50   1.14 / 0.51   1.26 / 0.54
-    256     0.92 / 1.37   1.22 / 1.49   1.27 / 1.45   1.94 / 1.25
-    512     0.99 / 2.68   1.40 / 2.81   2.13 / 2.93   3.33 / 3.12
-    1632    1.28 / 8.47   2.95 / 8.19   5.48 / 9.89   10.4 / 10.2
+    S       M = 1         M = 16        M = 24        M = 32        M = 64
+    96      0.28 / 0.14   0.36 / 0.15   0.40 / 0.16   0.42 / 0.16   0.53 / 0.18
+    256     0.35 / 0.35   0.46 / 0.38   0.53 / 0.39   0.60 / 0.40   1.03 / 0.45
+    512     0.40 / 0.68   0.62 / 0.75   0.75 / 0.77   1.05 / 0.78   1.90 / 0.88
+    1632    0.55 / 2.16   1.49 / 2.38   2.19 / 2.43   2.91 / 2.48   6.12 / 2.82
 
 Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
 so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
@@ -251,13 +251,15 @@ class Bitstream:
         return cls(packed, length, encoding)
 
 
-#: Draws held at once by the re-keyed path: short streams share a block
-#: row-wise, a stream longer than the block is drawn in block-sized chunks.
+#: Draws held at once by the re-keyed path and by the MUX selection
+#: (`scgates._mux_select`): short streams share a block row-wise, a stream
+#: longer than the block is drawn in block-sized chunks. A multiple of 8, so
+#: each chunk fills whole bytes of a packed row.
 _DRAW_BLOCK = 1 << 16
 #: encode_many takes the array path for calls of at least _ARRAY_MIN_S
 #: streams of at most _ARRAY_MAX_M bits (measured table: module docstring),
 #: computing _ARRAY_BLOCKS Philox blocks at a time.
-_ARRAY_MAX_M = 32
+_ARRAY_MAX_M = 24
 _ARRAY_MIN_S = 512
 _ARRAY_BLOCKS = 1 << 13
 _MASK32 = 0xFFFF_FFFF
@@ -341,7 +343,12 @@ def _encode_rekeyed(probs, keys, M: int, out: np.ndarray) -> None:
     buffer: the state a freshly constructed Philox starts in)."""
     bit_gen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bit_gen)
+    # The state setter reads the dict element by element, which is faster
+    # from Python lists than from the uint64 arrays the getter returns.
     fresh = bit_gen.state
+    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
+    fresh["buffer"] = fresh["buffer"].tolist()
+    key_list = keys.tolist()
     width = min(M, _DRAW_BLOCK)
     rows = min(_DRAW_BLOCK // width, probs.size)
     draws = np.empty((rows, width))
@@ -351,7 +358,7 @@ def _encode_rekeyed(probs, keys, M: int, out: np.ndarray) -> None:
             block = draws[: stop - start, : min(width, M - lo)]
             for r in range(start, stop):
                 if lo == 0 and r > 0:
-                    fresh["state"]["key"] = keys[r]
+                    fresh["state"]["key"] = key_list[r]
                     bit_gen.state = fresh
                 gen.random(out=block[r - start])
             packed = np.packbits(block < probs[start:stop, None], axis=1)

@@ -312,12 +312,19 @@ def _cmd_convert(args) -> int:
         raise ValueError("convert needs exactly one of --binarize, --to-scnn M, --to-bnn")
     key = StreamKey(args.seed)
     kind, net = _load_any_network(args.network)
-    out = _out_dir(args.out_dir)
+    flag, wanted, what = (
+        ("--binarize", "reference", "a reference network file") if args.binarize
+        else ("--to-bnn", "bundle", "an scnn-streams bundle file") if args.to_bnn
+        else ("--to-scnn", "binary", "a binary network file")
+    )
+    if kind != wanted:
+        raise ValueError(f"{flag} expects {what}")
+    # Each mode converts before it creates the output directory, so an
+    # input it rejects leaves nothing behind.
     resolved = {"command": "convert", "input": os.path.basename(args.network), "seed": args.seed}
     if args.binarize:
-        if kind != "reference":
-            raise ValueError("--binarize expects a reference network file")
         bnet = binarize_network(net, key)
+        out = _out_dir(args.out_dir)
         meta = _metadata({**resolved, "mode": "binarize"}, args.seed)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
         _write_json(
@@ -329,9 +336,8 @@ def _cmd_convert(args) -> int:
         print(f"wrote {out / 'binary_network.json'}")
         return 0
     if args.to_bnn:
-        if kind != "bundle":
-            raise ValueError("--to-bnn expects an scnn-streams bundle file")
         bnet, _ = scnn_to_bnn(net)
+        out = _out_dir(args.out_dir)
         _write_json(
             out / "binary_network.json",
             binary_network_to_dict(bnet),
@@ -340,11 +346,10 @@ def _cmd_convert(args) -> int:
         print(f"joined {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
-    if kind != "binary":
-        raise ValueError("--to-scnn expects a binary network file")
     M = args.to_scnn
-    path = out / "scnn_streams.json"
-    _write_json(path, bundle_to_dict(chunk_network(net, M)),
+    bundle = chunk_network(net, M)
+    path = _out_dir(args.out_dir) / "scnn_streams.json"
+    _write_json(path, bundle_to_dict(bundle),
                 _metadata({**resolved, "mode": "to-scnn", "M": M}, args.seed))
     # equivalence check on a keyed random input vector
     gen = key.substream("convert-input").generator()

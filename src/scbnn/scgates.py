@@ -4,6 +4,10 @@ parallel-counter accumulation, with optional gate-operation counting.
 All gates are pure functions of immutable streams. When a `counting()`
 context is active, every gate tallies its abstract operation count; the
 same tallies are what the closed-form energy model predicts.
+
+MUX selection draws its lottery in chunks of `bitstream._DRAW_BLOCK`
+clocks, and the layer kernel forms one unit's XNOR products at a time, so
+a MUX forward holds O(_DRAW_BLOCK) selection memory at any stream length.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .bitstream import (
+    _DRAW_BLOCK,
     Bitstream,
     Encoding,
     StreamKey,
@@ -139,11 +144,21 @@ def mux_add(streams: Sequence[Bitstream], key: StreamKey) -> Bitstream:
 
 def _mux_select(rows: Sequence[np.ndarray], M: int, key: StreamKey) -> np.ndarray:
     """Packed output of a MUX over the packed M-bit `rows`: clock t takes
-    its bit from the row a uniform draw under `key` selects. Uncounted."""
-    selection = key.generator().integers(0, len(rows), size=M)
+    its bit from the row a uniform draw under `key` selects. Uncounted.
+
+    The M draws come from one generator in chunks of `_DRAW_BLOCK` clocks
+    (a whole number of bytes), so selection memory stays O(_DRAW_BLOCK)
+    however long the streams are. Successive int64 `integers` calls on one
+    generator continue the sequence of a single M-draw call exactly: the
+    Lemire path keeps its leftover 32-bit half in the bit generator.
+    """
+    gen = key.generator()
     out = np.zeros_like(rows[0])
-    for c, row in enumerate(rows):
-        out |= np.packbits(selection == c) & row
+    for lo in range(0, M, _DRAW_BLOCK):
+        selection = gen.integers(0, len(rows), size=min(_DRAW_BLOCK, M - lo))
+        chunk = slice(lo // 8, (lo + selection.size + 7) // 8)
+        for c, row in enumerate(rows):
+            out[chunk] |= np.packbits(selection == c) & row[chunk]
     return out
 
 
@@ -250,7 +265,8 @@ def dot_product_layer(
 
     `w_bits` and `x_bits` hold the (N, n, ceil(M/8)) packed weight and
     input streams, `b_bits` the (N, ceil(M/8)) bias streams, all with zero
-    pad bits. MUX mode selects unit i's output bits with `select_keys[i]`.
+    pad bits. MUX mode forms unit i's XNOR products inside the per-unit
+    loop and selects its output bits with `select_keys[i]`.
     Returns the N preactivations, each bit-identical to dot_product_sc on
     that unit's streams, and tallies the same gate operations.
     """
@@ -267,9 +283,9 @@ def dot_product_layer(
     if select_keys is None or len(select_keys) != N:
         raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
     add_counts(GateCounts(xnor_ops=N * m, mux_select_ops=N * m))
-    products = zero_pad_bits(np.bitwise_not(w_bits ^ x_bits), M)
     out = np.empty(N)
     for i in range(N):
-        ones = int(np.bitwise_count(_mux_select([*products[i], b_bits[i]], M, select_keys[i])).sum())
+        products = zero_pad_bits(np.bitwise_not(w_bits[i] ^ x_bits[i]), M)
+        ones = int(np.bitwise_count(_mux_select([*products, b_bits[i]], M, select_keys[i])).sum())
         out[i] = (2 * ones - M) / M * (n + 1) * scale
     return out

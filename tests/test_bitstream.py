@@ -192,7 +192,7 @@ class TestArrayPhilox:
             bitstream._encode_array(probs, keys, M, out)
             assert np.array_equal(out, generator_rows(probs, keys, M))
 
-    @pytest.mark.parametrize("M", [1, 3, 4, 13, 16, bitstream._ARRAY_MAX_M])
+    @pytest.mark.parametrize("M", sorted({1, 3, 4, 13, 16, bitstream._ARRAY_MAX_M, 32}))
     def test_paths_agree_across_chunks(self, M):
         S = 2 * (bitstream._ARRAY_BLOCKS // ((M + 3) // 4)) + 5
         gen = np.random.default_rng(M)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -363,6 +364,24 @@ class TestBound:
         report = json.loads((tmp_path / "bound_report.json").read_text())
         assert report["failure_rate"] <= report["threshold"]
 
+    def test_validate_mux_memory_at_long_M(self, tmp_path):
+        # epsilon 0.5, delta 0.25, alpha_sum 256 give M_min = 2^22 + 1. An
+        # N = 2 net encodes six 512 KiB streams per point; a MUX lottery
+        # drawn whole would add 32 MiB of int64 selections.
+        assert run("fit", "--target", "linear", "--N", "2", "--seed", "1", "--out-dir", tmp_path / "net") == 0
+        tracemalloc.start()
+        try:
+            code = run("bound", "--n", "1", "--N", "2", "--epsilon", "0.5", "--delta", "0.25",
+                       "--alpha-sum", "256", "--validate", "--network", tmp_path / "net" / "network.json",
+                       "--target", "linear", "--mode", "mux", "--trials", "1", "--grid-points", "2",
+                       "--seed", "3", "--out-dir", tmp_path / "bound")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert json.loads((tmp_path / "bound" / "bound_report.json").read_text())["M"] == 2**22 + 1
+        assert peak <= 8 * 2**20
+
 
 class TestConvert:
     def test_binarize(self, sine_net, tmp_path, capsys):
@@ -385,9 +404,23 @@ class TestConvert:
         for k in ("binary_weights", "binary_biases", "m", "N", "output_weights", "activation"):
             assert orig[k] == back[k]
 
-    def test_non_divisor_chunk_is_error(self, bnn_file, tmp_path):
+    def test_non_divisor_chunk_is_error(self, bnn_file, tmp_path, capsys):
+        out = tmp_path / "o"
         assert run("convert", "--network", bnn_file, "--to-scnn", "5",
-                   "--out-dir", tmp_path) == 2
+                   "--out-dir", out) == 2
+        assert_one_line_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("network, flags, message", [
+        ("bnn_file", ["--binarize"], "--binarize expects a reference network file"),
+        ("sine_net", ["--to-bnn"], "--to-bnn expects an scnn-streams bundle file"),
+        ("sine_net", ["--to-scnn", "4"], "--to-scnn expects a binary network file"),
+    ], ids=["binarize", "to-bnn", "to-scnn"])
+    def test_wrong_input_kind_leaves_no_out_dir(self, request, tmp_path, capsys, network, flags, message):
+        out = tmp_path / "o"
+        assert run("convert", "--network", request.getfixturevalue(network), *flags, "--out-dir", out) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_needs_a_mode(self, bnn_file, tmp_path):
         assert run("convert", "--network", bnn_file, "--out-dir", tmp_path) == 2

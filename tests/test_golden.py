@@ -6,8 +6,9 @@ The pins were recorded with numpy 2.4.6 (Philox4x64-10 and
 `Generator.random`'s 53-bit conversion): the stream and forward pins before
 stream generation was batched, the BNN-path file pins before the BNN input
 vector became a bipolar `Bitstream`, the sweep, bound, energy and
-error-profile pins before those paths shared one grid loop, and the
-`eval --x-bits` pins before a binary network became one packed array. Any
+error-profile pins before those paths shared one grid loop, the
+`eval --x-bits` pins before a binary network became one packed array, and
+the long MUX forward pins before the MUX lottery was drawn in chunks. Any
 change that alters a single stream bit, the last bit of a forward value or
 one output byte fails here.
 """
@@ -76,6 +77,15 @@ SINE_FORWARD = {
 TWO_INPUT_FORWARD = {
     "apc": "0x1.56894754109d3p+0",
     "mux": "0x1.2d2325ecf5ae3p+1",
+}
+
+#: MUX forward values at a stream length that crosses three 2^16-clock
+#: selection chunks: float.hex of forward_scnn at LONG_MUX_M with the keys
+#: and points of SINE_FORWARD and TWO_INPUT_FORWARD.
+LONG_MUX_M = 3 * 2**16 + 5
+LONG_MUX_FORWARD = {
+    "sine": "0x1.023c9c276bce6p+0",
+    "two-input": "0x1.065f84be70bbap+1",
 }
 
 
@@ -215,6 +225,12 @@ class TestGoldenBytes:
     def test_two_input_forward(self, mode):
         got = forward_scnn(TWO_INPUT_NET, [0.3, 0.9], ScnnConfig(64, StreamKey(11), mode))
         assert got.hex() == TWO_INPUT_FORWARD[mode.value]
+
+    def test_long_mux_forward(self, sine_net):
+        cfg = ScnnConfig(LONG_MUX_M, StreamKey(7), AccumulationMode.MUX)
+        assert forward_scnn(sine_net, [0.25], cfg).hex() == LONG_MUX_FORWARD["sine"]
+        cfg = ScnnConfig(LONG_MUX_M, StreamKey(11), AccumulationMode.MUX)
+        assert forward_scnn(TWO_INPUT_NET, [0.3, 0.9], cfg).hex() == LONG_MUX_FORWARD["two-input"]
 
 
 class TestEncodeMany:

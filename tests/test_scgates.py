@@ -22,7 +22,8 @@ from scbnn import (
     sng_encode,
     xnor_mult,
 )
-from scbnn.scgates import SumTrace, accumulator_width, dot_product_layer
+from scbnn.bitstream import _DRAW_BLOCK
+from scbnn.scgates import SumTrace, _mux_select, accumulator_width, dot_product_layer
 
 KEY = StreamKey(0xBEEF)
 
@@ -145,6 +146,25 @@ class TestMuxAdd:
         out_bits = out.bit_array()
         # every output bit equals the corresponding bit of some input stream
         assert all((matrix[:, t] == out_bits[t]).any() for t in range(M))
+
+
+def one_shot_select(rows, M, key):
+    """The MUX selection as one M-long draw: the oracle for the chunked kernel."""
+    selection = key.generator().integers(0, len(rows), size=M)
+    out = np.zeros_like(rows[0])
+    for c, row in enumerate(rows):
+        out |= np.packbits(selection == c) & row
+    return out
+
+
+class TestMuxSelect:
+    @pytest.mark.parametrize("M", [1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 3, 3 * _DRAW_BLOCK + 5])
+    @pytest.mark.parametrize("k", [2, 3, 9, 33])
+    def test_chunked_draws_equal_one_shot_draw(self, k, M):
+        gen = np.random.default_rng(k * M)
+        rows = [np.packbits(gen.random(M) < 0.5) for _ in range(k)]
+        key = KEY.substream("select", k, M)
+        assert np.array_equal(_mux_select(rows, M, key), one_shot_select(rows, M, key))
 
 
 class TestApcSum:

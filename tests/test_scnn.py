@@ -1,3 +1,4 @@
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -110,6 +111,19 @@ class TestForwardScnn:
         net = net_of([[1.0, 0.5]], [0.0], [1.0])
         with pytest.raises(ValueError):
             forward_scnn(net, [0.5], ScnnConfig(8, KEY))
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_memory_is_bounded_at_long_M(self, mode):
+        # M = 2^22, N = 2, n = 1: the six encoded streams take 3 MiB. A MUX
+        # lottery drawn whole would add 32 MiB of int64 selections.
+        net = net_of([[0.5], [-0.75]], [0.25, -0.5], [1.0, -0.5], Activation.TANH)
+        tracemalloc.start()
+        try:
+            forward_scnn(net, [0.3], ScnnConfig(1 << 22, StreamKey(3), mode))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     @given(st.floats(-20, 20), st.floats(-20, 20))
     @settings(max_examples=100)
