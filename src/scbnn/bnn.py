@@ -8,12 +8,13 @@ and chunking into n = m/M streams of M bits (`transform`) is a reshape. A
 a bipolar `Bitstream`, so `forward_bnn` is one `binary_dot` call.
 `binarize_network` draws every sign of a network in one keyed `encode_many`
 call; the scalar `binarize` is its per-element reference. A weight row of
-the binary weight file is the bare hex payload of m bits (see `bitstream`).
+the binary weight file is the bare hex payload of m bits (see `bitstream`);
+its other fields are read by netcore's typed readers, except that a bias
+must be the JSON integer +1 or -1.
 """
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -22,7 +23,9 @@ import numpy as np
 from .bitstream import (
     Bitstream, Encoding, StreamFormatError, StreamKey, StreamMismatchError, encode_many, from_hex_lines, to_hex_lines,
 )
-from .netcore import Activation, SchemaError, activate, load_json_object, _require, _require_activation
+from .netcore import (
+    Activation, SchemaError, activate, load_json_object, save_json, _require_header, _require_list, _require_numbers,
+)
 
 
 def binary_dot(w_bits: np.ndarray, x_bits: np.ndarray, m: int) -> np.ndarray:
@@ -137,51 +140,35 @@ def binary_network_to_dict(bnet: BinaryNetwork) -> dict:
     }
 
 
-def _require_rows(lines: list, M: int, enc: Encoding | None, where: str) -> np.ndarray:
-    """`from_hex_lines`, a fault a SchemaError naming `where[index]`."""
+def _require_rows(doc: dict, key: str, shape: tuple, M: int, enc: Encoding | None, where: str) -> np.ndarray:
+    """The hex lines under `key` (see `_require_list`) as packed rows of shape
+    (*shape, ceil(M/8)); a bad line is a SchemaError naming it and its fault."""
     try:
-        return from_hex_lines(lines, M, enc)
+        return from_hex_lines(_require_list(doc, key, shape, where), M, enc).reshape(*shape, -1)
     except StreamFormatError as exc:
-        raise SchemaError(f"{where}[{exc.index}]: {exc}") from None
+        index = "][".join(map(str, np.unravel_index(exc.index, shape)))
+        raise SchemaError(f"{where}: {key}[{index}]: {exc}") from None
 
 
 def save_binary_network(bnet: BinaryNetwork, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(binary_network_to_dict(bnet), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, binary_network_to_dict(bnet))
 
 
 def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> BinaryNetwork:
     if doc.get("binary") is not True:
         raise SchemaError(f"{where}: missing \"binary\": true flag")
-    name = _require(doc, "name", str, where)
-    m = _require(doc, "m", int, where)
-    N = _require(doc, "N", int, where)
-    if m < 1 or N < 1:
-        raise SchemaError(f"{where}: m and N must be >= 1, got m={m}, N={N}")
-    activation = _require_activation(doc, where)
-    weight_rows = _require(doc, "binary_weights", list, where)
-    if len(weight_rows) != N:
-        raise SchemaError(f"{where}: binary_weights has {len(weight_rows)} rows, expected N={N}")
-    rows = _require_rows(weight_rows, m, None, f"{where}: binary_weights")
-    biases = _require(doc, "binary_biases", list, where)
-    outputs = _require(doc, "output_weights", list, where)
-    if len(biases) != N or len(outputs) != N:
-        raise SchemaError(f"{where}: biases/outputs must each have N={N} entries")
-    for i, b in enumerate(biases):
-        if type(b) is not int or b not in (-1, 1):
-            raise SchemaError(f"{where}: binary_biases[{i}] must be the integer +1 or -1")
-    try:
-        return BinaryNetwork(
-            binary_weights=rows,
-            m=m,
-            binary_biases=np.array(biases, dtype=int),
-            output_weights=np.array(outputs, dtype=float),
-            activation=activation,
-            name=name,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    name, activation, m, N = _require_header(doc, where, "m", "N")
+    biases = _require_list(doc, "binary_biases", (N,), where)
+    if bad := [i for i, b in enumerate(biases) if type(b) is not int or b not in (-1, 1)]:
+        raise SchemaError(f"{where}: binary_biases[{bad[0]}] must be the integer +1 or -1")
+    return BinaryNetwork(
+        binary_weights=_require_rows(doc, "binary_weights", (N,), m, None, where),
+        m=m,
+        binary_biases=np.array(biases),
+        output_weights=_require_numbers(doc, "output_weights", (N,), where),
+        activation=activation,
+        name=name,
+    )
 
 
 def load_binary_network(path: str | os.PathLike) -> BinaryNetwork:

@@ -37,6 +37,7 @@ from .netcore import (
     make_target,
     network_from_dict,
     network_to_dict,
+    save_json,
     unit_grid,
 )
 from .scgates import AccumulationMode
@@ -72,10 +73,7 @@ def _metadata(resolved: dict, seed: int) -> dict:
 
 
 def _write_json(path: Path, payload: dict, meta: dict) -> None:
-    doc = {"meta": meta, **payload}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    save_json(path, {"meta": meta, **payload})
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> None:
@@ -107,6 +105,15 @@ def _resolve(args_value, config: dict, key: str, default, kind):
     return _check_json_type(config[name], kind, f"config {key}")
 
 
+def _parse_flag(flag: str, text: str, convert, what: str):
+    """`convert(text)` for the value `text` of `flag`; a ValueError from it
+    becomes one that names the flag, says what it must be and quotes `text`."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{flag} must be {what}, got {text!r}") from None
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -124,12 +131,11 @@ def _resolve_target(args, config: dict, n: int):
     items = _resolve(args.target_param, config, "target.params", [], [str])
     if args.target_param is None and name != config_name:
         items = []
-    params = {}
-    for item in items:
-        if "=" not in item:
-            raise ValueError(f"target param {item!r} must look like name=value")
-        k, v = item.split("=", 1)
-        params[k] = float(v)
+    source = "config target.params" if args.target_param is None else "--target-param"
+    params = {
+        item.partition("=")[0]: _parse_flag(source, item, lambda s: float(s.partition("=")[2]), "name=number")
+        for item in items
+    }
     return name, make_target(name, n, **params)
 
 
@@ -208,16 +214,17 @@ def _cmd_eval(args) -> int:
     if kind == "binary":
         if not args.x_bits:
             raise ValueError("binary networks need --x-bits (e.g. 1011 for +,-,+,+)")
-        x = Bitstream.from_bits(args.x_bits, Encoding.BIPOLAR)
+        x = _parse_flag("--x-bits", args.x_bits, lambda s: Bitstream.from_bits(s, Encoding.BIPOLAR), "0s and 1s")
         print(f"bnn {forward_bnn(net, x)!r}")
         return 0
     if kind == "bundle":
         raise ValueError("eval expects a reference or binary network file")
     if not args.x:
         raise ValueError("reference networks need --x (comma-separated reals)")
-    point = [float(v) for v in args.x.split(",")]
+    what = "finite reals separated by commas"
+    point = _parse_flag("--x", args.x, lambda s: [float(v) for v in s.split(",")], what)
     if not np.isfinite(point).all():
-        raise ValueError(f"--x must be finite reals, got {args.x!r}")
+        raise ValueError(f"--x must be {what}, got {args.x!r}")
     print(f"reference {forward_reference(net, point)!r}")
     if args.scnn:
         cfg = ScnnConfig(args.M, StreamKey(args.seed), AccumulationMode(args.mode))
@@ -232,7 +239,7 @@ def _cmd_sweep(args) -> int:
     target_name, f = _resolve_target(args, config, net.n)
     Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
     if isinstance(Ms, str):
-        Ms = [int(v) for v in Ms.split(",")]
+        Ms = _parse_flag("--Ms", Ms, lambda s: [int(v) for v in s.split(",")], "integers separated by commas")
     if not Ms:
         raise ValueError("no stream lengths given (use --Ms or config sweep.Ms)")
     trials = _resolve(args.trials, config, "sweep.trials", 200, int)
@@ -322,28 +329,14 @@ def _cmd_convert(args) -> int:
     # Each mode converts before it creates the output directory, so an
     # input it rejects leaves nothing behind.
     resolved = {"command": "convert", "input": os.path.basename(args.network), "seed": args.seed}
-    if args.binarize:
-        bnet = binarize_network(net, key)
+    if args.binarize or args.to_bnn:
+        bnet = binarize_network(net, key) if args.binarize else scnn_to_bnn(net)[0]
         out = _out_dir(args.out_dir)
-        meta = _metadata({**resolved, "mode": "binarize"}, args.seed)
+        meta = _metadata({**resolved, "mode": "binarize" if args.binarize else "to-bnn"}, args.seed)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
-        _write_json(
-            out / "conversion_report.json",
-            {"conversion": "binarize", "m": bnet.m, "N": bnet.N},
-            meta,
-        )
-        print(f"binarized {net.name}: m={bnet.m} N={bnet.N}")
-        print(f"wrote {out / 'binary_network.json'}")
-        return 0
-    if args.to_bnn:
-        bnet, _ = scnn_to_bnn(net)
-        out = _out_dir(args.out_dir)
-        _write_json(
-            out / "binary_network.json",
-            binary_network_to_dict(bnet),
-            _metadata({**resolved, "mode": "to-bnn"}, args.seed),
-        )
-        print(f"joined {net.name}: m={bnet.m} N={bnet.N}")
+        if args.binarize:
+            _write_json(out / "conversion_report.json", {"conversion": "binarize", "m": bnet.m, "N": bnet.N}, meta)
+        print(f"{'binarized' if args.binarize else 'joined'} {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
     M = args.to_scnn

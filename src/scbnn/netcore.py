@@ -1,11 +1,15 @@
 """Real-valued reference networks: one hidden layer of sigmoidal units,
 target functions on the unit cube, a deterministic random-feature fitter,
-and the JSON weight-file format.
+and the JSON weight-file format. It also owns what every file shares: the
+one JSON reader and writer, and the typed field readers (`_require*`) that
+all three network loaders are built from, so one number rule holds for all.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import itertools
 import json
 import math
 import os
@@ -100,6 +104,7 @@ class ReferenceNetwork:
         for role in ("weights", "inputs", "bias"):
             if role not in self.prescalers:
                 raise ValueError(f"missing {role!r} prescaler")
+        _check_prescale({role: p.scale for role, p in self.prescalers.items()}, "network")
 
     @property
     def n(self) -> int:
@@ -330,7 +335,8 @@ def sup_error(net: ReferenceNetwork, f: TargetFunction, grid: np.ndarray) -> flo
 
 
 # ---------------------------------------------------------------------------
-# JSON input and weight files: a single JSON document, decimal numbers only.
+# JSON files: one reader, one writer and the typed field readers; a fault is
+# a one-line SchemaError naming the file and the field.
 
 def _reject_constant(token: str):
     raise SchemaError(f"non-finite number {token!r} not permitted")
@@ -354,6 +360,86 @@ def load_json_object(path: str | os.PathLike, what: str) -> dict:
     return doc
 
 
+def save_json(path: str | os.PathLike, doc: dict) -> None:
+    """Write `doc` indented, keys sorted, with a final newline: the one
+    writer of every JSON file the package produces."""
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
+def _check_json_type(value, kind, what: str):
+    """`value` if it has the JSON type `kind` (int, float, str, list or dict),
+    else a SchemaError naming `what`. A bool is neither an int nor a number.
+    `kind` float is the number rule: an int or a float that is finite as a
+    float64, which comes back as a float."""
+    if kind is float:
+        with contextlib.suppress(OverflowError):
+            if type(value) in (int, float) and math.isfinite(value := float(value)):
+                return value
+        raise SchemaError(f"{what} must be a finite number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise SchemaError(f"{what} must be {kind.__name__}")
+    return value
+
+
+def _require(doc: dict, key: str, kind, where: str):
+    if key not in doc:
+        raise SchemaError(f"{where}: missing field {key!r}")
+    return _check_json_type(doc[key], kind, f"{where}: field {key!r}")
+
+
+def _require_header(doc: dict, where: str, *sizes: str) -> tuple:
+    """(name, activation, *sizes) of a network file, each size a positive int."""
+    name = _require(doc, "name", str, where)
+    activation = _require(doc, "activation", str, where)
+    if activation not in {a.value for a in Activation}:
+        raise SchemaError(f"{where}: unknown activation {activation!r}")
+    values = [_require(doc, key, int, where) for key in sizes]
+    for key, value in zip(sizes, values):
+        if value < 1:
+            raise SchemaError(f"{where}: field {key!r} must be >= 1, got {value}")
+    return (name, Activation(activation), *values)
+
+
+def _require_list(doc: dict, key: str, shape: tuple, where: str) -> list:
+    """The entries of the list under `key`, row after row: `shape[0]`
+    entries, each itself a list of `shape[1]` entries for a 2-d shape."""
+    items = _require(doc, key, list, where)
+    if len(items) != shape[0]:
+        raise SchemaError(f"{where}: field {key!r} has {len(items)} entries, expected {shape[0]}")
+    if len(shape) == 1:
+        return items
+    for i, row in enumerate(items):
+        if type(row) is not list or len(row) != shape[1]:
+            raise SchemaError(f"{where}: field '{key}[{i}]' must be a list of {shape[1]} entries")
+    return list(itertools.chain.from_iterable(items))
+
+
+def _require_numbers(doc: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    """The numbers under `key` as a float array of `shape`, each entry under
+    the number rule of `_check_json_type`; a fault names its entry."""
+    flat = _require_list(doc, key, shape, where)
+    if set(map(type, flat)) <= {int, float}:
+        with contextlib.suppress(OverflowError):
+            if np.isfinite(arr := np.fromiter(flat, float, len(flat))).all():
+                return arr.reshape(shape)
+    at = ("[" + "][".join(map(str, index)) + "]" for index in np.ndindex(shape))
+    checked = [_check_json_type(v, float, f"{where}: field '{key}{i}'") for i, v in zip(at, flat)]
+    return np.array(checked).reshape(shape)
+
+
+def _check_prescale(scales: dict, where: str) -> None:
+    """A SchemaError naming `where` unless every pre-scale factor is positive
+    and the bias factor is weights * inputs, the one factor `forward_scnn`
+    un-scales every accumulated preactivation by."""
+    for role, scale in scales.items():
+        if not scale > 0:
+            raise SchemaError(f"{where}: prescale {role!r} must be > 0, got {scale!r}")
+    if scales["bias"] != (product := scales["weights"] * scales["inputs"]):
+        raise SchemaError(f"{where}: prescale 'bias' is {scales['bias']!r}, not weights * inputs = {product!r}")
+
+
 def network_to_dict(net: ReferenceNetwork) -> dict:
     return {
         "name": net.name,
@@ -368,71 +454,22 @@ def network_to_dict(net: ReferenceNetwork) -> dict:
 
 
 def save_network(net: ReferenceNetwork, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(network_to_dict(net), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def _check_json_type(value, kind, what: str):
-    """`value` if it has the JSON type `kind` (int, float, str, list or dict),
-    else a SchemaError naming `what`. A bool is neither an int nor a number;
-    an int is a number and comes back as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
-        raise SchemaError(f"{what} must be {'a number' if kind is float else kind.__name__}")
-    return float(value) if kind is float else value
-
-
-def _require(doc: dict, key: str, kind, where: str):
-    if key not in doc:
-        raise SchemaError(f"{where}: missing field {key!r}")
-    return _check_json_type(doc[key], kind, f"{where}: field {key!r}")
-
-
-def _require_activation(doc: dict, where: str) -> Activation:
-    name = _require(doc, "activation", str, where)
-    try:
-        return Activation(name)
-    except ValueError:
-        raise SchemaError(f"{where}: unknown activation {name!r}") from None
+    save_json(path, network_to_dict(net))
 
 
 def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork:
-    name = _require(doc, "name", str, where)
-    n = _require(doc, "n", int, where)
-    N = _require(doc, "N", int, where)
-    if N < 1 or n < 1:
-        raise SchemaError(f"{where}: N and n must be >= 1, got N={N}, n={n}")
-    activation = _require_activation(doc, where)
-    rows = _require(doc, "hidden_weights", list, where)
-    if len(rows) != N:
-        raise SchemaError(f"{where}: hidden_weights has {len(rows)} rows, expected N={N}")
-    for idx, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(
-                f"{where}: hidden_weights[{idx}] has length "
-                f"{len(row) if isinstance(row, list) else 'non-list'}, expected n={n}"
-            )
-    biases = _require(doc, "hidden_biases", list, where)
-    outputs = _require(doc, "output_weights", list, where)
-    if len(biases) != N:
-        raise SchemaError(f"{where}: hidden_biases has {len(biases)} entries, expected N={N}")
-    if len(outputs) != N:
-        raise SchemaError(f"{where}: output_weights has {len(outputs)} entries, expected N={N}")
+    name, activation, n, N = _require_header(doc, where, "n", "N")
     pres = _require(doc, "prescale", dict, where)
-    prescalers = {}
-    for role in ("weights", "inputs", "bias"):
-        prescalers[role] = PreScaler(_require(pres, role, float, f"{where}: prescale"), role)
-    try:
-        return ReferenceNetwork(
-            hidden_weights=np.array(rows, dtype=float),
-            hidden_biases=np.array(biases, dtype=float),
-            output_weights=np.array(outputs, dtype=float),
-            activation=activation,
-            prescalers=prescalers,
-            name=name,
-        )
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+    scales = {role: _require(pres, role, float, f"{where}: prescale") for role in ("weights", "inputs", "bias")}
+    _check_prescale(scales, where)
+    return ReferenceNetwork(
+        hidden_weights=_require_numbers(doc, "hidden_weights", (N, n), where),
+        hidden_biases=_require_numbers(doc, "hidden_biases", (N,), where),
+        output_weights=_require_numbers(doc, "output_weights", (N,), where),
+        activation=activation,
+        prescalers={role: PreScaler(scale, role) for role, scale in scales.items()},
+        name=name,
+    )
 
 
 def load_network(path: str | os.PathLike) -> ReferenceNetwork:

@@ -14,7 +14,9 @@ integer preactivation with the bias weighted by M:
 A `ScnnStreamBundle` holds all of a network's streams as packed uint8
 arrays, so chunking, joining, the equivalence check and the hex lines of
 the bundle file all work on whole arrays: the check is one `apc_ones` call
-for the SC side and one `binary_dot` call for the BNN side.
+for the SC side and one `binary_dot` call for the BNN side. A bundle file's
+headers and output weights are read by netcore's typed readers, and its
+N*n weight lines by one `from_hex_lines` call.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 
 from .bitstream import Bitstream, Encoding, to_hex_lines
 from .bnn import BinaryNetwork, _require_rows, binary_dot
-from .netcore import Activation, SchemaError, _require, _require_activation
+from .netcore import Activation, _require_header, _require_numbers
 from .scgates import GateCounts, accumulator_width, add_counts, apc_ones
 
 
@@ -164,33 +166,13 @@ def bundle_to_dict(bundle: ScnnStreamBundle) -> dict:
 
 def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundle:
     """Parse a stream-bundle document, checking its M, n and N headers
-    against the streams and lists it holds (a unit's lines at a time)."""
-    M = _require(doc, "M", int, where)
-    n = _require(doc, "n", int, where)
-    N = _require(doc, "N", int, where)
-    if M < 1 or n < 1 or N < 1:
-        raise SchemaError(f"{where}: M, n and N must be >= 1, got M={M}, n={n}, N={N}")
-    name = _require(doc, "name", str, where)
-    activation = _require_activation(doc, where)
-    rows = _require(doc, "weight_streams", list, where)
-    biases = _require(doc, "bias_streams", list, where)
-    outputs = _require(doc, "output_weights", list, where)
-    for field, items in (("weight_streams", rows), ("bias_streams", biases), ("output_weights", outputs)):
-        if len(items) != N:
-            raise SchemaError(f"{where}: {field} has {len(items)} entries, expected N={N}")
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{where}: weight_streams[{i}] must be a list of n={n} streams")
-    for i, a in enumerate(outputs):
-        if isinstance(a, bool) or not isinstance(a, (int, float)):
-            raise SchemaError(f"{where}: output_weights[{i}] must be a number")
+    against the streams and lists it holds."""
+    name, activation, M, n, N = _require_header(doc, where, "M", "n", "N")
     return ScnnStreamBundle(
         M=M,
-        weights=np.stack([
-            _require_rows(row, M, Encoding.BIPOLAR, f"{where}: weight_streams[{i}]") for i, row in enumerate(rows)
-        ]),
-        biases=_require_rows(biases, M, Encoding.BIPOLAR, f"{where}: bias_streams"),
-        output_weights=np.array(outputs, dtype=float),
+        weights=_require_rows(doc, "weight_streams", (N, n), M, Encoding.BIPOLAR, where),
+        biases=_require_rows(doc, "bias_streams", (N,), M, Encoding.BIPOLAR, where),
+        output_weights=_require_numbers(doc, "output_weights", (N,), where),
         activation=activation,
         name=name,
     )

@@ -520,6 +520,95 @@ class TestBundleHeaders:
         assert err.count("\n") == 1
 
 
+#: Stands for "a list of the wrong length": the list holding the field loses
+#: one entry, or a single number becomes a list of two.
+WRONG_LENGTH = "wrong length"
+
+
+class TestNumberRule:
+    """Every number field of every file kind, and a config float, is a JSON
+    int or float, not a bool or a string, finite as a float64. Anything else
+    exits 2 with one line naming the file and the field."""
+
+    @pytest.mark.parametrize("value", [True, "0.25", 10**400, WRONG_LENGTH], ids=["true", "str", "1e400", "length"])
+    @pytest.mark.parametrize("kind, path, named", [
+        ("reference", ("hidden_weights", 1, 0), "field 'hidden_weights[1]"),
+        ("reference", ("hidden_biases", 2), "field 'hidden_biases"),
+        ("reference", ("output_weights", 3), "field 'output_weights"),
+        ("reference", ("prescale", "weights"), "prescale: field 'weights'"),
+        ("reference", ("prescale", "inputs"), "prescale: field 'inputs'"),
+        ("reference", ("prescale", "bias"), "prescale: field 'bias'"),
+        ("binary", ("output_weights", 1), "field 'output_weights"),
+        ("bundle", ("output_weights", 1), "field 'output_weights"),
+        ("config", ("sweep", "epsilon"), "config sweep.epsilon"),
+    ])
+    def test_field_is_named(self, sine_net, bnn_file, bundle_doc, tmp_path, capsys, kind, path, named, value):
+        doc, argv = {
+            "reference": (json.loads(sine_net.read_text()), ["eval", "--x", "0.25"]),
+            "binary": (json.loads(bnn_file.read_text()), ["convert", "--to-scnn", "4"]),
+            "bundle": (json.loads(json.dumps(bundle_doc)), ["convert", "--to-bnn"]),
+            "config": ({"sweep": {"Ms": [16], "trials": 30, "grid": 2, "epsilon": 0.2}},
+                       ["sweep", "--network", sine_net, "--target", "sine"]),
+        }[kind]
+        *parents, last = path
+        node = doc
+        for key in parents:
+            node = node[key]
+        if value != WRONG_LENGTH:
+            node[last] = value
+        elif isinstance(last, int):
+            del node[last]
+        else:
+            node[last] = [0.25, 0.25]
+        file = tmp_path / "in.json"
+        file.write_text(json.dumps(doc))
+        flag = "--config" if kind == "config" else "--network"
+        if argv[0] != "eval":
+            argv = [*argv, "--out-dir", tmp_path / "o"]
+        assert run(*argv, flag, file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config " if kind == "config" else f"error: {file}: ")
+        assert named in err and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("prescale, named", [
+        ({"weights": 1.0, "inputs": 1.0, "bias": 2.0}, "prescale 'bias' is 2.0, not weights * inputs = 1.0"),
+        ({"weights": 0.0, "inputs": 1.0, "bias": 0.0}, "prescale 'weights' must be > 0, got 0.0"),
+        ({"weights": 1.0, "inputs": -1.0, "bias": -1.0}, "prescale 'inputs' must be > 0, got -1.0"),
+    ])
+    def test_prescale_rule(self, tmp_path, capsys, prescale, named):
+        # forward_scnn un-scales the whole preactivation by weights * inputs,
+        # so this ReLU net would give about 0.62 against its reference 1.0.
+        file = tmp_path / "net.json"
+        file.write_text(json.dumps({
+            "name": "relu", "n": 1, "N": 1, "activation": "relu", "hidden_weights": [[0.5]],
+            "hidden_biases": [0.75], "output_weights": [1.0], "prescale": prescale,
+        }))
+        assert run("eval", "--network", file, "--x", "0.5", "--scnn") == 2
+        assert capsys.readouterr().err == f"error: {file}: {named}\n"
+
+
+class TestFlagLists:
+    """A comma list or bit string flag that does not parse exits 2 with one
+    line naming the flag and quoting the value as given."""
+
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["sweep", "--network", "sine_net", "--target", "sine"], "--Ms", "1,,2"),
+        (["eval", "--network", "sine_net"], "--x", "0.5,abc"),
+        (["eval", "--network", "bnn_file"], "--x-bits", "1a01"),
+        (["fit", "--target", "sine"], "--target-param", "cycles=abc"),
+    ])
+    def test_flag_is_named(self, request, tmp_path, capsys, argv, flag, value):
+        argv = [request.getfixturevalue(a) if a.endswith(("_net", "_file")) else a for a in argv]
+        if argv[0] != "eval":
+            argv += ["--out-dir", tmp_path / "o"]
+        assert run(*argv, flag, value) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be ") and err.endswith(f", got {value!r}\n")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module", params=[4, 12])
 def bundle_at(bnn_file, tmp_path_factory, request):
     """bnn_file chunked at M=4 (one byte, four pad bits per stream) and at
@@ -575,7 +664,8 @@ class TestCorruptStreamLine:
 
 
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers(-20, 20)
+    st.none() | st.booleans() | st.integers(-20, 20) | st.just(10**400)
+    | (st.integers(-20, 20) | st.floats(allow_nan=False, allow_infinity=False)).map(str)
     | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=12)
     | st.builds("M:{};enc:{};{}".format, st.integers(-1, 13), st.sampled_from("ubx"),
                 st.text("0123456789abcdefg", max_size=5)),

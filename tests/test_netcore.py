@@ -19,7 +19,7 @@ from scbnn import (
     sup_error,
     unit_grid,
 )
-from scbnn.bitstream import network_prescalers
+from scbnn.bitstream import PreScaler, network_prescalers
 from scbnn.netcore import MAX_GRID_POINTS
 
 KEY = StreamKey(0xFE11)
@@ -276,3 +276,9 @@ class TestWeightFiles:
         del doc["output_weights"]
         with pytest.raises(SchemaError, match="output_weights"):
             load_network(self._write(tmp_path, doc))
+
+    def test_bias_prescale_must_be_weights_times_inputs(self):
+        # forward_scnn un-scales every preactivation by weights * inputs.
+        scalers = {role: PreScaler(scale, role) for role, scale in (("weights", 2.0), ("inputs", 1.0), ("bias", 1.0))}
+        with pytest.raises(SchemaError, match=r"prescale 'bias' is 1.0, not weights \* inputs = 2.0"):
+            ReferenceNetwork(np.array([[0.5]]), np.array([0.75]), np.array([1.0]), Activation.RELU, scalers)
