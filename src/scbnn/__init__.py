@@ -13,6 +13,7 @@ from .bitstream import (
     StreamMismatchError,
     concat,
     decode,
+    encode_blocks,
     encode_many,
     from_hex_line,
     from_hex_lines,
@@ -62,7 +63,7 @@ from .scgates import (
     mux_add,
     xnor_mult,
 )
-from .scnn import ErrorProfile, ScnnConfig, forward_scnn, forward_scnn_grid, scnn_error_profile
+from .scnn import M_FEASIBLE_CAP, ErrorProfile, ScnnConfig, forward_scnn, forward_scnn_grid, scnn_error_profile
 from .theory import (
     BoundQuery,
     BoundReport,

@@ -23,6 +23,13 @@ Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
 so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
 `StreamKey.substream_keys` folds the keys of many substreams in one pass.
 
+`encode_blocks` yields the same streams one block of `_DRAW_BLOCK` (2^16)
+clocks at a time, so a caller that reduces each block as it arrives holds
+O(S * _DRAW_BLOCK / 8) bytes at any M; `encode_many` is its blocks side by
+side. The re-keyed path resumes a stream at clock lo with the counter at
+lo/4 and an empty buffer, the state a fresh Philox reaches after lo draws.
+The array path only takes M <= 24, one block.
+
 Files hold packed rows as hex text: a stream-bundle line or a binary weight
 row. `to_hex_lines` and `from_hex_lines` write and read a whole list of
 them at once, under one acceptance rule; `to_hex_line` and `from_hex_line`
@@ -34,6 +41,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -251,10 +259,11 @@ class Bitstream:
         return cls(packed, length, encoding)
 
 
-#: Draws held at once by the re-keyed path and by the MUX selection
-#: (`scgates._mux_select`): short streams share a block row-wise, a stream
-#: longer than the block is drawn in block-sized chunks. A multiple of 8, so
-#: each chunk fills whole bytes of a packed row.
+#: Clocks per block of `encode_blocks`, and draws held at once by the
+#: re-keyed path and by the MUX selection (`scgates._mux_select`): short
+#: streams share a block row-wise, longer ones are drawn and reduced one
+#: block of clocks at a time. A multiple of 8, so each block fills whole
+#: bytes of a packed row, and of 4, so it starts on a Philox counter.
 _DRAW_BLOCK = 1 << 16
 #: encode_many takes the array path for calls of at least _ARRAY_MIN_S
 #: streams of at most _ARRAY_MAX_M bits (measured table: module docstring),
@@ -267,13 +276,13 @@ _PHILOX_M = (0xD2E7_470E_E14C_6C93, 0xCA5A_8263_9512_1157)
 _PHILOX_W = (0x9E37_79B9_7F4A_7C15, 0xBB67_AE85_84CA_A73B)
 
 
-def encode_many(probs, keys, M: int) -> np.ndarray:
-    """Draw S packed M-bit streams: row s has P(bit=1) = probs[s] under the
-    Philox key keys[s] (see `StreamKey.substream_keys`).
-
-    Returns a uint8 array of shape (S, ceil(M/8)) with zero pad bits. Row s
-    is bit-identical to the stream of ``Generator(Philox(key=keys[s]))
-    .random(M) < probs[s]``, whichever of the two paths draws it.
+def encode_blocks(probs, keys, M: int) -> Iterator[np.ndarray]:
+    """The streams of `encode_many`, one clock block at a time: for lo = 0,
+    _DRAW_BLOCK, 2 * _DRAW_BLOCK, ... yields a uint8 array of shape
+    (S, ceil(w/8)), w = min(_DRAW_BLOCK, M - lo), whose row s holds clocks
+    [lo, lo + w) of stream s. Every block but the last fills whole bytes,
+    so the blocks side by side are the rows of `encode_many`; only one
+    block is held at a time.
     """
     if M < 1:
         raise ValueError(f"stream length M must be >= 1, got {M}")
@@ -284,19 +293,43 @@ def encode_many(probs, keys, M: int) -> np.ndarray:
     outside = ~((probs >= 0.0) & (probs <= 1.0))
     if outside.any():
         raise EncodingRangeError(f"probability {float(probs[outside][0])!r} outside [0, 1]")
+    return _blocks(probs, keys, M)
+
+
+def _blocks(probs: np.ndarray, keys: np.ndarray, M: int) -> Iterator[np.ndarray]:
+    # A generator apart from `encode_blocks`, so its arguments are checked
+    # when it is called, not when the first block is asked for.
+    array = M <= _ARRAY_MAX_M and probs.size >= _ARRAY_MIN_S
+    for lo in range(0, M, _DRAW_BLOCK):
+        width = min(_DRAW_BLOCK, M - lo)
+        block = np.empty((probs.size, (width + 7) // 8), dtype=np.uint8)
+        if array:
+            _encode_array(probs, keys, M, block)
+        elif probs.size:
+            _encode_rekeyed(probs, keys, lo, width, block)
+        yield block
+
+
+def encode_many(probs, keys, M: int) -> np.ndarray:
+    """Draw S packed M-bit streams: row s has P(bit=1) = probs[s] under the
+    Philox key keys[s] (see `StreamKey.substream_keys`).
+
+    Returns a uint8 array of shape (S, ceil(M/8)) with zero pad bits: the
+    blocks of `encode_blocks` side by side. Row s is bit-identical to the
+    stream of ``Generator(Philox(key=keys[s])).random(M) < probs[s]``,
+    whichever of the two paths draws it.
+    """
+    blocks = encode_blocks(probs, keys, M)
+    S = np.size(probs)
     try:
-        out = np.empty((probs.size, (M + 7) // 8), dtype=np.uint8)
+        out = np.empty((S, (M + 7) // 8), dtype=np.uint8)
     except MemoryError:
         raise ValueError(
-            f"stream length M={M} is too long: {probs.size} streams of "
+            f"stream length M={M} is too long: {S} streams of "
             f"{(M + 7) // 8} bytes do not fit in memory"
         ) from None
-    if probs.size == 0:
-        return out
-    if M <= _ARRAY_MAX_M and probs.size >= _ARRAY_MIN_S:
-        _encode_array(probs, keys, M, out)
-    else:
-        _encode_rekeyed(probs, keys, M, out)
+    for lo, block in zip(range(0, M, _DRAW_BLOCK), blocks):
+        out[:, lo // 8 : lo // 8 + block.shape[1]] = block
     return out
 
 
@@ -338,31 +371,29 @@ def _encode_array(probs, keys, M: int, out: np.ndarray) -> None:
         out[start:stop] = np.packbits((raw >> 11) < below[:, None], axis=1)
 
 
-def _encode_rekeyed(probs, keys, M: int, out: np.ndarray) -> None:
-    """Fill `out` from one C Philox re-keyed per stream (counter zero, empty
-    buffer: the state a freshly constructed Philox starts in)."""
+def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
+    """Fill `out` with clocks [lo, lo + width) of every stream from one C
+    Philox, re-keyed per stream with the counter at lo/4 and an empty
+    buffer: the state a fresh Philox is in after lo draws (lo is a
+    multiple of 4), so a stream resumes at clock lo exactly."""
     bit_gen = np.random.Philox(key=keys[0])
     gen = np.random.Generator(bit_gen)
     # The state setter reads the dict element by element, which is faster
     # from Python lists than from the uint64 arrays the getter returns.
-    fresh = bit_gen.state
-    fresh["state"]["counter"] = fresh["state"]["counter"].tolist()
-    fresh["buffer"] = fresh["buffer"].tolist()
+    state = bit_gen.state
+    state["state"]["counter"] = [lo // 4, 0, 0, 0]
+    state["buffer"] = state["buffer"].tolist()
     key_list = keys.tolist()
-    width = min(M, _DRAW_BLOCK)
     rows = min(_DRAW_BLOCK // width, probs.size)
     draws = np.empty((rows, width))
     for start in range(0, probs.size, rows):
         stop = min(probs.size, start + rows)
-        for lo in range(0, M, width):
-            block = draws[: stop - start, : min(width, M - lo)]
-            for r in range(start, stop):
-                if lo == 0 and r > 0:
-                    fresh["state"]["key"] = key_list[r]
-                    bit_gen.state = fresh
-                gen.random(out=block[r - start])
-            packed = np.packbits(block < probs[start:stop, None], axis=1)
-            out[start:stop, lo // 8 : lo // 8 + packed.shape[1]] = packed
+        block = draws[: stop - start]
+        for r in range(start, stop):
+            state["state"]["key"] = key_list[r]
+            bit_gen.state = state
+            gen.random(out=block[r - start])
+        out[start:stop] = np.packbits(block < probs[start:stop, None], axis=1)
 
 
 def sng_encode(x: float, M: int, enc: Encoding, key: StreamKey) -> Bitstream:

@@ -440,6 +440,19 @@ def _check_prescale(scales: dict, where: str) -> None:
         raise SchemaError(f"{where}: prescale 'bias' is {scales['bias']!r}, not weights * inputs = {product!r}")
 
 
+def _check_within(values: np.ndarray, scale: float, key: str, role: str, where: str) -> None:
+    """A SchemaError naming the first entry of the field `key` whose
+    magnitude exceeds its `role` pre-scale factor, which no stream encodes."""
+    over = np.argwhere(np.abs(values) > scale)
+    if over.size:
+        index = tuple(over[0].tolist())
+        at = "".join(f"[{i}]" for i in index)
+        raise SchemaError(
+            f"{where}: field '{key}{at}' is {float(values[index])!r}, "
+            f"beyond the {role} pre-scale factor {scale!r}"
+        )
+
+
 def network_to_dict(net: ReferenceNetwork) -> dict:
     return {
         "name": net.name,
@@ -462,9 +475,13 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
     pres = _require(doc, "prescale", dict, where)
     scales = {role: _require(pres, role, float, f"{where}: prescale") for role in ("weights", "inputs", "bias")}
     _check_prescale(scales, where)
+    weights = _require_numbers(doc, "hidden_weights", (N, n), where)
+    biases = _require_numbers(doc, "hidden_biases", (N,), where)
+    _check_within(weights, scales["weights"], "hidden_weights", "weights", where)
+    _check_within(biases, scales["bias"], "hidden_biases", "bias", where)
     return ReferenceNetwork(
-        hidden_weights=_require_numbers(doc, "hidden_weights", (N, n), where),
-        hidden_biases=_require_numbers(doc, "hidden_biases", (N,), where),
+        hidden_weights=weights,
+        hidden_biases=biases,
         output_weights=_require_numbers(doc, "output_weights", (N,), where),
         activation=activation,
         prescalers={role: PreScaler(scale, role) for role, scale in scales.items()},

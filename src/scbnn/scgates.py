@@ -5,9 +5,12 @@ All gates are pure functions of immutable streams. When a `counting()`
 context is active, every gate tallies its abstract operation count; the
 same tallies are what the closed-form energy model predicts.
 
-MUX selection draws its lottery in chunks of `bitstream._DRAW_BLOCK`
-clocks, and the layer kernel forms one unit's XNOR products at a time, so
-a MUX forward holds O(_DRAW_BLOCK) selection memory at any stream length.
+The layer kernel `dot_product_layer` reduces its streams one block of
+`bitstream._DRAW_BLOCK` clocks at a time, as `bitstream.encode_blocks`
+draws them: APC adds each block's ones per unit, and MUX selects each
+block's bits with one generator per unit kept across blocks
+(`_mux_select` is the one-block selection that `mux_add` shares). No
+M-long stream is held, and the gate tallies are those of the whole M.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -139,26 +142,29 @@ def mux_add(streams: Sequence[Bitstream], key: StreamKey) -> Bitstream:
     add_counts(GateCounts(mux_select_ops=(k - 1) * M))
     if k == 1:
         return streams[0]
-    return Bitstream(_mux_select([s.bits for s in streams], M, key), M, enc)
+    gen = key.generator()
+    out = np.empty_like(streams[0].bits)
+    for lo in range(0, M, _DRAW_BLOCK):
+        block = slice(lo // 8, (lo + _DRAW_BLOCK) // 8)
+        out[block] = _mux_select([s.bits[block] for s in streams], min(_DRAW_BLOCK, M - lo), gen)
+    return Bitstream(out, M, enc)
 
 
-def _mux_select(rows: Sequence[np.ndarray], M: int, key: StreamKey) -> np.ndarray:
-    """Packed output of a MUX over the packed M-bit `rows`: clock t takes
-    its bit from the row a uniform draw under `key` selects. Uncounted.
+def _mux_select(rows: Sequence[np.ndarray], width: int, gen: np.random.Generator) -> np.ndarray:
+    """Packed output of a MUX over one block of packed `width`-bit `rows`
+    (at most `_DRAW_BLOCK` clocks): clock t takes its bit from the row the
+    next `gen.integers(0, len(rows))` draw selects. Uncounted.
 
-    The M draws come from one generator in chunks of `_DRAW_BLOCK` clocks
-    (a whole number of bytes), so selection memory stays O(_DRAW_BLOCK)
-    however long the streams are. Successive int64 `integers` calls on one
+    A MUX over M clocks keeps one generator under its select key and calls
+    this once per block, so selection memory stays O(_DRAW_BLOCK) however
+    long the streams are. Successive int64 `integers` calls on one
     generator continue the sequence of a single M-draw call exactly: the
     Lemire path keeps its leftover 32-bit half in the bit generator.
     """
-    gen = key.generator()
+    selection = gen.integers(0, len(rows), size=width)
     out = np.zeros_like(rows[0])
-    for lo in range(0, M, _DRAW_BLOCK):
-        selection = gen.integers(0, len(rows), size=min(_DRAW_BLOCK, M - lo))
-        chunk = slice(lo // 8, (lo + selection.size + 7) // 8)
-        for c, row in enumerate(rows):
-            out[chunk] |= np.packbits(selection == c) & row[chunk]
+    for c, row in enumerate(rows):
+        out |= np.packbits(selection == c) & row
     return out
 
 
@@ -253,39 +259,55 @@ def apc_ones(w_bits: np.ndarray, x_bits: np.ndarray, b_bits: np.ndarray, M: int)
 
 
 def dot_product_layer(
-    w_bits: np.ndarray,
-    x_bits: np.ndarray,
-    b_bits: np.ndarray,
+    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
     M: int,
     mode: AccumulationMode,
     select_keys: Sequence[StreamKey] | None = None,
     scale: float = 1.0,
 ) -> np.ndarray:
-    """`dot_product_sc` for a layer of N units on packed bipolar streams.
+    """`dot_product_sc` for a layer of N units on packed bipolar streams,
+    reduced one block of clocks at a time.
 
-    `w_bits` and `x_bits` hold the (N, n, ceil(M/8)) packed weight and
-    input streams, `b_bits` the (N, ceil(M/8)) bias streams, all with zero
-    pad bits. MUX mode forms unit i's XNOR products inside the per-unit
-    loop and selects its output bits with `select_keys[i]`.
-    Returns the N preactivations, each bit-identical to dot_product_sc on
-    that unit's streams, and tallies the same gate operations.
+    `blocks` yields, for lo = 0, _DRAW_BLOCK, ... < M in order, the packed
+    (N, n, ceil(w/8)) weight and input streams and (N, ceil(w/8)) bias
+    streams of clocks [lo, lo + w), w = min(_DRAW_BLOCK, M - lo), with zero
+    pad bits (`bitstream.encode_blocks` cut by role). APC adds each block's
+    ones per unit. MUX forms unit i's XNOR products of the block and
+    selects their bits with one generator under `select_keys[i]`, kept
+    across blocks. Only the block at hand is held, so memory does not grow
+    with M. Returns the N preactivations, each bit-identical to
+    dot_product_sc on that unit's streams, and tallies the same gate
+    operations, once for the whole M.
     """
-    N, n, nbytes = w_bits.shape
-    if x_bits.shape != w_bits.shape or b_bits.shape != (N, nbytes) or nbytes != (M + 7) // 8:
-        raise StreamMismatchError(
-            f"layer streams disagree: weights {w_bits.shape}, inputs {x_bits.shape}, "
-            f"biases {b_bits.shape}, M={M}"
-        )
+    ones, lo = None, 0
+    for w_bits, x_bits, b_bits in blocks:
+        if ones is None:
+            N, n, _ = w_bits.shape
+            ones = np.zeros(N, dtype=np.int64)
+            if mode is AccumulationMode.MUX:
+                if select_keys is None or len(select_keys) != N:
+                    raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
+                gens = [key.generator() for key in select_keys]
+        width = min(_DRAW_BLOCK, M - lo)
+        nbytes = (width + 7) // 8
+        if width < 1 or not w_bits.shape == x_bits.shape == (N, n, nbytes) or b_bits.shape != (N, nbytes):
+            raise StreamMismatchError(
+                f"layer streams disagree: weights {w_bits.shape}, inputs {x_bits.shape}, "
+                f"biases {b_bits.shape} for clocks [{lo}, {lo + width}) of M={M}"
+            )
+        if mode is AccumulationMode.APC:
+            ones += apc_ones(w_bits, x_bits, b_bits, width)
+        else:
+            for i in range(N):
+                products = zero_pad_bits(np.bitwise_not(w_bits[i] ^ x_bits[i]), width)
+                selected = _mux_select([*products, b_bits[i]], width, gens[i])
+                ones[i] += int(np.bitwise_count(selected).sum())
+        lo += width
+    if ones is None or lo != M:
+        raise StreamMismatchError(f"layer streams cover {lo} clocks, expected M={M}")
     m = n * M
     if mode is AccumulationMode.APC:
         add_counts(GateCounts(xnor_ops=N * m, apc_bit_adds=N * m * accumulator_width(m)))
-        return (2 * apc_ones(w_bits, x_bits, b_bits, M) - (n + 1) * M) / M * scale
-    if select_keys is None or len(select_keys) != N:
-        raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
+        return (2 * ones - (n + 1) * M) / M * scale
     add_counts(GateCounts(xnor_ops=N * m, mux_select_ops=N * m))
-    out = np.empty(N)
-    for i in range(N):
-        products = zero_pad_bits(np.bitwise_not(w_bits[i] ^ x_bits[i]), M)
-        ones = int(np.bitwise_count(_mux_select([*products, b_bits[i]], M, select_keys[i])).sum())
-        out[i] = (2 * ones - M) / M * (n + 1) * scale
-    return out
+    return (2 * ones - M) / M * (n + 1) * scale

@@ -4,6 +4,10 @@ SC dot products, exact activation and output layer.
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
 independently per unit. Results are pure functions of (net, x, config).
+
+The forward pass is streamed over clocks: each block of 2^16 clocks of the
+whole hidden layer is drawn and reduced before the next, so one forward
+holds a few MiB at any M up to `M_FEASIBLE_CAP`.
 """
 
 from __future__ import annotations
@@ -12,9 +16,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import PreScaler, StreamKey, encode_many, prescale
+from .bitstream import PreScaler, StreamKey, encode_blocks, prescale
 from .netcore import ReferenceNetwork, TargetFunction, activate, forward_reference
 from .scgates import AccumulationMode, dot_product_layer
+
+
+#: Longest stream a forward pass simulates. Memory stays bounded at any M,
+#: so this caps run time; `theory.bound_validation` refuses bounds past it.
+M_FEASIBLE_CAP = 1 << 26
 
 
 @dataclass(frozen=True)
@@ -28,6 +37,8 @@ class ScnnConfig:
     def __post_init__(self):
         if self.M < 1:
             raise ValueError(f"stream length M must be >= 1, got {self.M}")
+        if self.M > M_FEASIBLE_CAP:
+            raise ValueError(f"stream length M={self.M} is too long: a forward pass runs at most 2^26 clocks")
 
 
 def _bipolar_probs(values, scaler: PreScaler) -> np.ndarray:
@@ -43,10 +54,10 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
     Weights, inputs, and biases are pre-scaled and encoded as bipolar
-    streams, the whole hidden layer in one `encode_many` call; the SC
-    products and accumulations of all N units run on the packed streams
-    (`dot_product_layer`), and the decoded preactivations are un-scaled
-    before the exact activation. The output layer stays in exact reals and
+    streams, the whole hidden layer in one `encode_blocks` call; the SC
+    products and accumulations of all N units run on each block of packed
+    streams as it is drawn (`dot_product_layer`), and the decoded
+    preactivations are un-scaled before the exact activation. The output layer stays in exact reals and
     is summed in unit order. The result is bit-identical to composing
     `sng_encode`, `dot_product_sc` and `activate` unit by unit.
     """
@@ -64,15 +75,14 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     keys = cfg.key.substream_keys(
         [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
     )
-    bits = encode_many(probs, keys, M)
-    w_bits = bits[: N * n].reshape(N, n, -1)
-    x_bits = bits[N * n : 2 * N * n].reshape(N, n, -1)
+    layer = (
+        (bits[: N * n].reshape(N, n, -1), bits[N * n : 2 * N * n].reshape(N, n, -1), bits[2 * N * n :])
+        for bits in encode_blocks(probs, keys, M)
+    )
     select = None
     if cfg.mode is AccumulationMode.MUX:
         select = [cfg.key.substream("select", i) for i in range(N)]
-    pre = dot_product_layer(
-        w_bits, x_bits, bits[2 * N * n :], M, cfg.mode, select, scale=s_w.scale * s_x.scale
-    )
+    pre = dot_product_layer(layer, M, cfg.mode, select, scale=s_w.scale * s_x.scale)
     out = 0.0
     for alpha, h in zip(net.output_weights.tolist(), activate(net.activation, pre).tolist()):
         out += alpha * h

@@ -17,13 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitstream import StreamKey, encode_many
+from .bitstream import StreamKey, encode_blocks
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
-from .scnn import ErrorProfile, ScnnConfig, forward_scnn_grid
-
-#: Refuse validation runs whose bound exceeds this stream length.
-M_FEASIBLE_CAP = 1 << 26
+from .scnn import M_FEASIBLE_CAP, ErrorProfile, ScnnConfig, forward_scnn_grid
 
 
 class InfeasibleBoundError(ValueError):
@@ -96,9 +93,12 @@ def chebyshev_stream_bound_check(
     if k <= 0:
         raise ValueError(f"deviation multiple k must be positive, got {k}")
     threshold = k / (2.0 * math.sqrt(M))
-    # Trial t is the unipolar stream of x under key.substream("cheb", t).
-    streams = encode_many(np.full(trials, x), key.substream_keys([("cheb", np.arange(trials), 0)]), M)
-    hits = int(np.count_nonzero(np.abs(np.bitwise_count(streams).sum(axis=1) / M - x) >= threshold))
+    # Trial t is the unipolar stream of x under key.substream("cheb", t),
+    # counted one block of clocks at a time.
+    ones = np.zeros(trials, dtype=np.int64)
+    for block in encode_blocks(np.full(trials, x), key.substream_keys([("cheb", np.arange(trials), 0)]), M):
+        ones += np.bitwise_count(block, out=block).sum(axis=1, dtype=np.int64)
+    hits = int(np.count_nonzero(np.abs(ones / M - x) >= threshold))
     fraction = hits / trials
     bound = 1.0 / (k * k)
     slack = 1.0 / math.sqrt(trials)

@@ -30,7 +30,7 @@ from scbnn import (
     to_hex_lines,
 )
 from scbnn import bitstream
-from scbnn.bitstream import encode_many, network_prescalers, pow2_scale
+from scbnn.bitstream import _DRAW_BLOCK, encode_many, network_prescalers, pow2_scale
 from test_cli import CORRUPTIONS
 
 KEY = StreamKey(0xC0FFEE)
@@ -204,7 +204,7 @@ class TestArrayPhilox:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             bitstream._encode_array(probs, keys, M, array)
-        bitstream._encode_rekeyed(probs, keys, M, rekeyed)
+        bitstream._encode_rekeyed(probs, keys, 0, M, rekeyed)
         assert np.array_equal(array, rekeyed)
 
     def test_dispatch(self):
@@ -233,6 +233,38 @@ class TestArrayPhilox:
             tracemalloc.stop()
         assert out.shape == (S, 1)
         assert peak - out.nbytes < 2 * 2**20
+
+
+class TestEncodeBlocks:
+    """`encode_blocks` yields the one-shot draws of `encode_many` one
+    _DRAW_BLOCK of clocks at a time: a stream resumes at clock lo from a
+    Philox re-keyed with the counter at lo/4."""
+
+    @pytest.mark.parametrize("M", [1, 7, 24, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 3, 3 * _DRAW_BLOCK + 5])
+    @pytest.mark.parametrize("S", [1, 3, 600])
+    @pytest.mark.parametrize("enc", list(Encoding))
+    def test_blocks_equal_one_shot_draw(self, enc, S, M):
+        gen = np.random.default_rng(S * M)
+        values = gen.uniform(*enc.value_range, S)
+        probs = values if enc is Encoding.UNIPOLAR else (values + 1.0) / 2.0
+        keys = KEY.substream_keys([(enc.value, np.arange(S), M)])
+        blocks = list(bitstream.encode_blocks(probs, keys, M))
+        widths = [min(_DRAW_BLOCK, M - lo) for lo in range(0, M, _DRAW_BLOCK)]
+        assert [b.shape for b in blocks] == [(S, (w + 7) // 8) for w in widths]
+        rows = np.concatenate(blocks, axis=1)
+        # Against the one-shot draw of the first, a middle and the last stream.
+        picked = [0, S // 2, S - 1]
+        assert np.array_equal(rows[picked], generator_rows(probs[picked], keys[picked], M))
+        assert np.array_equal(rows[picked], encode_many(probs[picked], keys[picked], M))
+
+    def test_arguments_are_checked_when_called(self):
+        keys = KEY.substream_keys([("w", np.arange(2), 0)])
+        with pytest.raises(EncodingRangeError):
+            bitstream.encode_blocks([0.5, 1.5], keys, 8)
+        with pytest.raises(ValueError, match="key"):
+            bitstream.encode_blocks([0.5], keys, 8)
+        with pytest.raises(ValueError):
+            bitstream.encode_blocks([0.5, 0.5], keys, 0)
 
 
 class TestPopcount:

@@ -588,6 +588,29 @@ class TestNumberRule:
         assert capsys.readouterr().err == f"error: {file}: {named}\n"
 
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--x", "0.5"],
+        ["eval", "--x", "0.5", "--scnn"],
+        ["sweep", "--target", "sine", "--Ms", "16", "--trials", "30", "--grid-points", "2"],
+    ], ids=["eval", "eval-scnn", "sweep"])
+    @pytest.mark.parametrize("field, value, named", [
+        ("hidden_weights", [[3.0]], "field 'hidden_weights[0][0]' is 3.0, beyond the weights pre-scale factor 1.0"),
+        ("hidden_biases", [-1.5], "field 'hidden_biases[0]' is -1.5, beyond the bias pre-scale factor 1.0"),
+    ], ids=["weight", "bias"])
+    def test_value_beyond_prescale(self, tmp_path, capsys, argv, field, value, named):
+        # No stream encodes such a value; the file is rejected as it loads.
+        doc = {"name": "n", "n": 1, "N": 1, "activation": "tanh", "hidden_weights": [[0.5]],
+               "hidden_biases": [0.25], "output_weights": [1.0],
+               "prescale": {"weights": 1.0, "inputs": 1.0, "bias": 1.0}}
+        file = tmp_path / "net.json"
+        file.write_text(json.dumps({**doc, field: value}))
+        if argv[0] == "sweep":
+            argv = [*argv, "--out-dir", tmp_path / "o"]
+        assert run(*argv, "--network", file) == 2
+        assert capsys.readouterr().err == f"error: {file}: {named}\n"
+        assert not (tmp_path / "o").exists()
+
+
 class TestFlagLists:
     """A comma list or bit string flag that does not parse exits 2 with one
     line naming the flag and quoting the value as given."""

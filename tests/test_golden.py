@@ -309,6 +309,17 @@ class TestForwardMatchesScalarComposition:
                 cfg = ScnnConfig(33, StreamKey(p), mode)
                 assert forward_scnn(sine_net, [x], cfg) == scalar_forward(sine_net, [x], cfg)
 
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_streams_over_many_blocks(self, sine_net, mode):
+        # Four clock blocks: the streamed layer against whole-stream gates.
+        cfg = ScnnConfig(LONG_MUX_M, StreamKey(7), mode)
+        with counting() as streamed_counts:
+            streamed = forward_scnn(sine_net, [0.25], cfg)
+        with counting() as scalar_counts:
+            scalar = scalar_forward(sine_net, [0.25], cfg)
+        assert streamed.hex() == scalar.hex()
+        assert streamed_counts == scalar_counts
+
     @pytest.mark.parametrize("activation", list(Activation))
     def test_wide_layer_every_activation(self, activation):
         gen = np.random.default_rng(17)

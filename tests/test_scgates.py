@@ -23,7 +23,7 @@ from scbnn import (
     xnor_mult,
 )
 from scbnn.bitstream import _DRAW_BLOCK
-from scbnn.scgates import SumTrace, _mux_select, accumulator_width, dot_product_layer
+from scbnn.scgates import SumTrace, accumulator_width, dot_product_layer
 
 KEY = StreamKey(0xBEEF)
 
@@ -164,7 +164,8 @@ class TestMuxSelect:
         gen = np.random.default_rng(k * M)
         rows = [np.packbits(gen.random(M) < 0.5) for _ in range(k)]
         key = KEY.substream("select", k, M)
-        assert np.array_equal(_mux_select(rows, M, key), one_shot_select(rows, M, key))
+        out = mux_add([Bitstream(row, M, Encoding.BIPOLAR) for row in rows], key)
+        assert np.array_equal(out.bits, one_shot_select(rows, M, key))
 
 
 class TestApcSum:
@@ -325,11 +326,11 @@ class TestDotProductLayer:
     def test_shape_mismatch_rejected(self):
         w = np.zeros((2, 3, 2), dtype=np.uint8)
         with pytest.raises(StreamMismatchError):
-            dot_product_layer(w, w[:, :2], w[:, 0], 16, AccumulationMode.APC)
+            dot_product_layer([(w, w[:, :2], w[:, 0])], 16, AccumulationMode.APC)
         with pytest.raises(StreamMismatchError):
-            dot_product_layer(w, w, w[:, 0], 17, AccumulationMode.APC)
+            dot_product_layer([(w, w, w[:, 0])], 17, AccumulationMode.APC)
 
     def test_mux_needs_a_select_key_per_unit(self):
         w = np.zeros((2, 1, 2), dtype=np.uint8)
         with pytest.raises(ValueError, match="select key"):
-            dot_product_layer(w, w, w[:, 0], 16, AccumulationMode.MUX, [KEY])
+            dot_product_layer([(w, w, w[:, 0])], 16, AccumulationMode.MUX, [KEY])

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbnn import (
+    M_FEASIBLE_CAP,
     AccumulationMode,
     Activation,
     EncodingRangeError,
@@ -124,6 +125,39 @@ class TestForwardScnn:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_memory_is_flat_in_M(self, mode):
+        # The README's N = 32 sine net shape (n = 1, 96 streams): whole
+        # streams would take 12 MiB at M = 2^20 and 48 MiB at M = 2^22.
+        gen = np.random.default_rng(32)
+        W, b = gen.uniform(-1, 1, (32, 1)), gen.uniform(-1, 1, 32)
+        net = net_of(W, b, gen.normal(size=32), Activation.TANH)
+        peaks = []
+        for M in (1 << 20, 1 << 22):
+            tracemalloc.start()
+            try:
+                forward_scnn(net, [0.3], ScnnConfig(M, StreamKey(3), mode))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0]
+        assert max(peaks) <= 8 * 2**20
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_counts_over_many_blocks_equal_layer_energy(self, mode):
+        # Four clock blocks, the last of 5 clocks: the tallies of one forward
+        # are those of the whole M, not a sum over blocks.
+        M = 3 * 2**16 + 5
+        net = net_of([[0.5, -0.25], [-0.75, 1.0], [0.125, 0.5]], [0.25, -0.5, 0.0], [1.0, -0.5, 2.0])
+        with counting() as counts:
+            forward_scnn(net, [0.3, 0.8], ScnnConfig(M, StreamKey(4), mode))
+        assert counts.as_dict() == layer_energy(2, M, 3, mode).classes()
+
+    def test_stream_length_cap(self):
+        assert ScnnConfig(M_FEASIBLE_CAP, KEY).M == 2**26
+        with pytest.raises(ValueError, match=f"M={M_FEASIBLE_CAP + 1} is too long"):
+            ScnnConfig(M_FEASIBLE_CAP + 1, KEY)
 
     @given(st.floats(-20, 20), st.floats(-20, 20))
     @settings(max_examples=100)
