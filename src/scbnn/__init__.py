@@ -63,7 +63,7 @@ from .scgates import (
     mux_add,
     xnor_mult,
 )
-from .scnn import M_FEASIBLE_CAP, ErrorProfile, ScnnConfig, forward_scnn, forward_scnn_grid, scnn_error_profile
+from .scnn import M_FEASIBLE_CAP, ScnnConfig, forward_scnn, forward_scnn_grid
 from .theory import (
     BoundQuery,
     BoundReport,

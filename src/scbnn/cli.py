@@ -289,6 +289,13 @@ def _cmd_bound(args) -> int:
         raise ValueError("--validate needs --network and --target")
     net = load_network(args.network)
     _, f = _resolve_target(args, {}, net.n)
+    # The bound covers only networks of the queried shape with sum |alpha| <= A.
+    for flag, asked, has in (("--n", q.n, net.n), ("--N", q.N, net.N)):
+        if asked != has:
+            raise ValueError(f"{flag} {asked} does not match the network's {flag[2:]} = {has}")
+    A, flag = (q.N, "--N") if q.alpha_sum is None else (q.alpha_sum, "--alpha-sum")
+    if A < net.alpha_sum:
+        raise ValueError(f"A = {A!r} (from {flag}) is below the network's sum |alpha| = {net.alpha_sum!r}")
     grid = unit_grid(net.n, args.grid_points)
     report = bound_validation(
         q, net, f, args.trials, StreamKey(args.seed), grid=grid, mode=AccumulationMode(args.mode)

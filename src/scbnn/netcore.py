@@ -362,9 +362,10 @@ def load_json_object(path: str | os.PathLike, what: str) -> dict:
 
 def save_json(path: str | os.PathLike, doc: dict) -> None:
     """Write `doc` indented, keys sorted, with a final newline: the one
-    writer of every JSON file the package produces."""
+    writer of every JSON file the package produces. NaN and Infinity are
+    refused, as `load_json_object` refuses them."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,5 +1,6 @@
 """SCNN forward pass: stochastic encoding of weights, inputs, and biases,
-SC dot products, exact activation and output layer.
+SC dot products, exact activation and output layer. `forward_scnn_grid`
+runs it at every grid row for `theory`'s one Monte-Carlo trial loop.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
@@ -17,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bitstream import PreScaler, StreamKey, encode_blocks, prescale
-from .netcore import ReferenceNetwork, TargetFunction, activate, forward_reference
+from .netcore import ReferenceNetwork, activate
 from .scgates import AccumulationMode, dot_product_layer
 
 
@@ -99,41 +100,3 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
         forward_scnn(net, x, replace(cfg, key=cfg.key.derive(*indices, p)))
         for p, x in enumerate(grid)
     ])
-
-
-@dataclass
-class ErrorProfile:
-    """Per-point SCNN errors against the reference network and the target."""
-
-    vs_reference: np.ndarray  # |G_SC(x) - G(x)|
-    vs_target: np.ndarray  # |G_SC(x) - f(x)|
-
-    def summary(self) -> dict[str, float]:
-        return {
-            "median_vs_reference": float(np.median(self.vs_reference)),
-            "max_vs_reference": float(self.vs_reference.max()),
-            "rms_vs_reference": float(np.sqrt(np.mean(self.vs_reference**2))),
-            "median_vs_target": float(np.median(self.vs_target)),
-            "max_vs_target": float(self.vs_target.max()),
-            "rms_vs_target": float(np.sqrt(np.mean(self.vs_target**2))),
-        }
-
-
-def scnn_error_profile(
-    net: ReferenceNetwork,
-    f: TargetFunction,
-    grid: np.ndarray,
-    cfg: ScnnConfig,
-) -> ErrorProfile:
-    """Evaluate both error terms on every grid point.
-
-    Each point gets a key derived from the config key by its grid index,
-    so the profile is deterministic and points are independent.
-    """
-    grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    if grid.size == 0:
-        raise ValueError("grid is empty")
-    g_ref = np.atleast_1d(forward_reference(net, grid))
-    g_target = np.atleast_1d(f(grid))
-    g_sc = forward_scnn_grid(net, grid, cfg)
-    return ErrorProfile(np.abs(g_sc - g_ref), np.abs(g_sc - g_target))

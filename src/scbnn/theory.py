@@ -3,13 +3,15 @@
 The bound M > (n+1)^2 A^2 / (eps^2 delta) is evaluated in exact rational
 arithmetic on the decimal values of the inputs, so e.g. (n=2, N=10,
 eps=0.1, delta=0.1) yields exactly 900001. The sweep and validation
-routines verify the predicted convergence behavior empirically; they are
-deterministic in the master key, including under parallel execution.
+routines verify the predicted convergence behavior empirically on one trial
+loop and one row statistic; they are deterministic in the master key,
+including under parallel execution.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from decimal import Decimal
@@ -17,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitstream import StreamKey, encode_blocks
+from .bitstream import _DRAW_BLOCK, StreamKey, encode_blocks
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
-from .scnn import M_FEASIBLE_CAP, ErrorProfile, ScnnConfig, forward_scnn_grid
+from .scnn import M_FEASIBLE_CAP, ScnnConfig, forward_scnn_grid
 
 
 class InfeasibleBoundError(ValueError):
@@ -94,10 +96,14 @@ def chebyshev_stream_bound_check(
         raise ValueError(f"deviation multiple k must be positive, got {k}")
     threshold = k / (2.0 * math.sqrt(M))
     # Trial t is the unipolar stream of x under key.substream("cheb", t),
-    # counted one block of clocks at a time.
+    # counted one block of clocks at a time, in groups of trials that hold
+    # at most 8 * _DRAW_BLOCK bits per block.
     ones = np.zeros(trials, dtype=np.int64)
-    for block in encode_blocks(np.full(trials, x), key.substream_keys([("cheb", np.arange(trials), 0)]), M):
-        ones += np.bitwise_count(block, out=block).sum(axis=1, dtype=np.int64)
+    group = 8 * _DRAW_BLOCK // min(M, _DRAW_BLOCK)
+    for start in range(0, trials, group):
+        t = np.arange(start, min(trials, start + group))
+        for block in encode_blocks(np.full(t.size, x), key.substream_keys([("cheb", t, 0)]), M):
+            ones[t] += np.bitwise_count(block, out=block).sum(axis=1, dtype=np.int64)
     hits = int(np.count_nonzero(np.abs(ones / M - x) >= threshold))
     fraction = hits / trials
     bound = 1.0 / (k * k)
@@ -135,8 +141,8 @@ class ConvergenceReport:
     epsilon: float
     mode: AccumulationMode
     seed: int
-    slope_median: float  # log-log slope of median |G_SC - G| vs M
-    slope_rms: float
+    slope_median: float | None  # log-log slope of median |G_SC - G| vs M; None (null) if undefined
+    slope_rms: float | None
 
     def to_dict(self) -> dict:
         return {
@@ -152,15 +158,47 @@ class ConvergenceReport:
 def _sweep_task(args) -> tuple[np.ndarray, GateCounts]:
     # Gate tallies are returned with the values: a counting() block in the
     # caller does not reach a worker process.
-    net, grid, cfg, m_index, trial = args
+    net, grid, cfg, indices = args
     with counting() as counts:
-        values = forward_scnn_grid(net, grid, cfg, m_index, trial)
+        values = forward_scnn_grid(net, grid, cfg, *indices)
     return values, counts
 
 
-def _loglog_slope(Ms: list[int], errs: list[float]) -> float:
+def _run_trials(net: ReferenceNetwork, grid: np.ndarray, runs, jobs: int) -> np.ndarray:
+    """The Monte-Carlo trial loop: row r of the (runs, P) result is
+    `forward_scnn_grid(net, grid, cfg, *indices)` for the r-th (cfg, indices)."""
+    tasks = [(net, grid, cfg, indices) for cfg, indices in runs]
+    if jobs > 1:
+        # Keyed values do not depend on the worker count, so start no more
+        # workers than there are chunks of 8 tasks or usable CPUs.
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        with ProcessPoolExecutor(max_workers=min(jobs, -(-len(tasks) // 8), cpus)) as pool:
+            results = list(pool.map(_sweep_task, tasks, chunksize=8))
+    else:
+        results = [_sweep_task(t) for t in tasks]
+    for _, counts in results:
+        add_counts(counts)
+    return np.array([values for values, _ in results])
+
+
+def _row_statistics(values: np.ndarray, g_ref: np.ndarray, g_target: np.ndarray, epsilon: float) -> dict:
+    """The `SweepRow` statistics of a (trials, P) block of SCNN values."""
+    vs_reference = np.abs(values - g_ref).ravel()
+    vs_target = np.abs(values - g_target).ravel()
+    return {
+        "median_vs_reference": float(np.median(vs_reference)),
+        "max_vs_reference": float(vs_reference.max()),
+        "rms_vs_reference": float(np.sqrt(np.mean(vs_reference**2))),
+        "median_vs_target": float(np.median(vs_target)),
+        "max_vs_target": float(vs_target.max()),
+        "rms_vs_target": float(np.sqrt(np.mean(vs_target**2))),
+        "failure_rate": int(np.count_nonzero(vs_target >= epsilon)) / vs_target.size,
+    }
+
+
+def _loglog_slope(Ms: list[int], errs: list[float]) -> float | None:
     if len(Ms) < 2 or any(e <= 0 for e in errs):
-        return float("nan")
+        return None
     return float(np.polyfit(np.log(Ms), np.log(errs), 1)[0])
 
 
@@ -194,33 +232,12 @@ def convergence_sweep(
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     g_ref = np.atleast_1d(forward_reference(net, grid))
     g_target = np.atleast_1d(f(grid))
-    tasks = [
-        (net, grid, ScnnConfig(M, key, mode), mi, t)
-        for mi, M in enumerate(Ms)
-        for t in range(trials)
+    runs = [(ScnnConfig(M, key, mode), (mi, t)) for mi, M in enumerate(Ms) for t in range(trials)]
+    values = _run_trials(net, grid, runs, jobs)
+    rows = [
+        SweepRow(M, trials, grid.shape[0], **_row_statistics(block, g_ref, g_target, epsilon))
+        for M, block in zip(Ms, np.split(values, len(Ms)))
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_sweep_task, tasks, chunksize=8))
-    else:
-        results = [_sweep_task(t) for t in tasks]
-    for _, counts in results:
-        add_counts(counts)
-    values = [v for v, _ in results]
-    rows = []
-    for mi, M in enumerate(Ms):
-        block = np.stack(values[mi * trials : (mi + 1) * trials])  # (trials, P)
-        # Errors of every trial at every grid point, trial-major.
-        errors = ErrorProfile(np.abs(block - g_ref).ravel(), np.abs(block - g_target).ravel())
-        rows.append(
-            SweepRow(
-                M=M,
-                trials=trials,
-                grid_size=grid.shape[0],
-                **errors.summary(),
-                failure_rate=float(np.mean(errors.vs_target >= epsilon)),
-            )
-        )
     return ConvergenceReport(
         rows=rows,
         epsilon=epsilon,
@@ -268,14 +285,10 @@ def bound_validation(
     if grid is None:
         grid = unit_grid(net.n, 9)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    g_target = np.atleast_1d(f(grid))
-    cfg = ScnnConfig(M, key, mode)
-    failures = 0
-    for t in range(trials):
-        values = forward_scnn_grid(net, grid, cfg, t)
-        failures += int(np.count_nonzero(np.abs(values - g_target) >= q.epsilon))
-    samples = trials * grid.shape[0]
-    rate = failures / samples
+    values = _run_trials(net, grid, [(ScnnConfig(M, key, mode), (t,)) for t in range(trials)], 1)
+    g_ref, g_target = np.atleast_1d(forward_reference(net, grid)), np.atleast_1d(f(grid))
+    rate = _row_statistics(values, g_ref, g_target, q.epsilon)["failure_rate"]
+    samples = values.size
     se = math.sqrt(q.delta * (1.0 - q.delta) / samples)
     threshold = q.delta + 2.0 * se
     return BoundReport(

@@ -14,6 +14,7 @@ from scbnn import (
     Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines, load_binary_network, save_binary_network,
 )
 from scbnn.cli import main
+from scbnn.netcore import load_json_object
 
 
 def run(*argv):
@@ -260,6 +261,13 @@ class TestSweep:
         plot = (tmp_path / "sweep_plot.csv").read_text().splitlines()
         assert sum(1 for l in plot if not l.startswith("#")) == 3  # header + 2 rows
 
+    def test_one_stream_length_writes_null_slopes(self, sine_net, tmp_path):
+        # One M leaves the log-log slopes undefined; JSON has no NaN.
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "16",
+                   "--trials", "30", "--grid-points", "2", "--out-dir", tmp_path) == 0
+        summary = load_json_object(tmp_path / "sweep_summary.json", "sweep summary")
+        assert summary["slope_median"] is None and summary["slope_rms"] is None
+
     def test_zero_trials_is_config_error(self, sine_net, tmp_path):
         assert run("sweep", "--network", sine_net, "--target", "sine",
                    "--Ms", "16", "--trials", "0", "--out-dir", tmp_path) == 2
@@ -346,10 +354,24 @@ class TestBound:
     @pytest.mark.parametrize("flag", ["--trials", "--grid-points"])
     def test_zero_validation_size_is_usage_error(self, sine_net, tmp_path, capsys, flag):
         assert run("bound", "--n", "1", "--N", "8", "--epsilon", "1.0", "--delta", "0.25",
-                   "--alpha-sum", "2.0", "--validate", "--network", sine_net, "--target", "sine",
+                   "--alpha-sum", "30", "--validate", "--network", sine_net, "--target", "sine",
                    flag, "0", "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.count("\n") == 1
         assert not (tmp_path / "bound_report.json").exists()
+
+    @pytest.mark.parametrize("query, named", [
+        (["--n", "2", "--N", "8", "--alpha-sum", "30"], "network's n = 1"),
+        (["--n", "1", "--N", "4", "--alpha-sum", "30"], "network's N = 8"),
+        (["--n", "1", "--N", "8"], "A = 8 (from --N) is below the network's sum |alpha| = {}"),
+        (["--n", "1", "--N", "8", "--alpha-sum", "29"], "A = 29.0 (from --alpha-sum) is below the network's sum |alpha| = {}"),
+    ], ids=["n", "N", "A-is-N", "alpha-sum"])
+    def test_query_must_cover_the_network(self, sine_net, tmp_path, capsys, query, named):
+        alpha_sum = json.loads((sine_net.parent / "fit_report.json").read_text())["alpha_sum"]
+        assert run("bound", *query, "--epsilon", "1.0", "--delta", "0.25", "--validate",
+                   "--network", sine_net, "--target", "sine", "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named.format(alpha_sum) in err
+        assert not (tmp_path / "o").exists()
 
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())

@@ -33,10 +33,11 @@ from scbnn import (
     counting,
     dot_product_sc,
     fit_reference,
+    forward_reference,
     forward_scnn,
+    forward_scnn_grid,
     make_target,
     prescale,
-    scnn_error_profile,
     sng_encode,
     to_hex_line,
     unit_grid,
@@ -44,6 +45,7 @@ from scbnn import (
 from scbnn.bitstream import encode_many, network_prescalers
 from scbnn.cli import main
 from scbnn.netcore import save_network
+from scbnn.theory import _row_statistics
 
 MS = (1, 7, 64, 4097)
 STREAM_KEY = StreamKey(0x5CB_2018, "golden", 3, 5)
@@ -125,10 +127,10 @@ SWEEP_C9_SHA256 = {
         "sweep_summary.json": "1f80ccb1aa2ebc23abd828b64569ad92d60cb423c7c1a569be5f2f8e85f4267e",
     },
 }
-#: sha256 of bound_report.json from `bound --validate --mode mux` on a linear
-#: N=2 net: M=23, 35 samples, failure rate 0.4 (zero failures would not show
-#: a miscounted failure).
-BOUND_MUX_SHA256 = "5baaa2c190e082c45325ba23e1355036a32c2528c025daefccc477650b7a2692"
+#: sha256 of bound_report.json from `bound --validate --mode mux --alpha-sum 0.75`
+#: on a linear N=2 net (sum |alpha| = 0.713): M=51, 35 samples, failure rate
+#: 0.4286 (zero failures would not show a miscounted failure).
+BOUND_MUX_SHA256 = "34ee88328f1385a3215d7df56ce84ef12c3d6237d1e0806bb5f30e29897ab0ff"
 #: sha256 of energy.json and energy.csv from `energy --n 4 --M 64 --N 8 --mode apc`
 #: and `energy --bnn --m 256 --N 8 --mode mux`.
 ENERGY_SHA256 = {
@@ -145,8 +147,9 @@ ENERGY_ARGV = {
     "layer-apc": ["--n", "4", "--M", "64", "--N", "8", "--mode", "apc"],
     "bnn-mux": ["--bnn", "--m", "256", "--N", "8", "--mode", "mux"],
 }
-#: float.hex of scnn_error_profile(C9 sine net, sine, unit_grid(1, 5),
-#: ScnnConfig(64, StreamKey(21), MUX)): vs_reference and summary().
+#: float.hex of |G_SC - G| for forward_scnn_grid(C9 sine net, unit_grid(1, 5),
+#: ScnnConfig(64, StreamKey(21), MUX)), and its row statistics against the
+#: net and sine (the failure rate aside).
 PROFILE_VS_REFERENCE = [
     "0x1.43ab4cfe9c3f9p-1",
     "0x1.e90755351f396p+1",
@@ -410,13 +413,18 @@ class TestExperimentBytes:
         got = {name: _sha256(tmp_path / name) for name in SWEEP_C9_SHA256[mode.value]}
         assert got == SWEEP_C9_SHA256[mode.value]
 
-    def test_bound_validation_mux(self, tmp_path):
+    def test_bound_validation_mux(self, tmp_path, capsys):
         assert main(["fit", "--target", "linear", "--N", "2", "--seed", "1",
                      "--out-dir", str(tmp_path / "fit")]) == 0
         argv = ["bound", "--n", "1", "--N", "2", "--epsilon", "0.3", "--delta", "0.5",
                 "--alpha-sum", "0.5", "--validate", "--network", str(tmp_path / "fit" / "network.json"),
                 "--target", "linear", "--trials", "7", "--grid-points", "5", "--seed", "3",
                 "--mode", "mux", "--out-dir", str(tmp_path / "bound")]
+        # The net's sum |alpha| is 0.713, so the bound at A = 0.5 does not cover it.
+        assert main(argv) == 2
+        assert "0.7134032174111817" in capsys.readouterr().err
+        assert not (tmp_path / "bound").exists()
+        argv[argv.index("--alpha-sum") + 1] = "0.75"
         assert main(argv) == 0
         assert _sha256(tmp_path / "bound" / "bound_report.json") == BOUND_MUX_SHA256
 
@@ -429,8 +437,10 @@ class TestExperimentBytes:
     def test_error_profile(self):
         sine = make_target("sine", 1)
         net = fit_reference(sine, 8, unit_grid(1, 64), StreamKey(6))
-        prof = scnn_error_profile(
-            net, sine, unit_grid(1, 5), ScnnConfig(64, StreamKey(21), AccumulationMode.MUX)
-        )
-        assert [v.hex() for v in prof.vs_reference.tolist()] == PROFILE_VS_REFERENCE
-        assert {k: v.hex() for k, v in prof.summary().items()} == PROFILE_SUMMARY
+        grid = unit_grid(1, 5)
+        g_sc = forward_scnn_grid(net, grid, ScnnConfig(64, StreamKey(21), AccumulationMode.MUX))
+        g_ref = forward_reference(net, grid)
+        assert [v.hex() for v in np.abs(g_sc - g_ref).tolist()] == PROFILE_VS_REFERENCE
+        stats = _row_statistics(g_sc[None], g_ref, sine(grid), 0.3)
+        del stats["failure_rate"]
+        assert {k: v.hex() for k, v in stats.items()} == PROFILE_SUMMARY

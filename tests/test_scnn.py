@@ -16,6 +16,7 @@ from scbnn import (
     ScnnConfig,
     StreamKey,
     activate,
+    convergence_sweep,
     counting,
     fit_reference,
     forward_reference,
@@ -23,7 +24,6 @@ from scbnn import (
     forward_scnn_grid,
     layer_energy,
     make_target,
-    scnn_error_profile,
     unit_grid,
 )
 from scbnn.bitstream import network_prescalers
@@ -168,40 +168,37 @@ class TestForwardScnn:
 
 
 class TestErrorProfile:
+    """|G_SC - G| and |G_SC - f| of `forward_scnn_grid` values, and the sweep
+    rows that summarise them."""
+
     def test_single_point_matches_forward(self):
         net = net_of([[0.7]], [0.2], [1.0])
-        f = make_target("constant", 1, value=0.5)
         cfg = ScnnConfig(128, StreamKey(11))
-        profile = scnn_error_profile(net, f, np.array([[0.3]]), cfg)
-        got = forward_scnn(net, [0.3], ScnnConfig(128, StreamKey(11).derive(0)))
-        assert profile.vs_reference[0] == abs(got - forward_reference(net, [0.3]))
-        assert profile.vs_target[0] == abs(got - 0.5)
+        got = forward_scnn_grid(net, np.array([[0.3]]), cfg)
+        assert got.tolist() == [forward_scnn(net, [0.3], ScnnConfig(128, StreamKey(11).derive(0)))]
 
     def test_boundary_network_zero_noise(self):
         net = net_of([[1.0]], [-1.0], [1.5])
-        f = make_target("constant", 1, value=0.0)
-        profile = scnn_error_profile(net, f, np.array([[1.0]]), ScnnConfig(64, KEY))
-        assert profile.vs_reference[0] == 0.0
+        got = forward_scnn_grid(net, np.array([[1.0]]), ScnnConfig(64, KEY))
+        assert got[0] == forward_reference(net, [1.0])
 
     def test_median_error_improves_with_M(self):
         f = make_target("sine", 1)
         net = fit_reference(f, 32, unit_grid(1, 256), StreamKey(2),
                             edge_fraction=0.75, noise_penalty=1e-2)
-        grid = unit_grid(1, 9)
-        med = {}
-        for M in (64, 4096):
-            profile = scnn_error_profile(net, f, grid, ScnnConfig(M, StreamKey(77)))
-            med[M] = profile.summary()["median_vs_reference"]
-        assert med[4096] < med[64]
+        rep = convergence_sweep(
+            net, f, [64, 4096], 30, unit_grid(1, 9), AccumulationMode.APC, StreamKey(77), 0.1
+        )
+        assert rep.rows[1].median_vs_reference < rep.rows[0].median_vs_reference
 
     def test_summary_keys(self):
         net = net_of([[0.7]], [0.2], [1.0])
         f = make_target("linear", 1)
-        profile = scnn_error_profile(net, f, unit_grid(1, 5), ScnnConfig(32, KEY))
-        s = profile.summary()
+        rep = convergence_sweep(net, f, [32], 30, unit_grid(1, 5), AccumulationMode.APC, KEY, 0.1)
+        row = vars(rep.rows[0])
         for k in ("max_vs_reference", "median_vs_reference", "rms_vs_reference",
                   "max_vs_target", "median_vs_target", "rms_vs_target"):
-            assert k in s and np.isfinite(s[k])
+            assert k in row and np.isfinite(row[k])
 
 
 class TestForwardScnnGrid:

@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import math
+import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,7 +16,6 @@ from scbnn import (
     Activation,
     BoundQuery,
     Encoding,
-    ErrorProfile,
     InfeasibleBoundError,
     ReferenceNetwork,
     StreamKey,
@@ -32,7 +33,8 @@ from scbnn import (
     unit_grid,
 )
 from scbnn.bitstream import network_prescalers
-from scbnn.theory import SweepRow
+import scbnn.theory
+from scbnn.theory import SweepRow, _row_statistics
 
 KEY = StreamKey(0x7E07)
 
@@ -122,11 +124,25 @@ class TestChebyshevCheck:
         assert tc.chebyshev_bound == 1.0
         assert tc.passed
 
+    def test_memory_is_bounded_in_trials(self):
+        # Drawn all at once, 2048 trials of 2^16+8 bits would hold 16 MiB per block.
+        tracemalloc.start()
+        try:
+            tc = chebyshev_stream_bound_check(0.5, 2**16 + 8, 2048, 2.0, KEY)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert tc.passed
+        assert peak <= 2 * 2**20
+
     def test_trials_floor(self):
         with pytest.raises(ValueError):
             chebyshev_stream_bound_check(0.5, 100, 100, 2.0, KEY)
 
-    @pytest.mark.parametrize("x, M, k", [(0.5, 100, 2.0), (0.3, 37, 1.5), (0.9, 1, 1.0), (0.0, 8, 2.0), (0.5, 4, 1.0)])
+    # M = 1000 draws its 1000 trials in two groups (524 + 476).
+    @pytest.mark.parametrize("x, M, k", [
+        (0.5, 100, 2.0), (0.3, 37, 1.5), (0.9, 1, 1.0), (0.0, 8, 2.0), (0.5, 4, 1.0), (0.3, 1000, 1.5),
+    ])
     def test_matches_per_stream_draws(self, x, M, k):
         # Oracle: trial t is one sng_encode stream under the key ("cheb", t).
         key = KEY.substream("cheb-oracle", 3)
@@ -235,10 +251,36 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="jobs"):
             convergence_sweep(net, f, [4, 16], 30, grid, AccumulationMode.APC, KEY, 0.1, jobs=0)
 
-    def test_row_statistics_are_the_error_profile_summary(self):
+    def test_sweep_row_fields_are_the_row_statistics(self):
         names = [field.name for field in dataclasses.fields(SweepRow)]
-        summary = ErrorProfile(np.ones(1), np.ones(1)).summary()
-        assert names == ["M", "trials", "grid_size", *summary, "failure_rate"]
+        stats = _row_statistics(np.ones((1, 1)), np.ones(1), np.ones(1), 0.1)
+        assert names == ["M", "trials", "grid_size", *stats]
+
+    def test_pool_is_no_larger_than_its_work(self, monkeypatch):
+        # 30 tasks are 4 chunks of 8, so jobs=10**6 asks for at most 4 workers.
+        # A fake pool records the size and maps serially: none is started.
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(scbnn.theory, "ProcessPoolExecutor", SerialPool)
+        f = make_target("sine", 1)
+        net = fit_reference(f, 4, unit_grid(1, 32), StreamKey(6))
+        args = (net, f, [16], 30, unit_grid(1, 3), AccumulationMode.APC, StreamKey(4), 0.3)
+        reports = [convergence_sweep(*args, jobs=jobs) for jobs in (10**6, 1)]
+        assert sizes == [min(4, len(os.sched_getaffinity(0)))]
+        assert json.dumps(reports[0].to_dict()) == json.dumps(reports[1].to_dict())
 
 
 class TestBoundValidation:
