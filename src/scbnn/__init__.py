@@ -7,7 +7,6 @@ from .bitstream import (
     Encoding,
     EncodingRangeError,
     GENERATOR_FAMILY,
-    PreScaler,
     StreamFormatError,
     StreamKey,
     StreamMismatchError,
@@ -17,10 +16,7 @@ from .bitstream import (
     encode_many,
     from_hex_line,
     from_hex_lines,
-    network_prescalers,
     popcount,
-    postscale,
-    prescale,
     sng_encode,
     to_hex_line,
     to_hex_lines,

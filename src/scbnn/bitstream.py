@@ -39,7 +39,6 @@ are their one-row cases.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -446,66 +445,6 @@ def concat(*streams: Bitstream) -> Bitstream:
     offset = np.arange(bits.size) - np.repeat(np.cumsum(padded) - padded, padded)
     keep = offset < np.repeat(lengths, padded)
     return Bitstream(np.packbits(bits[keep]), int(lengths.sum()), enc)
-
-
-# ---------------------------------------------------------------------------
-# Pre-scaling
-
-@dataclass(frozen=True)
-class PreScaler:
-    """Per-role scale mapping raw values into the encoding range."""
-
-    scale: float
-    applied_to: str
-
-    def __post_init__(self):
-        if not (self.scale > 0 and math.isfinite(self.scale)):
-            raise ValueError(f"scale must be a positive finite real, got {self.scale!r}")
-
-
-def prescale(v: float, p: PreScaler) -> float:
-    if abs(v) > p.scale:
-        raise EncodingRangeError(
-            f"|{v!r}| exceeds the {p.applied_to} pre-scale factor {p.scale!r}"
-        )
-    return v / p.scale
-
-
-def postscale(v: float, p: PreScaler) -> float:
-    return v * p.scale
-
-
-def pow2_scale(bound: float) -> float:
-    """Smallest power of two >= max(1, bound).
-
-    Power-of-two scales make prescale/postscale an exact round trip
-    (pure exponent shifts, no rounding).
-    """
-    b = max(1.0, float(bound))
-    frac, exp = math.frexp(b)
-    if frac == 0.5:  # already a power of two
-        exp -= 1
-    return math.ldexp(1.0, exp)
-
-
-def network_prescalers(weights, biases, input_bound: float = 1.0) -> dict[str, PreScaler]:
-    """Per-role scales for a network whose inputs live in the unit cube.
-
-    The bias scale is the product of the weight and input scales so the
-    accumulated dot-product terms share one inversion factor; the weight
-    scale is raised if needed so biases still fit.
-    """
-    w = np.asarray(weights, dtype=float)
-    b = np.asarray(biases, dtype=float)
-    s_x = pow2_scale(input_bound)
-    w_bound = float(np.abs(w).max()) if w.size else 1.0
-    b_bound = float(np.abs(b).max()) if b.size else 1.0
-    s_w = pow2_scale(max(w_bound, b_bound / s_x))
-    return {
-        "weights": PreScaler(s_w, "weights"),
-        "inputs": PreScaler(s_x, "inputs"),
-        "bias": PreScaler(s_w * s_x, "bias"),
-    }
 
 
 # ---------------------------------------------------------------------------

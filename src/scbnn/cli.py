@@ -154,16 +154,19 @@ def _cmd_fit(args) -> int:
     ridge = _resolve(args.ridge, config, "fit.ridge", 1e-8, float)
     target_name, f = _resolve_target(args, config, n)
     grid = unit_grid(n, grid_points)
-    net = fit_reference(
-        f,
-        N,
-        grid,
-        StreamKey(seed),
-        activation=activation,
-        ridge=ridge,
-        noise_penalty=noise_penalty,
-        edge_fraction=edge_fraction,
-    )
+    try:
+        net = fit_reference(
+            f,
+            N,
+            grid,
+            StreamKey(seed),
+            activation=activation,
+            ridge=ridge,
+            noise_penalty=noise_penalty,
+            edge_fraction=edge_fraction,
+        )
+    except np.linalg.LinAlgError:
+        raise ValueError(f"the fit has no finite solution at ridge {ridge!r}; use a larger --ridge") from None
     if args.name:
         net.name = args.name
     resolved = {

@@ -3,6 +3,12 @@ target functions on the unit cube, a deterministic random-feature fitter,
 and the JSON weight-file format. It also owns what every file shares: the
 one JSON reader and writer, and the typed field readers (`_require*`) that
 all three network loaders are built from, so one number rule holds for all.
+
+Pre-scaling is part of the network: a bipolar stream carries values in
+[-1, 1], so a network holds a weight scale and an input scale, and its
+bias scale is their product, the one factor the stochastic pass un-scales
+all n+1 accumulated terms by. A weight file states all three; the reader
+refuses a bias scale that is not the product.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bitstream import PreScaler, StreamKey, network_prescalers
+from .bitstream import StreamKey
 
 
 class SchemaError(ValueError):
@@ -70,15 +76,33 @@ def activate_deriv(a: Activation, t):
     return float(out) if np.isscalar(t) or arr.ndim == 0 else out
 
 
+def pow2_scale(bound: float) -> float:
+    """Smallest power of two >= max(1, bound).
+
+    Dividing by a power-of-two scale and multiplying back is exact (pure
+    exponent shifts, no rounding).
+    """
+    b = max(1.0, float(bound))
+    frac, exp = math.frexp(b)
+    if frac == 0.5:  # already a power of two
+        exp -= 1
+    return math.ldexp(1.0, exp)
+
+
 @dataclass
 class ReferenceNetwork:
-    """One-hidden-layer network G(x) = sum_i alpha_i * act(w_i . x + b_i)."""
+    """One-hidden-layer network G(x) = sum_i alpha_i * act(w_i . x + b_i).
+
+    `weight_scale` and `input_scale` map weights and inputs into the
+    bipolar range; biases are scaled by their product, `bias_scale`.
+    """
 
     hidden_weights: np.ndarray  # (N, n)
     hidden_biases: np.ndarray  # (N,)
     output_weights: np.ndarray  # (N,)
     activation: Activation
-    prescalers: dict[str, PreScaler]
+    weight_scale: float
+    input_scale: float = 1.0
     name: str = "network"
     fit_sup_error: float | None = field(default=None, compare=False)
 
@@ -101,10 +125,14 @@ class ReferenceNetwork:
         ):
             if not np.isfinite(arr).all():
                 raise ValueError(f"{label} contains non-finite values")
-        for role in ("weights", "inputs", "bias"):
-            if role not in self.prescalers:
-                raise ValueError(f"missing {role!r} prescaler")
-        _check_prescale({role: p.scale for role, p in self.prescalers.items()}, "network")
+        self.weight_scale, self.input_scale = float(self.weight_scale), float(self.input_scale)
+        for label, scale in (("weight", self.weight_scale), ("input", self.input_scale), ("bias", self.bias_scale)):
+            if not (scale > 0 and math.isfinite(scale)):
+                raise ValueError(f"{label} scale must be a positive finite real, got {scale!r}")
+
+    @property
+    def bias_scale(self) -> float:
+        return self.weight_scale * self.input_scale
 
     @property
     def n(self) -> int:
@@ -238,14 +266,15 @@ def _draw_hidden(N: int, n: int, key: StreamKey, edge_fraction: float):
     return W, b
 
 
-def _noise_coefficients(W, b, grid, activation, s_w, s_b, M):
+def _noise_coefficients(W, b, grid, activation, s_w, M):
     """Per (grid point, unit): variance that one unit of output weight
     would add to the stochastic forward pass, from the encoding variances
-    of the product and bias streams and the activation slope."""
+    of the product and bias streams and the activation slope. The input
+    scale is 1, so `s_w` scales the biases too."""
     z = grid @ W.T + b
     d = activate_deriv(activation, z)  # (P, N)
     wv = W / s_w  # encoded weight values
-    bv = b / s_b
+    bv = b / s_w
     prod_var = ((1.0 - (wv[None, :, :] * grid[:, None, :]) ** 2)).sum(axis=2)  # (P, N)
     v = prod_var + (1.0 - bv**2)[None, :]
     return d**2 * v * (s_w**2) / M
@@ -271,7 +300,8 @@ def fit_reference(
     Networks fitted this way stay accurate *and* usable at moderate stream
     lengths; plain ridge alone produces large cancelling coefficients whose
     noise drowns the stochastic forward pass. The returned network records
-    its achieved grid sup-error.
+    its achieved grid sup-error. A ridge too small to make the normal
+    equations solvable raises `np.linalg.LinAlgError`.
     """
     if N < 1:
         raise ValueError(f"hidden width must be >= 1, got {N}")
@@ -286,29 +316,18 @@ def fit_reference(
     n = grid.shape[1]
     P = grid.shape[0]
     W, b = _draw_hidden(N, n, key, edge_fraction)
-    scalers = network_prescalers(W, b)
+    s_w = pow2_scale(max(np.abs(W).max(), np.abs(b).max()))  # inputs lie in [0, 1]: input scale 1
     features = activate(activation, grid @ W.T + b)
     y = np.asarray(f(grid), dtype=float).reshape(-1)
     gram = features.T @ features
     rhs = features.T @ y
-    noise = _noise_coefficients(
-        W, b, grid, activation, scalers["weights"].scale, scalers["bias"].scale, _NOISE_REF_M
-    )
+    noise = _noise_coefficients(W, b, grid, activation, s_w, _NOISE_REF_M)
     point_weights = np.full(P, 1.0 / P)
-    alpha = None
     for _ in range(_NOISE_BALANCE_ITERS):
         diag = ridge + noise_penalty * P * (point_weights[:, None] * noise).sum(axis=0)
-        lam_scale = 1.0
-        while True:
-            try:
-                alpha = np.linalg.solve(gram + np.diag(lam_scale * diag), rhs)
-            except np.linalg.LinAlgError:
-                alpha = None
-            if alpha is not None and np.isfinite(alpha).all():
-                break
-            lam_scale *= 100.0
-            if lam_scale * ridge > 1.0:
-                raise RuntimeError("normal system remained singular up to ridge 1.0")
+        alpha = np.linalg.solve(gram + np.diag(diag), rhs)  # LinAlgError if singular
+        if not np.isfinite(alpha).all():
+            raise np.linalg.LinAlgError("the normal equations have no finite solution")
         if noise_penalty <= 0.0:
             break
         per_point = noise @ (alpha**2)
@@ -319,7 +338,7 @@ def fit_reference(
         hidden_biases=b,
         output_weights=alpha,
         activation=activation,
-        prescalers=scalers,
+        weight_scale=s_w,
         name=f"{f.name}-n{n}-N{N}",
     )
     net.fit_sup_error = sup_error(net, f, grid)
@@ -346,7 +365,8 @@ def load_json_object(path: str | os.PathLike, what: str) -> dict:
     """The JSON object in the file at `path`, `what` naming it in errors.
 
     Every JSON input goes through here, so NaN and Infinity are rejected
-    everywhere and malformed JSON is a one-line SchemaError.
+    everywhere and malformed or too deeply nested JSON is a one-line
+    SchemaError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -355,6 +375,8 @@ def load_json_object(path: str | os.PathLike, what: str) -> dict:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
         except SchemaError as exc:
             raise SchemaError(f"{path}: {exc}") from None
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: {what} must contain a JSON object")
     return doc
@@ -363,9 +385,16 @@ def load_json_object(path: str | os.PathLike, what: str) -> dict:
 def save_json(path: str | os.PathLike, doc: dict) -> None:
     """Write `doc` indented, keys sorted, with a final newline: the one
     writer of every JSON file the package produces. NaN and Infinity are
-    refused, as `load_json_object` refuses them."""
+    refused, as `load_json_object` refuses them. The text is streamed to
+    the file, not built whole in memory (for a bundle that is megabytes),
+    so a value `json` cannot encode removes the partial file and raises."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        try:
+            json.dump(doc, fh, indent=2, sort_keys=True, allow_nan=False)
+        except (TypeError, ValueError):
+            fh.close()
+            os.remove(path)
+            raise
         fh.write("\n")
 
 
@@ -430,17 +459,6 @@ def _require_numbers(doc: dict, key: str, shape: tuple, where: str) -> np.ndarra
     return np.array(checked).reshape(shape)
 
 
-def _check_prescale(scales: dict, where: str) -> None:
-    """A SchemaError naming `where` unless every pre-scale factor is positive
-    and the bias factor is weights * inputs, the one factor `forward_scnn`
-    un-scales every accumulated preactivation by."""
-    for role, scale in scales.items():
-        if not scale > 0:
-            raise SchemaError(f"{where}: prescale {role!r} must be > 0, got {scale!r}")
-    if scales["bias"] != (product := scales["weights"] * scales["inputs"]):
-        raise SchemaError(f"{where}: prescale 'bias' is {scales['bias']!r}, not weights * inputs = {product!r}")
-
-
 def _check_within(values: np.ndarray, scale: float, key: str, role: str, where: str) -> None:
     """A SchemaError naming the first entry of the field `key` whose
     magnitude exceeds its `role` pre-scale factor, which no stream encodes."""
@@ -463,7 +481,7 @@ def network_to_dict(net: ReferenceNetwork) -> dict:
         "hidden_weights": [[float(v) for v in row] for row in net.hidden_weights],
         "hidden_biases": [float(v) for v in net.hidden_biases],
         "output_weights": [float(v) for v in net.output_weights],
-        "prescale": {role: float(net.prescalers[role].scale) for role in ("weights", "inputs", "bias")},
+        "prescale": {"weights": net.weight_scale, "inputs": net.input_scale, "bias": net.bias_scale},
     }
 
 
@@ -475,7 +493,12 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
     name, activation, n, N = _require_header(doc, where, "n", "N")
     pres = _require(doc, "prescale", dict, where)
     scales = {role: _require(pres, role, float, f"{where}: prescale") for role in ("weights", "inputs", "bias")}
-    _check_prescale(scales, where)
+    for role, scale in scales.items():
+        if not scale > 0:
+            raise SchemaError(f"{where}: prescale {role!r} must be > 0, got {scale!r}")
+    # The network derives its bias scale as this product.
+    if scales["bias"] != (product := scales["weights"] * scales["inputs"]):
+        raise SchemaError(f"{where}: prescale 'bias' is {scales['bias']!r}, not weights * inputs = {product!r}")
     weights = _require_numbers(doc, "hidden_weights", (N, n), where)
     biases = _require_numbers(doc, "hidden_biases", (N,), where)
     _check_within(weights, scales["weights"], "hidden_weights", "weights", where)
@@ -485,7 +508,8 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
         hidden_biases=biases,
         output_weights=_require_numbers(doc, "output_weights", (N,), where),
         activation=activation,
-        prescalers={role: PreScaler(scale, role) for role, scale in scales.items()},
+        weight_scale=scales["weights"],
+        input_scale=scales["inputs"],
         name=name,
     )
 

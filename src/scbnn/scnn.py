@@ -1,6 +1,8 @@
 """SCNN forward pass: stochastic encoding of weights, inputs, and biases,
-SC dot products, exact activation and output layer. `forward_scnn_grid`
-runs it at every grid row for `theory`'s one Monte-Carlo trial loop.
+each divided by its network scale (`weight_scale`, `input_scale` and their
+product `bias_scale`), SC dot products, exact activation and output layer.
+`forward_scnn_grid` runs it at every grid row for `theory`'s one
+Monte-Carlo trial loop.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
@@ -17,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import PreScaler, StreamKey, encode_blocks, prescale
+from .bitstream import EncodingRangeError, StreamKey, encode_blocks
 from .netcore import ReferenceNetwork, activate
 from .scgates import AccumulationMode, dot_product_layer
 
@@ -42,36 +44,37 @@ class ScnnConfig:
             raise ValueError(f"stream length M={self.M} is too long: a forward pass runs at most 2^26 clocks")
 
 
-def _bipolar_probs(values, scaler: PreScaler) -> np.ndarray:
-    """P(bit=1) of the bipolar streams encoding prescale(values, scaler)."""
+def _bipolar_probs(values, scale: float, role: str) -> np.ndarray:
+    """P(bit=1) of the bipolar streams encoding values / scale."""
     values = np.asarray(values, dtype=float).reshape(-1)
-    over = np.abs(values) > scaler.scale
+    over = np.abs(values) > scale
     if over.any():
-        prescale(float(values[over][0]), scaler)  # raises EncodingRangeError
-    return (values / scaler.scale + 1.0) / 2.0
+        raise EncodingRangeError(f"|{float(values[over][0])!r}| exceeds the {role} pre-scale factor {scale!r}")
+    return (values / scale + 1.0) / 2.0
 
 
 def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
-    Weights, inputs, and biases are pre-scaled and encoded as bipolar
-    streams, the whole hidden layer in one `encode_blocks` call; the SC
-    products and accumulations of all N units run on each block of packed
-    streams as it is drawn (`dot_product_layer`), and the decoded
-    preactivations are un-scaled before the exact activation. The output layer stays in exact reals and
-    is summed in unit order. The result is bit-identical to composing
-    `sng_encode`, `dot_product_sc` and `activate` unit by unit.
+    Weights, inputs, and biases are divided by their network scales and
+    encoded as bipolar streams, the whole hidden layer in one
+    `encode_blocks` call; a value beyond its scale raises
+    EncodingRangeError. The SC products and accumulations of all N units
+    run on each block of packed streams as it is drawn
+    (`dot_product_layer`), and the decoded preactivations are multiplied
+    by `net.bias_scale` before the exact activation. The output layer stays
+    in exact reals and is summed in unit order. The result is bit-identical
+    to composing `sng_encode`, `dot_product_sc` and `activate` unit by unit.
     """
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
         raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
-    s_w, s_x, s_b = (net.prescalers[r] for r in ("weights", "inputs", "bias"))
     N, n, M = net.N, net.n, cfg.M
     unit, coord = np.arange(N)[:, None], np.arange(n)
     probs = np.concatenate([
-        _bipolar_probs(net.hidden_weights, s_w),
-        np.tile(_bipolar_probs(point, s_x), N),
-        _bipolar_probs(net.hidden_biases, s_b),
+        _bipolar_probs(net.hidden_weights, net.weight_scale, "weights"),
+        np.tile(_bipolar_probs(point, net.input_scale, "inputs"), N),
+        _bipolar_probs(net.hidden_biases, net.bias_scale, "bias"),
     ])
     keys = cfg.key.substream_keys(
         [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
@@ -83,7 +86,7 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     select = None
     if cfg.mode is AccumulationMode.MUX:
         select = [cfg.key.substream("select", i) for i in range(N)]
-    pre = dot_product_layer(layer, M, cfg.mode, select, scale=s_w.scale * s_x.scale)
+    pre = dot_product_layer(layer, M, cfg.mode, select, scale=net.bias_scale)
     out = 0.0
     for alpha, h in zip(net.output_weights.tolist(), activate(net.activation, pre).tolist()):
         out += alpha * h

@@ -181,15 +181,23 @@ def _run_trials(net: ReferenceNetwork, grid: np.ndarray, runs, jobs: int) -> np.
     return np.array([values for values, _ in results])
 
 
+def _median(v: np.ndarray) -> float:
+    """`np.median` of a 1-d array by its own arithmetic, the mean of the two
+    middle sorted values, without the `numpy.ma` import (about 1.5 MB RSS)
+    that `np.median` makes on its first call."""
+    s = np.sort(v)
+    return float((s[(s.size - 1) // 2] + s[s.size // 2]) / 2)
+
+
 def _row_statistics(values: np.ndarray, g_ref: np.ndarray, g_target: np.ndarray, epsilon: float) -> dict:
     """The `SweepRow` statistics of a (trials, P) block of SCNN values."""
     vs_reference = np.abs(values - g_ref).ravel()
     vs_target = np.abs(values - g_target).ravel()
     return {
-        "median_vs_reference": float(np.median(vs_reference)),
+        "median_vs_reference": _median(vs_reference),
         "max_vs_reference": float(vs_reference.max()),
         "rms_vs_reference": float(np.sqrt(np.mean(vs_reference**2))),
-        "median_vs_target": float(np.median(vs_target)),
+        "median_vs_target": _median(vs_target),
         "max_vs_target": float(vs_target.max()),
         "rms_vs_target": float(np.sqrt(np.mean(vs_target**2))),
         "failure_rate": int(np.count_nonzero(vs_target >= epsilon)) / vs_target.size,

@@ -14,7 +14,6 @@ from scbnn import (
     Bitstream,
     Encoding,
     EncodingRangeError,
-    PreScaler,
     StreamFormatError,
     StreamKey,
     StreamMismatchError,
@@ -23,14 +22,12 @@ from scbnn import (
     from_hex_line,
     from_hex_lines,
     popcount,
-    postscale,
-    prescale,
     sng_encode,
     to_hex_line,
     to_hex_lines,
 )
 from scbnn import bitstream
-from scbnn.bitstream import _DRAW_BLOCK, encode_many, network_prescalers, pow2_scale
+from scbnn.bitstream import _DRAW_BLOCK, encode_many
 from test_cli import CORRUPTIONS
 
 KEY = StreamKey(0xC0FFEE)
@@ -303,51 +300,6 @@ class TestSigns:
 
     def test_popcount(self):
         assert popcount(Bitstream.from_bits("1" * 65, Encoding.BIPOLAR)) == 65
-
-
-class TestPreScaler:
-    def test_round_trip_example(self):
-        p = PreScaler(4.0, "weights")
-        assert prescale(3.2, p) == 0.8
-        assert postscale(prescale(3.2, p), p) == 3.2
-
-    def test_zero_fixed_point(self):
-        assert prescale(0.0, PreScaler(7.5, "bias")) == 0.0
-
-    def test_boundary_admitted(self):
-        assert prescale(-4.0, PreScaler(4.0, "weights")) == -1.0
-
-    def test_out_of_range(self):
-        with pytest.raises(EncodingRangeError, match="weights"):
-            prescale(4.1, PreScaler(4.0, "weights"))
-
-    @given(
-        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
-        st.integers(0, 20),
-    )
-    @settings(max_examples=200)
-    def test_pow2_round_trip_exact(self, v, k):
-        scale = float(2**k)
-        if abs(v) > scale or (v != 0 and abs(v) < 1e-280):
-            return  # quotient must stay in the normal float range
-        p = PreScaler(scale, "weights")
-        assert postscale(prescale(v, p), p) == v
-
-    def test_pow2_scale(self):
-        assert pow2_scale(0.3) == 1.0
-        assert pow2_scale(1.0) == 1.0
-        assert pow2_scale(3.9) == 4.0
-        assert pow2_scale(4.0) == 4.0
-        assert pow2_scale(4.001) == 8.0
-
-    def test_network_prescalers_cover_all_values(self):
-        W = np.array([[3.7, -2.0], [0.5, 1.0]])
-        b = np.array([5.5, -0.25])
-        scalers = network_prescalers(W, b)
-        assert scalers["inputs"].scale == 1.0
-        assert scalers["weights"].scale >= np.abs(W).max()
-        assert scalers["bias"].scale >= np.abs(b).max()
-        assert scalers["bias"].scale == scalers["weights"].scale * scalers["inputs"].scale
 
 
 @st.composite

@@ -24,7 +24,7 @@ from scbnn import (
     save_binary_network,
     unit_grid,
 )
-from scbnn.bitstream import network_prescalers
+from scbnn.netcore import pow2_scale
 from scbnn import ReferenceNetwork
 
 KEY = StreamKey(0x5151)
@@ -93,7 +93,7 @@ class TestBinarizeNetwork:
         W = np.atleast_2d(np.asarray(weights, dtype=float))
         b = np.asarray(biases, dtype=float)
         return ReferenceNetwork(
-            W, b, np.ones(W.shape[0]), Activation.SIGMOID, network_prescalers(W, b)
+            W, b, np.ones(W.shape[0]), Activation.SIGMOID, pow2_scale(max(np.abs(W).max(), np.abs(b).max()))
         )
 
     def test_saturated_weights_all_plus_one(self):

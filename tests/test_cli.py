@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scbnn
 from scbnn import (
     Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines, load_binary_network, save_binary_network,
 )
@@ -126,6 +130,20 @@ class TestFit:
         assert run("fit", "--N", "4", *argv, "--out-dir", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite and >= 0") and err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
+    def test_singular_fit_is_usage_error(self, tmp_path):
+        # One grid point and no regularization leave the solve singular. The
+        # fit is not retried at a larger ridge than the one asked for, so it
+        # ends at once (it used to loop for ever at ridge 0).
+        proc = subprocess.run(
+            [sys.executable, "-m", "scbnn.cli", "fit", "--target", "sine", "--N", "8", "--grid-points", "1",
+             "--ridge", "0", "--noise-penalty", "0", "--out-dir", tmp_path / "o"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(scbnn.__file__).parents[1])},
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == "error: the fit has no finite solution at ridge 0.0; use a larger --ridge\n"
         assert not (tmp_path / "o").exists()
 
 
@@ -630,6 +648,20 @@ class TestNumberRule:
             argv = [*argv, "--out-dir", tmp_path / "o"]
         assert run(*argv, "--network", file) == 2
         assert capsys.readouterr().err == f"error: {file}: {named}\n"
+        assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["eval", "--x", "0.5"], "--network"),
+        (["fit", "--target", "sine", "--N", "4"], "--config"),
+    ], ids=["network", "config"])
+    def test_deep_nesting_is_named(self, tmp_path, capsys, argv, flag):
+        file = tmp_path / "deep.json"
+        file.write_text("[" * 100_000)
+        if argv[0] == "fit":
+            argv = [*argv, "--out-dir", tmp_path / "o"]
+        assert run(*argv, flag, file) == 2
+        assert capsys.readouterr().err == f"error: {file}: JSON nested too deeply\n"
         assert not (tmp_path / "o").exists()
 
 

@@ -37,14 +37,13 @@ from scbnn import (
     forward_scnn,
     forward_scnn_grid,
     make_target,
-    prescale,
     sng_encode,
     to_hex_line,
     unit_grid,
 )
-from scbnn.bitstream import encode_many, network_prescalers
+from scbnn.bitstream import encode_many
 from scbnn.cli import main
-from scbnn.netcore import save_network
+from scbnn.netcore import pow2_scale, save_network
 from scbnn.theory import _row_statistics
 
 MS = (1, 7, 64, 4097)
@@ -174,7 +173,8 @@ def _sha256(path) -> str:
 def _net(W, b, a, activation=Activation.TANH) -> ReferenceNetwork:
     W = np.atleast_2d(np.asarray(W, dtype=float))
     b = np.asarray(b, dtype=float)
-    return ReferenceNetwork(W, b, np.asarray(a, dtype=float), activation, network_prescalers(W, b))
+    scale = pow2_scale(max(np.abs(W).max(), np.abs(b).max()))
+    return ReferenceNetwork(W, b, np.asarray(a, dtype=float), activation, scale)
 
 
 TWO_INPUT_NET = _net([[1.5, -0.25], [-0.75, 2.0], [0.125, 0.5]], [0.5, -3.0, 1.25], [0.8, -1.1, 0.6])
@@ -194,10 +194,10 @@ def scalar_forward(net, x, cfg):
     """The per-stream forward pass: sng_encode, dot_product_sc and activate
     unit by unit. Reference oracle for the layer-batched forward_scnn."""
     point = np.asarray(x, dtype=float).reshape(-1)
-    s_w, s_x, s_b = (net.prescalers[r] for r in ("weights", "inputs", "bias"))
+    s_w, s_x, s_b = net.weight_scale, net.input_scale, net.bias_scale
 
-    def encode(v, scaler, key):
-        return sng_encode(prescale(float(v), scaler), cfg.M, Encoding.BIPOLAR, key)
+    def encode(v, scale, key):
+        return sng_encode(float(v) / scale, cfg.M, Encoding.BIPOLAR, key)
 
     out = 0.0
     for i in range(net.N):
@@ -205,7 +205,7 @@ def scalar_forward(net, x, cfg):
         xs = [encode(point[j], s_x, cfg.key.substream("inputs", i, j)) for j in range(net.n)]
         b = encode(net.hidden_biases[i], s_b, cfg.key.substream("bias", i))
         pre = dot_product_sc(
-            w, xs, b, cfg.mode, cfg.key.substream("select", i), scale=s_w.scale * s_x.scale
+            w, xs, b, cfg.mode, cfg.key.substream("select", i), scale=s_w * s_x
         )
         out += float(net.output_weights[i]) * activate(net.activation, pre)
     return out

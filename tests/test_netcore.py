@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scbnn import (
     Activation,
@@ -19,8 +21,7 @@ from scbnn import (
     sup_error,
     unit_grid,
 )
-from scbnn.bitstream import PreScaler, network_prescalers
-from scbnn.netcore import MAX_GRID_POINTS
+from scbnn.netcore import MAX_GRID_POINTS, load_json_object, pow2_scale, save_json
 
 KEY = StreamKey(0xFE11)
 GRID = unit_grid(1, 256)
@@ -30,7 +31,7 @@ def tiny_net(weights, biases, outputs, activation=Activation.SIGMOID):
     W = np.atleast_2d(np.asarray(weights, dtype=float))
     b = np.asarray(biases, dtype=float)
     return ReferenceNetwork(
-        W, b, np.asarray(outputs, dtype=float), activation, network_prescalers(W, b)
+        W, b, np.asarray(outputs, dtype=float), activation, pow2_scale(max(np.abs(W).max(), np.abs(b).max()))
     )
 
 
@@ -127,8 +128,10 @@ class TestFitReference:
     def test_parameters_within_prescale(self):
         f = make_target("sine", 1)
         net = fit_reference(f, 12, GRID, StreamKey(9))
-        assert np.abs(net.hidden_weights).max() <= net.prescalers["weights"].scale
-        assert np.abs(net.hidden_biases).max() <= net.prescalers["bias"].scale
+        assert net.input_scale == 1.0
+        assert np.abs(net.hidden_weights).max() <= net.weight_scale
+        assert np.abs(net.hidden_biases).max() <= net.bias_scale
+        assert net.weight_scale == pow2_scale(net.weight_scale)
 
     def test_rejects_bad_args(self):
         f = make_target("constant", 1)
@@ -225,8 +228,9 @@ class TestWeightFiles:
         assert np.array_equal(loaded.output_weights, net.output_weights)
         assert loaded.activation is net.activation
         assert loaded.name == net.name
-        for role in ("weights", "inputs", "bias"):
-            assert loaded.prescalers[role] == net.prescalers[role]
+        assert (loaded.weight_scale, loaded.input_scale, loaded.bias_scale) == (
+            net.weight_scale, net.input_scale, net.bias_scale
+        )
 
     def _valid_doc(self):
         return {
@@ -277,8 +281,58 @@ class TestWeightFiles:
         with pytest.raises(SchemaError, match="output_weights"):
             load_network(self._write(tmp_path, doc))
 
-    def test_bias_prescale_must_be_weights_times_inputs(self):
-        # forward_scnn un-scales every preactivation by weights * inputs.
-        scalers = {role: PreScaler(scale, role) for role, scale in (("weights", 2.0), ("inputs", 1.0), ("bias", 1.0))}
-        with pytest.raises(SchemaError, match=r"prescale 'bias' is 1.0, not weights \* inputs = 2.0"):
-            ReferenceNetwork(np.array([[0.5]]), np.array([0.75]), np.array([1.0]), Activation.RELU, scalers)
+    def test_bias_scale_is_weights_times_inputs(self, tmp_path):
+        # forward_scnn un-scales every preactivation by weights * inputs, so
+        # the bias scale is derived, and written as floats like the others.
+        net = ReferenceNetwork(np.array([[0.5]]), np.array([0.75]), np.array([1.0]), Activation.RELU, 2, 3)
+        assert net.bias_scale == 6.0
+        save_network(net, tmp_path / "net.json")
+        text = (tmp_path / "net.json").read_text()
+        assert '"prescale": {\n    "bias": 6.0,\n    "inputs": 3.0,\n    "weights": 2.0\n  }' in text
+        assert load_network(tmp_path / "net.json").bias_scale == 6.0
+
+    @pytest.mark.parametrize("weight_scale, input_scale, named", [
+        (0.0, 1.0, "weight scale"),
+        (1.0, -1.0, "input scale"),
+        (float("inf"), 1.0, "weight scale"),
+        (1e200, 1e200, "bias scale"),
+    ])
+    def test_scales_must_be_positive_and_finite(self, weight_scale, input_scale, named):
+        with pytest.raises(ValueError, match=named):
+            ReferenceNetwork([[0.5]], [0.5], [1.0], Activation.RELU, weight_scale, input_scale)
+
+
+class TestPow2Scale:
+    def test_pow2_scale(self):
+        assert pow2_scale(0.3) == 1.0
+        assert pow2_scale(1.0) == 1.0
+        assert pow2_scale(3.9) == 4.0
+        assert pow2_scale(4.0) == 4.0
+        assert pow2_scale(4.001) == 8.0
+
+    @given(
+        st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=False),
+        st.integers(0, 20),
+    )
+    @settings(max_examples=200)
+    def test_round_trip_exact(self, v, k):
+        scale = pow2_scale(2**k)
+        if abs(v) > scale or (v != 0 and abs(v) < 1e-280):
+            return  # quotient must stay in the normal float range
+        assert v / scale * scale == v
+
+
+class TestJsonFiles:
+    def test_unencodable_value_writes_nothing(self, tmp_path):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError):
+            save_json(path, {"a": 1.0, "z": object()})
+        with pytest.raises(ValueError):
+            save_json(path, {"a": 1.0, "z": float("nan")})
+        assert not path.exists()
+
+    def test_deep_nesting_is_a_schema_error(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000)
+        with pytest.raises(SchemaError, match=r"deep.json: JSON nested too deeply$"):
+            load_json_object(path, "network file")

@@ -11,7 +11,6 @@ from scbnn import (
     AccumulationMode,
     Activation,
     EncodingRangeError,
-    PreScaler,
     ReferenceNetwork,
     ScnnConfig,
     StreamKey,
@@ -26,7 +25,7 @@ from scbnn import (
     make_target,
     unit_grid,
 )
-from scbnn.bitstream import network_prescalers
+from scbnn.netcore import pow2_scale
 
 KEY = StreamKey(0xA11CE)
 
@@ -35,7 +34,7 @@ def net_of(weights, biases, outputs, activation=Activation.SIGMOID):
     W = np.atleast_2d(np.asarray(weights, dtype=float))
     b = np.asarray(biases, dtype=float)
     return ReferenceNetwork(
-        W, b, np.asarray(outputs, dtype=float), activation, network_prescalers(W, b)
+        W, b, np.asarray(outputs, dtype=float), activation, pow2_scale(max(np.abs(W).max(), np.abs(b).max()))
     )
 
 
@@ -60,7 +59,7 @@ class TestForwardScnn:
     def test_constant_bias_stream_is_exact(self):
         # w = 0 exactly and b at the bias scale: preactivation decodes to b
         net = net_of([[0.0]], [1.0], [1.0])
-        assert net.prescalers["bias"].scale == 1.0
+        assert net.bias_scale == 1.0
         got = forward_scnn(net, [0.0], ScnnConfig(32, StreamKey(1)))
         # w=0 encodes at p=1/2; product with x=0 (p=1/2) still decodes noisily,
         # but the bias contribution is exact: preactivation = noise + 1 where
@@ -98,14 +97,9 @@ class TestForwardScnn:
         assert abs(got - forward_reference(net, [0.5])) < 0.3
 
     def test_prescale_violation_raises(self):
-        bad = {
-            "weights": PreScaler(2.0, "weights"),
-            "inputs": PreScaler(1.0, "inputs"),
-            "bias": PreScaler(2.0, "bias"),
-        }
-        net = ReferenceNetwork(np.array([[3.0]]), np.array([0.5]), np.array([1.0]), Activation.SIGMOID, bad)
+        net = ReferenceNetwork(np.array([[3.0]]), np.array([0.5]), np.array([1.0]), Activation.SIGMOID, 2.0)
         cfg = ScnnConfig(16, StreamKey(0))
-        with pytest.raises(EncodingRangeError):
+        with pytest.raises(EncodingRangeError, match=r"^\|3.0\| exceeds the weights pre-scale factor 2.0$"):
             forward_scnn(net, [0.5], cfg)
 
     def test_dimension_mismatch(self):

@@ -2,8 +2,11 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,9 +35,9 @@ from scbnn import (
     sng_encode,
     unit_grid,
 )
-from scbnn.bitstream import network_prescalers
+from scbnn.netcore import pow2_scale
 import scbnn.theory
-from scbnn.theory import SweepRow, _row_statistics
+from scbnn.theory import SweepRow, _median, _row_statistics
 
 KEY = StreamKey(0x7E07)
 
@@ -160,7 +163,7 @@ def degenerate_net():
     W = np.array([[0.5]])
     b = np.array([0.2])
     return ReferenceNetwork(
-        W, b, np.array([0.0]), Activation.SIGMOID, network_prescalers(W, b)
+        W, b, np.array([0.0]), Activation.SIGMOID, pow2_scale(max(np.abs(W).max(), np.abs(b).max()))
     )
 
 
@@ -255,6 +258,26 @@ class TestConvergenceSweep:
         names = [field.name for field in dataclasses.fields(SweepRow)]
         stats = _row_statistics(np.ones((1, 1)), np.ones(1), np.ones(1), 0.1)
         assert names == ["M", "trials", "grid_size", *stats]
+
+    @given(st.lists(st.floats(0.0, 1e6, allow_subnormal=False), min_size=1, max_size=40))
+    @settings(max_examples=300)
+    def test_median_is_numpy_median(self, values):
+        v = np.array(values)
+        assert _median(v) == np.median(v)
+
+    def test_row_statistics_leave_numpy_ma_unloaded(self):
+        # np.median imports numpy.ma on its first call, about 1.5 MB of RSS
+        # in every sweep and bound-validation process.
+        code = (
+            "import sys; import numpy as np; from scbnn.theory import _row_statistics; "
+            "v = np.arange(12.0).reshape(3, 4); _row_statistics(v, v[0], v[1], 0.5); "
+            "print('numpy.ma' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(scbnn.theory.__file__).parents[1])},
+        )
+        assert proc.stdout == "False\n", proc.stderr
 
     def test_pool_is_no_larger_than_its_work(self, monkeypatch):
         # 30 tasks are 4 chunks of 8, so jobs=10**6 asks for at most 4 workers.
