@@ -9,9 +9,9 @@ Philox4x64-10 is counter-based: a stream is a pure function of its 128-bit
 key, the counter starting at zero. `encode_many` packs S streams into one
 (S, ceil(M/8)) array. Calls of at least 512 streams of at most 24 bits
 compute the ceil(M/4) Philox blocks of all keys at once as uint64 array
-rounds; every other call re-keys one C Philox per stream. Milliseconds per
-call, array / re-keyed (median of 101 calls, one core of a 2 vCPU Xeon,
-numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
+rounds; every other call re-keys, once per stream, a C Philox built once
+per thread. Milliseconds per call, array / re-keyed (median of 101 calls,
+one core of a 2 vCPU Xeon, numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
     S       M = 1         M = 16        M = 24        M = 32        M = 64
     96      0.28 / 0.14   0.36 / 0.15   0.40 / 0.16   0.42 / 0.16   0.53 / 0.18
@@ -21,7 +21,8 @@ numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
 Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
 so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
-`StreamKey.substream_keys` folds the keys of many substreams in one pass.
+`StreamKey.substream_keys` folds a seed-free `key_layout`, which a caller
+may cache, with the seed in one vectorized pass (`fold_layout`).
 
 `encode_blocks` yields the same streams one block of `_DRAW_BLOCK` (2^16)
 clocks at a time, so a caller that reduces each block as it arrives holds
@@ -39,7 +40,9 @@ are their one-row cases.
 from __future__ import annotations
 
 import enum
+import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterator
 
 import numpy as np
@@ -91,9 +94,7 @@ class Encoding(enum.Enum):
         raise StreamFormatError(f"unknown encoding tag {tag!r} (expected 'u' or 'b')")
 
 
-def _splitmix64(z):
-    # Python ints are reduced mod 2^64 by the masks; uint64 arrays wrap and
-    # the masks leave them unchanged, so one definition serves both.
+def _splitmix64(z: int) -> int:
     z = (z + 0x9E37_79B9_7F4A_7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58_476D_1CE4_E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D0_49BB_1331_11EB) & _MASK64
@@ -104,17 +105,45 @@ def _fold(state, value):
     return _splitmix64(state ^ (value & _MASK64))
 
 
-_role_hash_cache: dict[str, int] = {}
+# 0-d uint64 arrays, which ufuncs take faster than np.uint64 scalars.
+_SPLITMIX_U64 = [np.array(c, dtype=np.uint64) for c in (0x9E37_79B9_7F4A_7C15, 30, 0xBF58_476D_1CE4_E5B9, 27,
+                                                        0x94D0_49BB_1331_11EB, 31)]
+_KEY2_SALT_U64 = np.array(_KEY2_SALT, dtype=np.uint64)
 
 
+def _splitmix64_array(z: np.ndarray) -> np.ndarray:
+    """`_splitmix64` of every element of a fresh uint64 array, in place:
+    uint64 arithmetic wraps, so uint64 constants need no mask."""
+    add, s1, m1, s2, m2, s3 = _SPLITMIX_U64
+    z += add
+    z ^= z >> s1
+    z *= m1
+    z ^= z >> s2
+    z *= m2
+    z ^= z >> s3
+    return z
+
+
+@cache
 def _role_hash(role: str) -> int:
-    h = _role_hash_cache.get(role)
-    if h is None:
-        h = _ROLE_SALT
-        for byte in role.encode("utf-8"):
-            h = _fold(h, byte)
-        _role_hash_cache[role] = h
+    h = _ROLE_SALT
+    for byte in role.encode("utf-8"):
+        h = _fold(h, byte)
     return h
+
+
+def key_layout(groups) -> np.ndarray:
+    """The seed-free half of `StreamKey.substream_keys`: the (3, S) uint64
+    columns (role hash, i, j) of a sequence of (role, i, j) groups. Index
+    arrays (or ints) i and j broadcast together, and each broadcast element
+    in row-major order is one column, groups in order."""
+    pairs = [np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)) for _, i, j in groups]
+    layout, stop = np.empty((3, sum(i.size for i, _ in pairs)), dtype=np.uint64), 0
+    for (role, _, _), (i, j) in zip(groups, pairs):
+        start, stop = stop, stop + i.size
+        for row, column in enumerate((_role_hash(role), i, j)):  # in place: a stacked copy raised peak RSS
+            layout[row, start:stop].reshape(i.shape)[...] = column
+    return layout
 
 
 @dataclass(frozen=True)
@@ -156,22 +185,16 @@ class StreamKey:
         return np.array([k0, k1], dtype=np.uint64)
 
     def substream_keys(self, groups) -> np.ndarray:
-        """Philox keys of many substreams under this master seed, folded in
-        one vectorized pass.
+        """The (S, 2) Philox keys of the `key_layout` of `groups` under this
+        seed; the row for (role, i, j) is ``self.substream(role, i, j)._philox_key()``."""
+        return self.fold_layout(key_layout(groups))
 
-        `groups` is a sequence of (role, i, j): non-negative index arrays
-        (or ints) i and j broadcast together, and each broadcast element in
-        row-major order contributes one (k0, k1) row, groups in order. The
-        row for (role, i, j) equals ``self.substream(role, i, j)._philox_key()``.
-        """
-        k0s, i_all, j_all = [], [], []
-        for role, i, j in groups:
-            i, j = np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64))
-            k0s.append(np.full(i.size, _fold(self.seed, _role_hash(role)), dtype=np.uint64))
-            i_all.append(i.reshape(-1))
-            j_all.append(j.reshape(-1))
-        k0 = _fold(_fold(np.concatenate(k0s), np.concatenate(i_all)), np.concatenate(j_all))
-        return np.stack([k0, _fold(k0, _KEY2_SALT)], axis=1)
+    def fold_layout(self, layout: np.ndarray) -> np.ndarray:
+        """The (S, 2) Philox keys of the (3, S) `key_layout` under this seed,
+        in four vectorized splitmix64 folds; `layout` is only read."""
+        k0 = _splitmix64_array(_splitmix64_array(layout[0] ^ np.uint64(self.seed)) ^ layout[1])
+        k0 = _splitmix64_array(k0 ^ layout[2])
+        return np.stack([k0, _splitmix64_array(k0 ^ _KEY2_SALT_U64)], axis=1)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
@@ -370,18 +393,24 @@ def _encode_array(probs, keys, M: int, out: np.ndarray) -> None:
         out[start:stop] = np.packbits((raw >> 11) < below[:, None], axis=1)
 
 
+_rekey = threading.local()
+
+
 def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
-    """Fill `out` with clocks [lo, lo + width) of every stream from one C
-    Philox, re-keyed per stream with the counter at lo/4 and an empty
-    buffer: the state a fresh Philox is in after lo draws (lo is a
-    multiple of 4), so a stream resumes at clock lo exactly."""
-    bit_gen = np.random.Philox(key=keys[0])
-    gen = np.random.Generator(bit_gen)
-    # The state setter reads the dict element by element, which is faster
-    # from Python lists than from the uint64 arrays the getter returns.
-    state = bit_gen.state
+    """Fill `out` with clocks [lo, lo + width) of every stream from this
+    thread's C Philox, given each stream's whole state: its key, the counter
+    at lo/4 and an empty buffer, the state a fresh Philox is in after lo
+    draws (lo is a multiple of 4). So a stream resumes at clock lo exactly,
+    whatever the Philox drew before."""
+    if not hasattr(_rekey, "philox"):
+        bit_gen = np.random.Philox(0)
+        # The state setter reads the dict element by element, which is faster
+        # from Python lists than from the uint64 arrays the getter returns.
+        state = bit_gen.state
+        state["buffer"] = state["buffer"].tolist()
+        _rekey.philox = bit_gen, np.random.Generator(bit_gen), state
+    bit_gen, gen, state = _rekey.philox
     state["state"]["counter"] = [lo // 4, 0, 0, 0]
-    state["buffer"] = state["buffer"].tolist()
     key_list = keys.tolist()
     rows = min(_DRAW_BLOCK // width, probs.size)
     draws = np.empty((rows, width))

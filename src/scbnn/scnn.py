@@ -15,11 +15,12 @@ holds a few MiB at any M up to `M_FEASIBLE_CAP`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import EncodingRangeError, StreamKey, encode_blocks
+from .bitstream import EncodingRangeError, StreamKey, encode_blocks, key_layout
 from .netcore import ReferenceNetwork, activate
 from .scgates import AccumulationMode, dot_product_layer
 
@@ -44,41 +45,51 @@ class ScnnConfig:
             raise ValueError(f"stream length M={self.M} is too long: a forward pass runs at most 2^26 clocks")
 
 
-def _bipolar_probs(values, scale: float, role: str) -> np.ndarray:
-    """P(bit=1) of the bipolar streams encoding values / scale."""
-    values = np.asarray(values, dtype=float).reshape(-1)
-    over = np.abs(values) > scale
-    if over.any():
-        raise EncodingRangeError(f"|{float(values[over][0])!r}| exceeds the {role} pre-scale factor {scale!r}")
-    return (values / scale + 1.0) / 2.0
+@lru_cache(maxsize=16)
+def _key_layout(N: int, n: int) -> np.ndarray:
+    """The read-only `key_layout` of the streams of one forward pass."""
+    unit, coord = np.arange(N)[:, None], np.arange(n)
+    layout = key_layout([("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)])
+    layout.flags.writeable = False
+    return layout
+
+
+@lru_cache(maxsize=16)
+def _scales(N: int, n: int, weight_scale: float, input_scale: float, bias_scale: float) -> np.ndarray:
+    """The read-only scale of each stream in `_key_layout(N, n)` order."""
+    scales = np.repeat([weight_scale, input_scale, bias_scale], [N * n, N * n, N])
+    scales.flags.writeable = False
+    return scales
 
 
 def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
     Weights, inputs, and biases are divided by their network scales and
-    encoded as bipolar streams, the whole hidden layer in one
-    `encode_blocks` call; a value beyond its scale raises
-    EncodingRangeError. The SC products and accumulations of all N units
-    run on each block of packed streams as it is drawn
-    (`dot_product_layer`), and the decoded preactivations are multiplied
-    by `net.bias_scale` before the exact activation. The output layer stays
-    in exact reals and is summed in unit order. The result is bit-identical
-    to composing `sng_encode`, `dot_product_sc` and `activate` unit by unit.
+    encoded as bipolar streams, the whole hidden layer in one `encode_blocks`
+    call; a value beyond its scale, or NaN, raises EncodingRangeError naming
+    the first such role (weights, inputs, bias). The SC products and
+    accumulations of all N units run on each block of packed streams as it is
+    drawn (`dot_product_layer`), and the decoded preactivations are multiplied
+    by `net.bias_scale` before the exact activation. The output layer stays in
+    exact reals and is summed in unit order. The result is bit-identical to
+    composing `sng_encode`, `dot_product_sc` and `activate` per unit.
     """
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
         raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
     N, n, M = net.N, net.n, cfg.M
-    unit, coord = np.arange(N)[:, None], np.arange(n)
-    probs = np.concatenate([
-        _bipolar_probs(net.hidden_weights, net.weight_scale, "weights"),
-        np.tile(_bipolar_probs(point, net.input_scale, "inputs"), N),
-        _bipolar_probs(net.hidden_biases, net.bias_scale, "bias"),
-    ])
-    keys = cfg.key.substream_keys(
-        [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
-    )
+    values = np.empty(2 * N * n + N)
+    values[: N * n] = net.hidden_weights.reshape(-1)
+    values[N * n : 2 * N * n].reshape(N, n)[:] = point
+    values[2 * N * n :] = net.hidden_biases
+    scales = _scales(N, n, net.weight_scale, net.input_scale, net.bias_scale)
+    if not (inside := np.abs(values) <= scales).all():  # NaN is outside, too
+        k = int(np.argmin(inside))
+        role = ("weights", "inputs", "bias")[k // (N * n)]
+        raise EncodingRangeError(f"|{float(values[k])!r}| exceeds the {role} pre-scale factor {float(scales[k])!r}")
+    probs = (values / scales + 1.0) / 2.0
+    keys = cfg.key.fold_layout(_key_layout(N, n))
     layer = (
         (bits[: N * n].reshape(N, n, -1), bits[N * n : 2 * N * n].reshape(N, n, -1), bits[2 * N * n :])
         for bits in encode_blocks(probs, keys, M)
@@ -100,6 +111,6 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     return np.array([
-        forward_scnn(net, x, replace(cfg, key=cfg.key.derive(*indices, p)))
+        forward_scnn(net, x, ScnnConfig(cfg.M, cfg.key.derive(*indices, p), cfg.mode))
         for p, x in enumerate(grid)
     ])

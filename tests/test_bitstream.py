@@ -264,6 +264,62 @@ class TestEncodeBlocks:
             bitstream.encode_blocks([0.5, 0.5], keys, 0)
 
 
+    @pytest.mark.parametrize("M", [64, 2 * _DRAW_BLOCK + 9])
+    def test_threads_with_distinct_keys(self, M):
+        # One key per job: a re-keyed Philox shared between threads would
+        # let one job's key or counter leak into another's draws.
+        jobs = 12
+        keys = KEY.substream_keys([("job", np.arange(jobs)[:, None], np.arange(4))]).reshape(jobs, 4, 2)
+        probs = np.random.default_rng(M).random((jobs, 4))
+        serial = [encode_many(p, k, M) for p, k in zip(probs, keys)]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            threaded = list(pool.map(encode_many, probs, keys, [M] * jobs))
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a, b)
+
+    def test_interleaved_iterators(self):
+        # Two draws advanced in turn share one thread's re-keyed Philox
+        # across their yields; each must still draw its own streams.
+        M = 2 * _DRAW_BLOCK + 9
+        calls = [([0.25, 0.5, 0.9], KEY.substream_keys([("a", np.arange(3), 0)])),
+                 ([0.7, 0.1], KEY.substream_keys([("b", np.arange(2), 5)]))]
+        alone = [list(bitstream.encode_blocks(p, k, M)) for p, k in calls]
+        together = list(zip(*(bitstream.encode_blocks(p, k, M) for p, k in calls)))
+        assert len(together) == len(alone[0]) == 3
+        for c in range(2):
+            for blocks, block in zip(alone[c], (pair[c] for pair in together)):
+                assert np.array_equal(blocks, block)
+
+
+class TestKeyLayout:
+    """`substream_keys` is the seed-free `key_layout` folded under the seed
+    with uint64 arrays; that fold must equal the scalar Python-int one."""
+
+    def test_array_splitmix_equals_scalar(self):
+        values = np.random.default_rng(15).integers(0, 2**64, 1000, dtype=np.uint64, endpoint=False)
+        values = np.concatenate([values, np.array([0, 2**63, 2**64 - 1], dtype=np.uint64)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = bitstream._splitmix64_array(values.copy())
+        assert got.tolist() == [bitstream._splitmix64(v) for v in values.tolist()]
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x5EED])
+    def test_fold_layout_equals_philox_key(self, seed):
+        gen = np.random.default_rng(seed % 997)
+        i, j = gen.integers(0, 2**64, (2, 1003), dtype=np.uint64, endpoint=False)
+        i[:3], j[:3] = [0, 2**63, 2**64 - 1], [2**63, 0, 2**63]
+        key = StreamKey(seed)
+        layout = bitstream.key_layout([("weights", i, j), ("bias", 2**63, 0)])
+        layout.flags.writeable = False
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = key.fold_layout(layout)
+        expected = [key.substream("weights", a, b)._philox_key() for a, b in zip(i.tolist(), j.tolist())]
+        expected.append(key.substream("bias", 2**63)._philox_key())
+        assert np.array_equal(keys, np.stack(expected))
+        assert np.array_equal(keys, key.substream_keys([("weights", i, j), ("bias", 2**63, 0)]))
+
+
 class TestPopcount:
     def test_worked_example_count(self):
         assert popcount(Bitstream.from_bits("0100110100", Encoding.UNIPOLAR)) == 4

@@ -25,6 +25,8 @@ from scbnn import (
     make_target,
     unit_grid,
 )
+from scbnn import scnn
+from scbnn.bitstream import _DRAW_BLOCK, key_layout
 from scbnn.netcore import pow2_scale
 
 KEY = StreamKey(0xA11CE)
@@ -90,6 +92,16 @@ class TestForwardScnn:
             values = list(pool.map(job, range(12)))
         assert len(set(values)) == 1
 
+    @pytest.mark.parametrize("M", [64, 2 * _DRAW_BLOCK + 9])
+    def test_threads_with_distinct_keys(self, M):
+        # One key per job, both modes: a re-keyed Philox shared between
+        # threads would let one job's key or counter leak into another's.
+        net = net_of([[0.7, -0.2], [0.3, 0.9]], [0.2, -0.4], [1.0, -0.5])
+        cfgs = [ScnnConfig(M, StreamKey(seed), mode) for seed in range(6) for mode in AccumulationMode]
+        serial = [forward_scnn(net, [0.5, -0.25], cfg) for cfg in cfgs]
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            assert list(pool.map(lambda cfg: forward_scnn(net, [0.5, -0.25], cfg), cfgs)) == serial
+
     def test_mux_mode_runs(self):
         net = net_of([[0.7]], [0.2], [1.0])
         cfg = ScnnConfig(4096, StreamKey(5), AccumulationMode.MUX)
@@ -101,6 +113,37 @@ class TestForwardScnn:
         cfg = ScnnConfig(16, StreamKey(0))
         with pytest.raises(EncodingRangeError, match=r"^\|3.0\| exceeds the weights pre-scale factor 2.0$"):
             forward_scnn(net, [0.5], cfg)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.5])
+    def test_out_of_range_input_is_named(self, value):
+        net = net_of([[0.5]], [0.25], [1.0])
+        with pytest.raises(EncodingRangeError, match=rf"^\|{value!r}\| exceeds the inputs pre-scale factor 1.0$"):
+            forward_scnn(net, [value], ScnnConfig(16, KEY))
+
+    def test_range_errors_name_the_first_role(self):
+        # weights, then inputs, then bias: the first role out of range is named.
+        def raised(w, b, x):
+            net = ReferenceNetwork(np.array([[w, 0.5]]), np.array([b]), np.array([1.0]), Activation.SIGMOID, 2.0)
+            with pytest.raises(EncodingRangeError) as err:
+                forward_scnn(net, [0.5, x], ScnnConfig(16, KEY))
+            return str(err.value)
+
+        assert raised(3.0, 9.0, 5.0) == "|3.0| exceeds the weights pre-scale factor 2.0"
+        assert raised(0.5, 9.0, float("nan")) == "|nan| exceeds the inputs pre-scale factor 1.0"
+        assert raised(0.5, -2.5, 1.0) == "|-2.5| exceeds the bias pre-scale factor 2.0"
+
+    def test_cached_layout_and_scales_are_read_only(self):
+        layout = scnn._key_layout(3, 2)
+        assert scnn._key_layout(3, 2) is layout
+        unit, coord = np.arange(3)[:, None], np.arange(2)
+        groups = [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
+        assert np.array_equal(layout, key_layout(groups))
+        assert np.array_equal(KEY.fold_layout(layout), KEY.substream_keys(groups))
+        scales = scnn._scales(3, 2, 2.0, 1.0, 2.0)
+        assert scales.tolist() == [2.0] * 6 + [1.0] * 6 + [2.0] * 3
+        for cached in (layout, scales):
+            with pytest.raises(ValueError, match="read-only"):
+                cached[0] = 0
 
     def test_dimension_mismatch(self):
         net = net_of([[1.0, 0.5]], [0.0], [1.0])
