@@ -21,6 +21,11 @@ one core of a 2 vCPU Xeon, numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
 Either way bit t of a stream is `Generator.random(M)[t] < p` under its key,
 so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
+`random()` is (raw >> 11) * 2^-53, so that bit is also
+``raw < ceil(p * 2^53) << 11`` for the raw 64-bit word. When one stream
+fills a block alone (more than _DRAW_BLOCK / 2 clocks), the re-keyed path
+takes its bits that way, with no conversion to double; shorter streams
+share a block of `Generator.random` draws.
 `StreamKey.substream_keys` folds a seed-free `key_layout`, which a caller
 may cache, with the seed in one vectorized pass (`fold_layout`).
 
@@ -412,6 +417,19 @@ def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
     bit_gen, gen, state = _rekey.philox
     state["state"]["counter"] = [lo // 4, 0, 0, 0]
     key_list = keys.tolist()
+    if 2 * width > _DRAW_BLOCK:
+        # One stream fills the block: raw < ceil(p * 2^53) << 11 is
+        # (raw >> 11) < ceil(p * 2^53), so the words need no conversion and
+        # no shift. For p == 1.0 the threshold 2^64 wraps to 0.
+        below = np.ceil(probs * 2.0**53).astype(np.uint64) << np.uint64(11)
+        for r, p in enumerate(probs.tolist()):
+            if p == 1.0:
+                out[r] = np.packbits(np.ones(width, dtype=bool))
+                continue
+            state["state"]["key"] = key_list[r]
+            bit_gen.state = state
+            out[r] = np.packbits(bit_gen.random_raw(width) < below[r])
+        return
     rows = min(_DRAW_BLOCK // width, probs.size)
     draws = np.empty((rows, width))
     for start in range(0, probs.size, rows):

@@ -9,6 +9,7 @@ deterministic given its seed; every output file embeds a metadata header
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -121,7 +122,7 @@ def _out_dir(path: str) -> Path:
 
 
 def _resolve_target(args, config: dict, n: int):
-    """(name, target) from --target/--target-param over config
+    """(name, params, target) from --target/--target-param over config
     target.name/target.params. The config's params belong to the config's
     target, so they are dropped when --target names a different one."""
     config_name = _resolve(None, config, "target.name", None, str)
@@ -136,7 +137,7 @@ def _resolve_target(args, config: dict, n: int):
         item.partition("=")[0]: _parse_flag(source, item, lambda s: float(s.partition("=")[2]), "name=number")
         for item in items
     }
-    return name, make_target(name, n, **params)
+    return name, params, make_target(name, n, **params)
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +153,7 @@ def _cmd_fit(args) -> int:
     edge_fraction = _resolve(args.edge_fraction, config, "fit.edge_fraction", 0.5, float)
     noise_penalty = _resolve(args.noise_penalty, config, "fit.noise_penalty", 1e-3, float)
     ridge = _resolve(args.ridge, config, "fit.ridge", 1e-8, float)
-    target_name, f = _resolve_target(args, config, n)
+    target_name, target_params, f = _resolve_target(args, config, n)
     grid = unit_grid(n, grid_points)
     try:
         net = fit_reference(
@@ -181,6 +182,8 @@ def _cmd_fit(args) -> int:
         "ridge": ridge,
         "seed": seed,
     }
+    if target_params:  # only when given, so a run without them keeps its hash
+        resolved["target_params"] = target_params
     out = _out_dir(args.out_dir)
     meta = _metadata(resolved, seed)
     _write_json(out / "network.json", network_to_dict(net), meta)
@@ -239,7 +242,7 @@ def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     seed = _resolve(args.seed, config, "seed", 0, int)
     net = load_network(args.network)
-    target_name, f = _resolve_target(args, config, net.n)
+    target_name, target_params, f = _resolve_target(args, config, net.n)
     Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
     if isinstance(Ms, str):
         Ms = _parse_flag("--Ms", Ms, lambda s: [int(v) for v in s.split(",")], "integers separated by commas")
@@ -264,6 +267,8 @@ def _cmd_sweep(args) -> int:
         "mode": mode.value,
         "seed": seed,
     }
+    if target_params:
+        resolved["target_params"] = target_params
     meta = _metadata(resolved, seed)
     out = _out_dir(args.out_dir)
     header = [field.name for field in fields(SweepRow)]
@@ -291,7 +296,7 @@ def _cmd_bound(args) -> int:
     if not args.network or not args.target:
         raise ValueError("--validate needs --network and --target")
     net = load_network(args.network)
-    _, f = _resolve_target(args, {}, net.n)
+    *_, f = _resolve_target(args, {}, net.n)
     # The bound covers only networks of the queried shape with sum |alpha| <= A.
     for flag, asked, has in (("--n", q.n, net.n), ("--N", q.N, net.N)):
         if asked != has:
@@ -400,6 +405,7 @@ def _cmd_energy(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scbnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -291,6 +291,49 @@ class TestEncodeBlocks:
                 assert np.array_equal(blocks, block)
 
 
+class TestRawWords:
+    """A stream that fills its block alone (width > _DRAW_BLOCK / 2) is
+    drawn as raw Philox words against ceil(p * 2^53) << 11; shorter ones
+    share a block through `Generator.random`. Both give the same bits."""
+
+    EDGES = [0.0, 5e-324, 0.25, 0.5, 1 - 2**-53, 1.0, 12345 * 2**-53 + 0.375]
+
+    @pytest.mark.parametrize("M", [_DRAW_BLOCK // 2, _DRAW_BLOCK // 2 + 1, 2 * _DRAW_BLOCK + 9])
+    def test_edge_probabilities(self, M):
+        keys = KEY.substream_keys([("raw", np.arange(len(self.EDGES)), M)])
+        probs = np.array(self.EDGES)
+        assert (probs * 2.0**53)[-1] == int((probs * 2.0**53)[-1])
+        expected = generator_rows(probs, keys, M)
+        assert np.array_equal(encode_many(probs, keys, M), expected)
+        width = min(M, _DRAW_BLOCK)
+        first = np.empty((len(probs), (width + 7) // 8), dtype=np.uint8)
+        bitstream._encode_rekeyed(probs, keys, 0, width, first)
+        assert np.array_equal(first, expected[:, : first.shape[1]])
+
+    @pytest.mark.parametrize("M", [_DRAW_BLOCK // 2 + 1, 2 * _DRAW_BLOCK + 9])
+    def test_probabilities_on_the_draws(self, M):
+        # p equal to draw t gives bit t = 0, the next double above it bit 1.
+        S = 6
+        keys = KEY.substream_keys([("on-draw", np.arange(S), M)])
+        clocks = [0, 1, M // 2, M - 2, M - 1, min(_DRAW_BLOCK, M - 3)]
+        draws = np.array([np.random.Generator(np.random.Philox(key=k)).random(M)[t] for k, t in zip(keys, clocks)])
+        for probs, bit in ((draws, 0), (np.nextafter(draws, 1.0), 1)):
+            rows = encode_many(probs, keys, M)
+            assert np.array_equal(rows, generator_rows(probs, keys, M))
+            assert [np.unpackbits(row, count=M)[t] for row, t in zip(rows, clocks)] == [bit] * S
+
+    @pytest.mark.parametrize("M, raw", [(_DRAW_BLOCK // 2, False), (_DRAW_BLOCK // 2 + 1, True)])
+    def test_switch(self, M, raw):
+        keys = KEY.substream_keys([("switch", np.arange(3), 0)])
+        encode_many([0.5] * 3, keys, 8)  # builds this thread's Philox
+        bit_gen, gen, state = bitstream._rekey.philox
+        spy = mock.Mock(wraps=gen)
+        with mock.patch.object(bitstream._rekey, "philox", (bit_gen, spy, state)):
+            rows = encode_many([0.3, 0.6, 0.9], keys, M)
+        assert spy.random.called is not raw
+        assert np.array_equal(rows, generator_rows([0.3, 0.6, 0.9], keys, M))
+
+
 class TestKeyLayout:
     """`substream_keys` is the seed-free `key_layout` folded under the seed
     with uint64 arrays; that fold must equal the scalar Python-int one."""

@@ -17,6 +17,7 @@ import scbnn
 from scbnn import (
     Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines, load_binary_network, save_binary_network,
 )
+from scbnn import cli
 from scbnn.cli import main
 from scbnn.netcore import load_json_object
 
@@ -192,6 +193,39 @@ class TestSeedAndTargetParams:
         assert run(*argv, "--target", "sine", "--out-dir", tmp_path / "b") == 2
         assert "'cycle'" in capsys.readouterr().err
         assert run(*argv, "--target", "linear", "--out-dir", tmp_path / "c") == 0
+
+    def test_target_params_are_hashed(self, sine_net, tmp_path):
+        # Params from the flag and from the config hash alike; other params, another hash.
+        def meta(cmd, argv, out):
+            assert run(*argv, "--out-dir", tmp_path / out) == 0
+            path = tmp_path / out / ("fit_report.json" if cmd == "fit" else "sweep_summary.json")
+            return json.loads(path.read_text())["meta"]["config_hash"]
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycles=2"]}}))
+        commands = {
+            "fit": ("fit", "--target", "sine", "--N", "4", "--grid-points", "16"),
+            "sweep": ("sweep", "--network", sine_net, "--target", "sine", "--Ms", "4",
+                      "--trials", "30", "--grid-points", "2"),
+        }
+        for cmd, argv in commands.items():
+            one = meta(cmd, (*argv, "--target-param", "cycles=1"), f"{cmd}-1")
+            two = meta(cmd, (*argv, "--target-param", "cycles=2"), f"{cmd}-2")
+            assert one != two
+            assert meta(cmd, (*argv, "--config", cfg), f"{cmd}-config") == two
+
+    def test_parser_keeps_no_values_between_calls(self, tmp_path):
+        # The parser is built once; each call's --target-param list is its own.
+        parser = cli._build_parser()
+        assert cli._build_parser() is parser
+        argv = ["fit", "--target", "sine", "--out-dir", "o"]
+        assert parser.parse_args([*argv, "--target-param", "cycles=2"]).target_param == ["cycles=2"]
+        assert parser.parse_args(argv).target_param is None
+        base = ("fit", "--target", "sine", "--N", "4", "--grid-points", "16")
+        for out, extra in (("a", ("--target-param", "cycles=2")), ("b", ()), ("c", ("--target-param", "cycles=2"))):
+            assert run(*base, *extra, "--out-dir", tmp_path / out) == 0
+        a, b, c = ((tmp_path / out / "network.json").read_bytes() for out in "abc")
+        assert a == c != b
 
     @pytest.mark.parametrize("param", ["cycle=3", "cycles=nan"])
     def test_sweep(self, sine_net, tmp_path, capsys, param):
