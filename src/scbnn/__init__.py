@@ -10,7 +10,6 @@ from .bitstream import (
     StreamFormatError,
     StreamKey,
     StreamMismatchError,
-    concat,
     decode,
     encode_blocks,
     encode_many,

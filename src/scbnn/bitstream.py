@@ -476,24 +476,6 @@ def decode(s: Bitstream) -> float:
     return (2 * ones - s.length) / s.length
 
 
-def concat(*streams: Bitstream) -> Bitstream:
-    """The streams end to end, in order; they must share one encoding."""
-    enc = streams[0].encoding
-    for s in streams:
-        if s.encoding is not enc:
-            raise StreamMismatchError(
-                f"cannot concatenate {enc.value} and {s.encoding.value} streams"
-            )
-    lengths = np.array([s.length for s in streams])
-    padded = 8 * ((lengths + 7) // 8)
-    bits = np.unpackbits(np.concatenate([s.bits for s in streams]))
-    # Offset of each unpacked bit within its own stream; the pad bits are
-    # the ones at or past that stream's length.
-    offset = np.arange(bits.size) - np.repeat(np.cumsum(padded) - padded, padded)
-    keep = offset < np.repeat(lengths, padded)
-    return Bitstream(np.packbits(bits[keep]), int(lengths.sum()), enc)
-
-
 # ---------------------------------------------------------------------------
 # Hex lines: M:<len>;enc:<u|b>;<hex>, or the bare <hex> payload of a row
 # whose M and encoding the file states elsewhere (enc None). One rule for

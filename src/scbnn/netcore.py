@@ -173,7 +173,11 @@ class TargetFunction:
         pts = np.atleast_2d(arr)
         if pts.shape[1] != self.n:
             raise ValueError(f"point has dimension {pts.shape[1]}, target expects {self.n}")
-        vals = np.asarray(self.fn(pts), dtype=float).reshape(-1)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(self.fn(pts), dtype=float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise ValueError(f"target {self.name!r} is {float(vals[bad[0]])!r} at x = {pts[bad[0]].tolist()}, not finite")
         return float(vals[0]) if single else vals
 
 
@@ -192,7 +196,9 @@ _TARGETS = {
 
 def make_target(name: str, n: int = 1, **params) -> TargetFunction:
     """Target registry; raises ValueError for unknown names, for parameters
-    the target does not take and for non-finite parameter values."""
+    the target does not take, for non-finite parameter values and for a
+    bump of width <= 0. Calling the target raises ValueError at the first
+    point where its value is not finite."""
     if name not in _TARGETS:
         raise ValueError(f"unknown target function {name!r}")
     defaults, fn = _TARGETS[name]
@@ -203,6 +209,8 @@ def make_target(name: str, n: int = 1, **params) -> TargetFunction:
         kwargs[key] = float(value)
         if not math.isfinite(kwargs[key]):
             raise ValueError(f"target parameter {key}={value!r} must be finite")
+    if name == "bump" and kwargs["width"] <= 0:
+        raise ValueError(f"target parameter width={kwargs['width']!r} must be > 0")
     return TargetFunction(name, n, lambda pts: fn(pts, **kwargs))
 
 

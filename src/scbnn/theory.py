@@ -281,20 +281,27 @@ def bound_validation(
     """Run the SCNN at M = m_min_bound(q) and check that the empirical
     failure rate P(|G_SC - f| >= eps) stays within delta plus two binomial
     standard errors. The bound is Chebyshev-loose, so observed rates land
-    far below delta.
+    far below delta. It covers only networks of the queried n and N whose
+    sum |alpha| is at most A; any other network raises ValueError.
     """
     M = m_min_bound(q)
     if M > M_FEASIBLE_CAP:
         raise InfeasibleBoundError(
             f"m_min_bound gives M={M} > 2^26; increase epsilon or delta"
         )
+    for name, asked, has in (("n", q.n, net.n), ("N", q.N, net.N)):
+        if asked != has:
+            raise ValueError(f"--{name} {asked} does not match the network's {name} = {has}")
+    A, source = (q.N, "--N") if q.alpha_sum is None else (q.alpha_sum, "--alpha-sum")
+    if A < net.alpha_sum:
+        raise ValueError(f"A = {A!r} (from {source}) is below the network's sum |alpha| = {net.alpha_sum!r}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
     if grid is None:
         grid = unit_grid(net.n, 9)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    values = _run_trials(net, grid, [(ScnnConfig(M, key, mode), (t,)) for t in range(trials)], 1)
     g_ref, g_target = np.atleast_1d(forward_reference(net, grid)), np.atleast_1d(f(grid))
+    values = _run_trials(net, grid, [(ScnnConfig(M, key, mode), (t,)) for t in range(trials)], 1)
     rate = _row_statistics(values, g_ref, g_target, q.epsilon)["failure_rate"]
     samples = values.size
     se = math.sqrt(q.delta * (1.0 - q.delta) / samples)

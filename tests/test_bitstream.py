@@ -16,8 +16,6 @@ from scbnn import (
     EncodingRangeError,
     StreamFormatError,
     StreamKey,
-    StreamMismatchError,
-    concat,
     decode,
     from_hex_line,
     from_hex_lines,
@@ -369,20 +367,6 @@ class TestPopcount:
 
     def test_word_boundary(self):
         assert popcount(Bitstream.constant(1, 65, Encoding.UNIPOLAR)) == 65
-
-    @given(st.lists(st.lists(st.integers(0, 1), min_size=1, max_size=70), min_size=1, max_size=4))
-    @settings(max_examples=60)
-    def test_concat_additivity(self, parts):
-        streams = [Bitstream.from_bits(b, Encoding.UNIPOLAR) for b in parts]
-        joined = concat(*streams)
-        assert popcount(joined) == sum(popcount(s) for s in streams)
-        assert joined.bit_array().tolist() == [bit for b in parts for bit in b]
-
-    def test_concat_rejects_mixed_encodings(self):
-        u = Bitstream.from_bits("101", Encoding.UNIPOLAR)
-        b = Bitstream.from_bits("1", Encoding.BIPOLAR)
-        with pytest.raises(StreamMismatchError, match="unipolar and bipolar"):
-            concat(u, u, b)
 
 
 class TestSigns:

@@ -246,6 +246,35 @@ class TestSeedAndTargetParams:
         assert not (tmp_path / "bound_report.json").exists()
 
 
+#: One argv per command that evaluates a target on a grid holding 0 and 0.5.
+TARGET_ARGV = {
+    "fit": ("fit", "--N", "4", "--grid-points", "17"),
+    "sweep": ("sweep", "--network", "{net}", "--Ms", "4", "--trials", "30", "--grid-points", "17"),
+    "bound": ("bound", "--n", "1", "--N", "8", "--epsilon", "1.0", "--delta", "0.25", "--alpha-sum", "30",
+              "--validate", "--network", "{net}", "--trials", "2", "--grid-points", "3"),
+}
+
+
+class TestNonFiniteTarget:
+    """A target with no finite value somewhere on the grid is a one-line
+    usage error that writes no file. It used to be blamed on the solver
+    (fit), written as NaN before the JSON writer refused it (sweep), or
+    passed (bound: NaN >= epsilon is false)."""
+
+    @pytest.mark.parametrize("command", sorted(TARGET_ARGV))
+    @pytest.mark.parametrize("target, param, named", [
+        ("bump", "width=0", "width=0.0 must be > 0"),
+        ("bump", "width=1e-200", "target 'bump' is nan at x = [0.5]"),
+        ("sine", "cycles=1e308", "target 'sine' is nan at x = [0.0]"),
+    ])
+    def test_exits_2_and_writes_nothing(self, sine_net, tmp_path, capsys, command, target, param, named):
+        argv = [a.format(net=sine_net) for a in TARGET_ARGV[command]]
+        assert run(*argv, "--target", target, "--target-param", param, "--out-dir", tmp_path / "o") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and named in err
+        assert not (tmp_path / "o").exists()
+
+
 class TestEval:
     def test_reference_and_scnn(self, sine_net, capsys):
         assert run("eval", "--network", sine_net, "--x", "0.25",

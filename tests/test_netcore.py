@@ -11,6 +11,7 @@ from scbnn import (
     ReferenceNetwork,
     SchemaError,
     StreamKey,
+    TargetFunction,
     activate,
     activate_deriv,
     fit_reference,
@@ -214,6 +215,23 @@ class TestTargets:
     def test_parameters_reach_the_target(self):
         assert make_target("constant", 1, value=0.7)([0.2]) == 0.7
         assert make_target("sine", 1, cycles=2.0)([0.125]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("width", [0.0, -0.15])
+    def test_bump_width_must_be_positive(self, width):
+        with pytest.raises(ValueError, match=rf"width={width!r} must be > 0"):
+            make_target("bump", 1, width=width)
+
+    @pytest.mark.parametrize("f, n, message", [
+        (make_target("sine", 1, cycles=1e308), 1, "target 'sine' is nan at x = [0.0], not finite"),
+        (make_target("bump", 2, width=1e-200), 2, "target 'bump' is nan at x = [0.5, 0.5], not finite"),
+        (TargetFunction("pole", 1, lambda pts: 1.0 / (pts[:, 0] - 0.5)), 1,
+         "target 'pole' is inf at x = [0.5], not finite"),
+    ], ids=["overflow", "zero-over-zero", "divide-by-zero"])
+    def test_value_not_finite_is_named(self, f, n, message):
+        # No RuntimeWarning escapes (warnings are errors in this suite).
+        with pytest.raises(ValueError) as raised:
+            f(unit_grid(n, 3))
+        assert str(raised.value) == message
 
 
 class TestWeightFiles:

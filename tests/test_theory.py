@@ -323,6 +323,20 @@ class TestBoundValidation:
         rep = bound_validation(q, net, f, trials=10, key=KEY)
         assert rep.failure_rate == 0.0
 
+    @pytest.mark.parametrize("query, message", [
+        (BoundQuery(2, 2, 0.5, 0.25, alpha_sum=2.0), "--n 2 does not match the network's n = 1"),
+        (BoundQuery(1, 3, 0.5, 0.25, alpha_sum=2.0), "--N 3 does not match the network's N = 2"),
+        (BoundQuery(1, 2, 0.5, 0.25, alpha_sum=0.5),
+         "A = 0.5 (from --alpha-sum) is below the network's sum |alpha| = {}"),
+    ], ids=["n", "N", "alpha-sum"])
+    def test_refuses_a_network_the_bound_does_not_cover(self, query, message):
+        # The library refuses it, not only the CLI: a PASS for such a net would mean nothing.
+        f = make_target("linear", 1)
+        net = fit_reference(f, 2, unit_grid(1, 64), StreamKey(1))
+        with pytest.raises(ValueError) as raised:
+            bound_validation(query, net, f, trials=10, key=KEY)
+        assert str(raised.value) == message.format(net.alpha_sum)
+
     def test_infeasible_guard(self):
         f = make_target("linear", 1)
         net = fit_reference(f, 2, unit_grid(1, 16), StreamKey(1))
