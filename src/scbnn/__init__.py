@@ -73,11 +73,11 @@ from .theory import (
 )
 from .transform import (
     ChunkError,
-    ChunkSpec,
     EquivalenceReport,
     ScnnStreamBundle,
     bnn_to_scnn,
-    chunk_network,
+    chunk_bits,
+    join_bits,
     preactivation_equivalence_check,
     scnn_to_bnn,
 )

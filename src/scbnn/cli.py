@@ -51,9 +51,9 @@ from .theory import (
     m_min_bound,
 )
 from .transform import (
+    bnn_to_scnn,
     bundle_from_dict,
     bundle_to_dict,
-    chunk_network,
     preactivation_equivalence_check,
     scnn_to_bnn,
 )
@@ -133,6 +133,15 @@ def _parse_flag(flag: str, text: str, convert, what: str):
         raise ValueError(f"{flag} must be {what}, got {text!r}") from None
 
 
+def _refuse(args, why: str, *dests: str) -> None:
+    """A flag the run would ignore is a usage error: the first of `dests`
+    given on the command line is named, with `why` it does nothing."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if value is not None and value is not False:  # not `in`: 0 == False
+            raise ValueError(f"--{dest.replace('_', '-')} {why}")
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -180,6 +189,8 @@ def _cmd_fit(args) -> int:
         "noise_penalty": _resolve(args.noise_penalty, config, "fit.noise_penalty", 1e-3, float),
         "ridge": _resolve(args.ridge, config, "fit.ridge", 1e-8, float),
     }
+    if args.name == "":
+        raise ValueError("--name must not be empty")
     if args.name:
         run["name"] = args.name
     f = _resolve_target(args, config, run["n"], run)
@@ -219,6 +230,7 @@ def _cmd_eval(args) -> int:
     if kind == "binary":
         if not args.x_bits:
             raise ValueError("binary networks need --x-bits (e.g. 1011 for +,-,+,+)")
+        _refuse(args, "is only used with reference networks", "x", "scnn", "M", "mode", "seed")
         x = _parse_flag("--x-bits", args.x_bits, lambda s: Bitstream.from_bits(s, Encoding.BIPOLAR), "0s and 1s")
         print(f"bnn {forward_bnn(net, x)!r}")
         return 0
@@ -226,13 +238,17 @@ def _cmd_eval(args) -> int:
         raise ValueError("eval expects a reference or binary network file")
     if not args.x:
         raise ValueError("reference networks need --x (comma-separated reals)")
+    _refuse(args, "is only used with binary networks", "x_bits")
+    if not args.scnn:
+        _refuse(args, "is only used with --scnn", "M", "mode", "seed")
     what = "finite reals separated by commas"
     point = _parse_flag("--x", args.x, lambda s: [float(v) for v in s.split(",")], what)
     if not np.isfinite(point).all():
         raise ValueError(f"--x must be {what}, got {args.x!r}")
     print(f"reference {forward_reference(net, point)!r}")
     if args.scnn:
-        cfg = ScnnConfig(args.M, StreamKey(args.seed), AccumulationMode(args.mode))
+        M = 4096 if args.M is None else args.M
+        cfg = ScnnConfig(M, StreamKey(args.seed or 0), AccumulationMode(args.mode or "apc"))
         print(f"scnn {forward_scnn(net, point, cfg)!r} (M={cfg.M}, mode={cfg.mode.value})")
     return 0
 
@@ -278,9 +294,13 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_bound(args) -> int:
+    if not args.validate:
+        _refuse(args, "is only used with --validate", "network", "target", "target_param", "trials",
+                "grid_points", "mode", "seed", "out_dir")
     run = {"command": "bound", "n": args.n, "N": args.N, "epsilon": args.epsilon, "delta": args.delta,
-           "alpha_sum": args.alpha_sum, "trials": args.trials, "grid": args.grid_points, "mode": args.mode,
-           "network": args.network, "seed": args.seed}
+           "alpha_sum": args.alpha_sum, "trials": 40 if args.trials is None else args.trials,
+           "grid": 9 if args.grid_points is None else args.grid_points, "mode": args.mode or "apc",
+           "network": args.network, "seed": args.seed or 0}
     q = BoundQuery(run["n"], run["N"], run["epsilon"], run["delta"], alpha_sum=run["alpha_sum"])
     print(f"M_min = {m_min_bound(q)}")
     if not args.validate:
@@ -324,7 +344,7 @@ def _cmd_convert(args) -> int:
     # 65,536-weight net by about 0.8 MB (heap layout).
     if run["mode"] != "to-scnn":
         binarize = run["mode"] == "binarize"
-        bnet = binarize_network(net, key) if binarize else scnn_to_bnn(net)[0]
+        bnet = binarize_network(net, key) if binarize else scnn_to_bnn(net)
         out = _out_dir(args.out_dir)
         meta = _metadata(run)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
@@ -333,7 +353,7 @@ def _cmd_convert(args) -> int:
         print(f"{'binarized' if binarize else 'joined'} {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
-    bundle = chunk_network(net, run["M"])
+    bundle = bnn_to_scnn(net, run["M"])
     path = _out_dir(args.out_dir) / "scnn_streams.json"
     _write_json(path, bundle_to_dict(bundle), _metadata(run))
     # equivalence check on a keyed random input vector
@@ -354,11 +374,13 @@ def _cmd_energy(args) -> int:
     if args.bnn:
         if args.m is None or args.N is None:
             raise ValueError("--bnn needs --m and --N")
+        _refuse(args, "is not used with --bnn", "n", "M")
         run = {"command": "energy", "bnn": True, "m": args.m, "N": args.N, "mode": args.mode}
         report = bnn_layer_energy(run["m"], run["N"], AccumulationMode(run["mode"]))
     else:
         if args.n is None or args.M is None or args.N is None:
             raise ValueError("energy needs --n, --M and --N (or --bnn --m --N)")
+        _refuse(args, "is only used with --bnn", "m")
         run = {"command": "energy", "n": args.n, "M": args.M, "N": args.N, "mode": args.mode}
         report = layer_energy(run["n"], run["M"], run["N"], AccumulationMode(run["mode"]))
     for name, value in report.classes().items():
@@ -407,9 +429,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", help="comma-separated reals (reference/scnn)")
     p.add_argument("--x-bits", help="bit string, 1 = +1 (binary networks)")
     p.add_argument("--scnn", action="store_true", help="also evaluate the stochastic pass")
-    p.add_argument("--M", type=int, default=4096)
-    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--M", type=int)
+    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("sweep", help="Monte-Carlo convergence sweep over stream lengths")
@@ -437,10 +459,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--network")
     p.add_argument("--target")
     p.add_argument("--target-param", action="append", metavar="K=V")
-    p.add_argument("--trials", type=int, default=40)
-    p.add_argument("--grid-points", type=int, default=9)
-    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--grid-points", type=int)
+    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_bound)
 

@@ -1,27 +1,26 @@
 """BNN <-> SCNN equivalence: chunk m binary values into n = m/M bipolar
 streams of length M and back, bit-exactly, and the stream-bundle file.
 
-A +/-1 vector is m packed bits, so chunking is a reshape of its bits into
-n rows of M (`chunk_bits`, which chunks a `BinaryNetwork`'s whole
-(N, ceil(m/8)) weight array at once) and joining is the reverse reshape.
-Chunk order is storage order: stream j takes bits jM .. (j+1)M - 1. The
-bias stream is the bias bit sign-extended to M clocks (a constant +/-1
-stream), so the APC total over the n+1 term streams reproduces the BNN
-integer preactivation with the bias weighted by M:
+A +/-1 vector is m packed bits, so the bridge is two reshapes of them:
+`chunk_bits` cuts packed m-bit vectors into n rows of M bits, in storage
+order (stream j takes bits jM .. (j+1)M - 1), and `join_bits` undoes it.
+`bnn_to_scnn` chunks a `BinaryNetwork`'s whole weight array at once and
+sign-extends each bias bit to M clocks (a constant +/-1 stream), so the APC
+total over the n+1 term streams reproduces the BNN integer preactivation
+with the bias weighted by M:
 
     2*total - (n+1)*M == w.x + M*b
 
-A `ScnnStreamBundle` holds all of a network's streams as packed uint8
-arrays, so chunking, joining, the equivalence check and the hex lines of
-the bundle file all work on whole arrays: the check is one `apc_ones` call
-for the SC side and one `binary_dot` call for the BNN side. A bundle file's
-headers and output weights are read by netcore's typed readers, and its
-N*n weight lines by one `from_hex_lines` call.
+A `ScnnStreamBundle` holds what a bundle file holds, every stream as a
+packed uint8 array, so the equivalence check is one `apc_ones` call for the
+SC side and one `binary_dot` call for the BNN side. A bundle file's headers
+and output weights are read by netcore's typed readers, and its N*n weight
+lines by one `from_hex_lines` call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,54 +34,43 @@ class ChunkError(ValueError):
     """Chunk length incompatible with the bit budget."""
 
 
-@dataclass(frozen=True)
-class ChunkSpec:
-    """Split of m bits into n = m/M streams; M must divide m exactly."""
-
-    m: int
-    M: int
-
-    def __post_init__(self):
-        if self.m < 1 or self.M < 1:
-            raise ChunkError(f"need m >= 1 and M >= 1, got m={self.m}, M={self.M}")
-        if self.m % self.M != 0:
-            raise ChunkError(f"chunk length M={self.M} does not divide m={self.m}")
-
-    @property
-    def n(self) -> int:
-        return self.m // self.M
-
-
 def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
     """Chunk packed m-bit vectors, shape (..., ceil(m/8)), into packed
-    n = m/M chunks of M bits, shape (..., n, ceil(M/8)), with zero pad bits."""
-    n = ChunkSpec(m, M).n
+    n = m/M chunks of M bits, shape (..., n, ceil(M/8)), with zero pad bits.
+    M must divide m exactly."""
+    if m < 1 or M < 1:
+        raise ChunkError(f"need m >= 1 and M >= 1, got m={m}, M={M}")
+    if m % M != 0:
+        raise ChunkError(f"chunk length M={M} does not divide m={m}")
     unpacked = np.unpackbits(bits, axis=-1, count=m)
-    return np.packbits(unpacked.reshape(*bits.shape[:-1], n, M), axis=-1)
+    return np.packbits(unpacked.reshape(*bits.shape[:-1], m // M, M), axis=-1)
+
+
+def join_bits(chunks: np.ndarray, M: int) -> np.ndarray:
+    """Inverse of `chunk_bits`: packed chunks of M bits, shape (..., n,
+    ceil(M/8)), joined into packed n*M-bit vectors, shape (..., ceil(n*M/8))."""
+    bits = np.unpackbits(chunks, axis=-1, count=M)
+    return np.packbits(bits.reshape(*chunks.shape[:-2], -1), axis=-1)
 
 
 @dataclass
 class ScnnStreamBundle:
     """SCNN-form view of a BNN as packed bipolar streams of M bits, pad bits
-    zero: every unit's n weight streams, its sign-extended bias stream and,
-    optionally, the chunked input streams."""
+    zero: every unit's n weight streams and its sign-extended bias stream."""
 
     M: int
     weights: np.ndarray  # uint8 (N, n, ceil(M/8))
     biases: np.ndarray  # uint8 (N, ceil(M/8))
     output_weights: np.ndarray
     activation: Activation
-    inputs: np.ndarray | None = None  # uint8 (n, ceil(M/8))
     name: str = "scnn-streams"
 
     def __post_init__(self):
         nbytes = (self.M + 7) // 8
         if self.M < 1 or self.weights.ndim != 3 or self.weights.shape[2] != nbytes:
             raise ChunkError(f"weights have shape {self.weights.shape}, expected (N, n, {nbytes}) for M={self.M}")
-        for field, shape in (("biases", (self.N, nbytes)), ("inputs", (self.n, nbytes))):
-            arr = getattr(self, field)
-            if arr is not None and arr.shape != shape:
-                raise ChunkError(f"{field} have shape {arr.shape}, expected {shape} for M={self.M}")
+        if self.biases.shape != (self.N, nbytes):
+            raise ChunkError(f"biases have shape {self.biases.shape}, expected {(self.N, nbytes)} for M={self.M}")
 
     @property
     def N(self) -> int:
@@ -97,8 +85,8 @@ class ScnnStreamBundle:
         return self.n * self.M
 
 
-def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
-    """Chunk every unit's weight bits; sign-extend every bias."""
+def bnn_to_scnn(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
+    """Chunk every unit's weight bits into M-bit streams; sign-extend every bias."""
     ones = Bitstream.constant(1, M, Encoding.BIPOLAR).bits
     return ScnnStreamBundle(
         M=M,
@@ -110,41 +98,25 @@ def chunk_network(bnet: BinaryNetwork, M: int) -> ScnnStreamBundle:
     )
 
 
-def bnn_to_scnn(bnet: BinaryNetwork, x_B: Bitstream, M: int) -> ScnnStreamBundle:
-    """Transform a BNN plus one input vector into SCNN stream form."""
-    if x_B.length != bnet.m:
-        raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
-    return replace(chunk_network(bnet, M), inputs=chunk_bits(x_B.bits, bnet.m, M))
-
-
-def _join_chunks(chunks: np.ndarray, M: int) -> np.ndarray:
-    """Inverse of `chunk_bits`: packed chunks of M bits, shape (..., n,
-    ceil(M/8)), joined into packed n*M-bit vectors, shape (..., ceil(n*M/8))."""
-    bits = np.unpackbits(chunks, axis=-1, count=M)
-    return np.packbits(bits.reshape(*chunks.shape[:-2], -1), axis=-1)
-
-
-def scnn_to_bnn(bundle: ScnnStreamBundle) -> tuple[BinaryNetwork, Bitstream | None]:
-    """Exact inverse of bnn_to_scnn: join each unit's chunks in order.
+def scnn_to_bnn(bundle: ScnnStreamBundle) -> BinaryNetwork:
+    """Inverse of `bnn_to_scnn` up to the name: join each unit's chunks in order.
 
     Bias streams must be constant (a sign extension); anything else has no
     single-bit preimage.
     """
-    M, m = bundle.M, bundle.m
+    M = bundle.M
     ones = np.bitwise_count(bundle.biases).sum(axis=1, dtype=np.int64)
     bad = np.flatnonzero((ones != 0) & (ones != M))
     if bad.size:
         raise ChunkError(f"bias stream {bad[0]} is not a sign extension ({ones[bad[0]]}/{M} ones)")
-    bnet = BinaryNetwork(
-        binary_weights=_join_chunks(bundle.weights, M),
-        m=m,
+    return BinaryNetwork(
+        binary_weights=join_bits(bundle.weights, M),
+        m=bundle.m,
         binary_biases=np.where(ones == M, 1, -1),
         output_weights=bundle.output_weights.copy(),
         activation=bundle.activation,
         name=bundle.name,
     )
-    x_B = None if bundle.inputs is None else Bitstream(_join_chunks(bundle.inputs, M), m, Encoding.BIPOLAR)
-    return bnet, x_B
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +181,18 @@ def preactivation_equivalence_check(
     """Verify, unit by unit, that the chunked SC datapath reproduces the
     BNN integer preactivation exactly (bias entering as its sign extension).
 
-    The SC side runs `apc_ones` on the packed arrays of `bnn_to_scnn`, the
-    ones the bundle file is written from, and tallies what `xnor_mult` per
-    chunk pair and `apc_sum` over each unit's n + 1 term streams would;
-    `binary_dot` on the unchunked weight array is the BNN side.
+    The SC side runs `apc_ones` on the arrays of `bnn_to_scnn(bnet, M)`, the
+    ones a bundle file is written from, and on `chunk_bits` of the input. It
+    tallies what `xnor_mult` per chunk pair and `apc_sum` over each unit's
+    n + 1 term streams would; `binary_dot` on the unchunked weight array is
+    the BNN side.
     """
-    bundle = bnn_to_scnn(bnet, x_B, M)
+    if x_B.length != bnet.m:
+        raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
+    bundle = bnn_to_scnn(bnet, M)
     n, N = bundle.n, bundle.N
     add_counts(GateCounts(xnor_ops=N * n * M, apc_bit_adds=N * (n + 1) * M * accumulator_width((n + 1) * M)))
-    totals = apc_ones(bundle.weights, bundle.inputs, bundle.biases, M)
+    totals = apc_ones(bundle.weights, chunk_bits(x_B.bits, bnet.m, M), bundle.biases, M)
     dots = binary_dot(bnet.binary_weights, x_B.bits, bnet.m)
     units = []
     for i, (total, wx, b) in enumerate(zip(totals.tolist(), dots.tolist(), bnet.binary_biases.tolist())):

@@ -25,6 +25,7 @@ from scbnn import (
     bnn_layer_energy,
     bnn_to_scnn,
     bound_validation,
+    chunk_bits,
     convergence_sweep,
     counting,
     decode,
@@ -32,6 +33,7 @@ from scbnn import (
     encode_many,
     fit_reference,
     hard_sigmoid,
+    join_bits,
     layer_energy,
     m_min_bound,
     make_target,
@@ -187,13 +189,14 @@ class TestAcceptance:
             for M in range(1, m + 1):
                 if m % M:
                     continue
-                bundle = bnn_to_scnn(bnet, x, M)
-                back, x_back = scnn_to_bnn(bundle)
+                bundle = bnn_to_scnn(bnet, M)
+                back = scnn_to_bnn(bundle)
+                x_chunks = chunk_bits(x.bits, m, M)
                 round_trip = (
                     bundle.weights.shape == (N, m // M, (M + 7) // 8)
                     and bundle.biases.shape == (N, (M + 7) // 8)
-                    and bundle.inputs.shape == (m // M, (M + 7) // 8)
-                    and x_back == x
+                    and x_chunks.shape == (m // M, (M + 7) // 8)
+                    and Bitstream(join_bits(x_chunks, M), m, Encoding.BIPOLAR) == x
                     and np.array_equal(back.binary_biases, bnet.binary_biases)
                     and np.array_equal(back.binary_weights, bnet.binary_weights)
                 )

@@ -76,6 +76,12 @@ class TestFit:
     def test_unknown_target_is_usage_error(self, tmp_path):
         assert run("fit", "--target", "nope", "--out-dir", tmp_path) == 2
 
+    def test_empty_name_is_usage_error(self, tmp_path, capsys):
+        # An empty --name used to write the default name quietly.
+        assert run("fit", "--target", "sine", "--N", "4", "--name", "", "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: --name must not be empty\n"
+        assert not (tmp_path / "o").exists()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -313,6 +319,20 @@ class TestEval:
         assert captured.out == ""
         assert captured.err.startswith("error: --x must be finite") and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("network, flags, message", [
+        ("sine_net", ["--x", "0.5", "--M", "0", "--mode", "mux", "--seed", "-5"], "--M is only used with --scnn"),
+        ("sine_net", ["--x", "0.5", "--seed", "0"], "--seed is only used with --scnn"),
+        ("sine_net", ["--x", "0.5", "--x-bits", "1"], "--x-bits is only used with binary networks"),
+        ("bnn_file", ["--x-bits", "101100111000", "--x", "0.5"], "--x is only used with reference networks"),
+        ("bnn_file", ["--x-bits", "101100111000", "--scnn"], "--scnn is only used with reference networks"),
+    ], ids=["M-without-scnn", "default-seed-without-scnn", "x-bits-on-reference", "x-on-binary", "scnn-on-binary"])
+    def test_ignored_flag_is_usage_error(self, request, capsys, network, flags, message):
+        # A flag the pass would not read used to be dropped without a word.
+        network = request.getfixturevalue(network)
+        capsys.readouterr()  # what the fixture printed
+        assert run("eval", "--network", network, *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestSweep:
     def test_deterministic_bytes_and_parallel(self, sine_net, tmp_path):
@@ -453,6 +473,20 @@ class TestBound:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and named.format(alpha_sum) in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--network", "nope.json", "--target", "nope", "--trials", "0", "--mode", "mux", "--out-dir", "bx"], "--network"),
+        (["--target-param", "cycles=2"], "--target-param"),
+        (["--grid-points", "9", "--seed", "0"], "--grid-points"),
+        (["--seed", "0"], "--seed"),
+        (["--out-dir", "bx"], "--out-dir"),
+    ], ids=["many", "target-param", "default-grid", "default-seed", "out-dir"])
+    def test_validation_flag_without_validate_is_usage_error(self, tmp_path, capsys, flags, named):
+        # Such flags used to be ignored: M_min printed, exit 0, no out dir made.
+        flags = [str(tmp_path / f) if f == "bx" else f for f in flags]
+        assert run("bound", "--n", "1", "--N", "2", "--epsilon", "0.5", "--delta", "0.25", *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {named} is only used with --validate\n")
+        assert not (tmp_path / "bx").exists()
 
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())
@@ -890,3 +924,13 @@ class TestEnergy:
 
     def test_missing_args(self):
         assert run("energy", "--n", "4") == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "1", "--M", "4", "--N", "2", "--m", "7"], "--m is only used with --bnn"),
+        (["--bnn", "--m", "8", "--N", "2", "--n", "1"], "--n is not used with --bnn"),
+        (["--bnn", "--m", "8", "--N", "2", "--M", "4"], "--M is not used with --bnn"),
+    ], ids=["m-without-bnn", "n-with-bnn", "M-with-bnn"])
+    def test_ignored_flag_is_usage_error(self, tmp_path, capsys, flags, message):
+        assert run("energy", *flags, "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()

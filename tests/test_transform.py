@@ -7,19 +7,19 @@ from scbnn import (
     Activation,
     BinaryNetwork,
     ChunkError,
-    ChunkSpec,
     Encoding,
     ScnnStreamBundle,
     bnn_to_scnn,
-    chunk_network,
+    chunk_bits,
     decode,
+    join_bits,
     preactivation_equivalence_check,
     scnn_to_bnn,
     to_hex_line,
 )
 from scbnn.bitstream import Bitstream
 from scbnn.scgates import apc_sum, counting, xnor_mult
-from scbnn.transform import UnitEquivalence, bundle_from_dict, bundle_to_dict, chunk_bits
+from scbnn.transform import UnitEquivalence, bundle_from_dict, bundle_to_dict
 
 
 def random_bnet(gen, m, N):
@@ -57,7 +57,7 @@ def chunked(v, M):
     return [Bitstream(row, M, Encoding.BIPOLAR) for row in chunk_bits(v.bits, v.length, M)]
 
 
-def one_unit_bundle(streams, inputs=None):
+def one_unit_bundle(streams):
     """A one-unit bundle with `streams` as its weight streams and a +1 bias."""
     M = streams[0].length
     return ScnnStreamBundle(
@@ -66,28 +66,35 @@ def one_unit_bundle(streams, inputs=None):
         Bitstream.constant(1, M, Encoding.BIPOLAR).bits[None],
         np.ones(1),
         Activation.SIGMOID,
-        inputs=inputs,
     )
 
 
 def joined(streams):
     """`scnn_to_bnn` of `streams` as one unit's weight streams."""
-    bnet, _ = scnn_to_bnn(one_unit_bundle(streams))
-    return weight_rows(bnet)[0]
+    return weight_rows(scnn_to_bnn(one_unit_bundle(streams)))[0]
 
 
-class TestChunkSpec:
+def n_chunks(m, M):
+    """The number of chunks `chunk_bits` cuts an m-bit vector of ones into."""
+    return chunk_bits(np.packbits(np.ones(m, dtype=np.uint8)), m, M).shape[0]
+
+
+class TestChunkBits:
     def test_valid(self):
-        spec = ChunkSpec(12, 3)
-        assert spec.n == 4
+        assert n_chunks(12, 3) == 4
 
     def test_non_divisor_rejected(self):
         with pytest.raises(ChunkError, match="does not divide"):
-            ChunkSpec(10, 3)
+            n_chunks(10, 3)
 
     def test_degenerate(self):
-        assert ChunkSpec(5, 5).n == 1
-        assert ChunkSpec(5, 1).n == 5
+        assert n_chunks(5, 5) == 1
+        assert n_chunks(5, 1) == 5
+
+    @pytest.mark.parametrize("m, M", [(0, 1), (4, 0), (4, -2)])
+    def test_non_positive_rejected(self, m, M):
+        with pytest.raises(ChunkError, match=rf"^need m >= 1 and M >= 1, got m={m}, M={M}$"):
+            chunk_bits(np.zeros(1, dtype=np.uint8), m, M)
 
 
 class TestSplitJoin:
@@ -127,8 +134,6 @@ class TestSplitJoin:
         # A 3-bit stream packs into one byte, a 9-bit stream into two.
         s3 = Bitstream.from_bits("101", Encoding.BIPOLAR)
         s9 = Bitstream.from_bits("101101101", Encoding.BIPOLAR)
-        with pytest.raises(ChunkError, match="inputs"):
-            one_unit_bundle([s3, s3], inputs=np.stack([s9.bits, s9.bits]))
         bundle = one_unit_bundle([s3])
         with pytest.raises(ChunkError, match="weights"):
             ScnnStreamBundle(3, s9.bits[None, None], bundle.biases, bundle.output_weights, bundle.activation)
@@ -145,44 +150,67 @@ class TestSplitJoin:
         assert np.array_equal(np.concatenate([s.bit_array() for s in streams]), x.bit_array())
         assert joined(streams) == x
 
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(0, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_join_bits_inverts_chunk_bits(self, seed, m, rows):
+        # A stack of `rows` vectors; rows = 0 is one unstacked vector.
+        gen = np.random.default_rng(seed)
+        shape = (rows, m) if rows else (m,)
+        v = np.packbits(gen.integers(0, 2, shape, dtype=np.uint8), axis=-1)
+        for M in divisors(m):
+            chunks = chunk_bits(v, m, M)
+            assert chunks.shape == (*shape[:-1], m // M, (M + 7) // 8)
+            joined_back = join_bits(chunks, M)
+            assert joined_back.dtype == np.uint8 and np.array_equal(joined_back, v)
+
+
+def assert_same_network(back, bnet, name):
+    assert (back.m, back.name, back.activation) == (bnet.m, name, bnet.activation)
+    assert np.array_equal(back.binary_weights, bnet.binary_weights)
+    assert np.array_equal(back.binary_biases, bnet.binary_biases)
+    assert np.array_equal(back.output_weights, bnet.output_weights)
+
 
 class TestNetworkTransform:
     def test_round_trip_bit_exact(self):
         gen = np.random.default_rng(17)
         bnet = random_bnet(gen, 24, 3)
-        x = Bitstream.from_signs(gen.choice([-1, 1], 24))
         for M in divisors(24):
-            bundle = bnn_to_scnn(bnet, x, M)
-            assert bundle.n == 24 // M and bundle.m == 24
-            back, x_back = scnn_to_bnn(bundle)
-            assert x_back == x
-            assert back.m == bundle.n * M  # shared bit budget preserved
-            assert np.array_equal(back.binary_weights, bnet.binary_weights)
-            assert np.array_equal(back.binary_biases, bnet.binary_biases)
-            assert np.array_equal(back.output_weights, bnet.output_weights)
+            bundle = bnn_to_scnn(bnet, M)
+            assert bundle.n == 24 // M and bundle.m == 24  # shared bit budget preserved
+            assert bundle.name == f"{bnet.name}-M{M}"
+            assert_same_network(scnn_to_bnn(bundle), bnet, bundle.name)
+
+    @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 3))
+    @settings(max_examples=40, deadline=None)
+    def test_round_trip_through_the_bundle_file(self, seed, m, N):
+        gen = np.random.default_rng(seed)
+        bnet = random_bnet(gen, m, N)
+        for M in divisors(m):
+            back = scnn_to_bnn(bundle_from_dict(bundle_to_dict(bnn_to_scnn(bnet, M))))
+            assert_same_network(back, bnet, f"{bnet.name}-M{M}")
 
     def test_sign_extension_stream(self):
         for M in (1, 4, 12):
             bnet = BinaryNetwork(all_plus_one(2, M), M, np.array([1, -1]), np.ones(2), Activation.SIGMOID)
-            biases = chunk_network(bnet, M).biases
+            biases = bnn_to_scnn(bnet, M).biases
             assert [decode(Bitstream(row, M, Encoding.BIPOLAR)) for row in biases] == [1.0, -1.0]
         with pytest.raises(ValueError):  # a bias of 0 has no sign extension
             BinaryNetwork(all_plus_one(1, 6), 6, np.array([0]), np.ones(1), Activation.SIGMOID)
 
     def test_non_constant_bias_rejected_on_join(self):
         gen = np.random.default_rng(3)
-        bnet = random_bnet(gen, 8, 2)
-        x = Bitstream.from_signs(gen.choice([-1, 1], 8))
-        bundle = bnn_to_scnn(bnet, x, 4)
+        bundle = bnn_to_scnn(random_bnet(gen, 8, 2), 4)
         bundle.biases[0] = Bitstream.from_bits("1010", Encoding.BIPOLAR).bits
         with pytest.raises(ChunkError, match="sign extension"):
             scnn_to_bnn(bundle)
 
     def test_input_length_checked(self):
+        # The equivalence check refuses an input whose length is not the network's m.
         gen = np.random.default_rng(3)
         bnet = random_bnet(gen, 8, 2)
-        with pytest.raises(ChunkError):
-            bnn_to_scnn(bnet, Bitstream.from_signs(gen.choice([-1, 1], 9)), 4)
+        with pytest.raises(ChunkError, match=r"^input has 9 bits, network has m=8$"):
+            preactivation_equivalence_check(bnet, Bitstream.from_signs(gen.choice([-1, 1], 9)), 4)
 
 
 def per_stream_check(bnet, x, M):
@@ -234,7 +262,7 @@ class TestPackedAgainstPerStream:
         gen = np.random.default_rng(seed)
         bnet = random_bnet(gen, m, N)
         for M in divisors(m):
-            bundle = chunk_network(bnet, M)
+            bundle = bnn_to_scnn(bnet, M)
             doc = bundle_to_dict(bundle)
             assert doc["weight_streams"] == [[to_hex_line(s) for s in sliced(w, M)] for w in weight_rows(bnet)]
             assert doc["bias_streams"] == [
