@@ -53,7 +53,6 @@ from .scgates import (
     and_mult,
     apc_sum,
     counting,
-    dot_product_layer,
     dot_product_sc,
     mux_add,
     xnor_mult,

@@ -29,6 +29,8 @@ from .bnn import (
 )
 from .energy import bnn_layer_energy, layer_energy
 from .netcore import (
+    FIT_NOISE_PENALTY,
+    FIT_RIDGE,
     Activation,
     _check_json_type,
     fit_reference,
@@ -186,8 +188,8 @@ def _cmd_fit(args) -> int:
         "N": _resolve(args.N, config, "fit.N", 32, int),
         "activation": Activation(_resolve(args.activation, config, "fit.activation", "tanh", str)).value,
         "edge_fraction": _resolve(args.edge_fraction, config, "fit.edge_fraction", 0.5, float),
-        "noise_penalty": _resolve(args.noise_penalty, config, "fit.noise_penalty", 1e-3, float),
-        "ridge": _resolve(args.ridge, config, "fit.ridge", 1e-8, float),
+        "noise_penalty": _resolve(args.noise_penalty, config, "fit.noise_penalty", FIT_NOISE_PENALTY, float),
+        "ridge": _resolve(args.ridge, config, "fit.ridge", FIT_RIDGE, float),
     }
     if args.name == "":
         raise ValueError("--name must not be empty")

@@ -5,12 +5,11 @@ All gates are pure functions of immutable streams. When a `counting()`
 context is active, every gate tallies its abstract operation count; the
 same tallies are what the closed-form energy model predicts.
 
-The layer kernel `dot_product_layer` reduces its streams one block of
-`bitstream._DRAW_BLOCK` clocks at a time, as `bitstream.encode_blocks`
-draws them: APC adds each block's ones per unit, and MUX selects each
-block's bits with one generator per unit kept across blocks
-(`_mux_select` is the one-block selection that `mux_add` shares). No
-M-long stream is held, and the gate tallies are those of the whole M.
+The scalar gates are the reference oracle of the batched forward pass
+(`scnn.forward_scnn`), which shares two one-block kernels with them:
+`apc_ones`, the per-unit APC count of packed streams, and `_mux_select`,
+the MUX selection of one block of `bitstream._DRAW_BLOCK` clocks that
+`mux_add` also uses.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ import operator
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -272,58 +271,3 @@ def apc_ones(w_bits: np.ndarray, x_bits: np.ndarray, b_bits: np.ndarray, M: int)
     n = w_bits.shape[-2]
     mismatches = np.bitwise_count(w_bits ^ x_bits).sum(axis=(-2, -1), dtype=np.int64)
     return n * M - mismatches + np.bitwise_count(b_bits).sum(axis=-1, dtype=np.int64)
-
-
-def dot_product_layer(
-    blocks: Iterable[tuple[np.ndarray, np.ndarray, np.ndarray]],
-    M: int,
-    mode: AccumulationMode,
-    select_keys: Sequence[StreamKey] | None = None,
-    scale: float = 1.0,
-) -> np.ndarray:
-    """`dot_product_sc` for a layer of N units on packed bipolar streams,
-    reduced one block of clocks at a time.
-
-    `blocks` yields, for lo = 0, _DRAW_BLOCK, ... < M in order, the packed
-    (N, n, ceil(w/8)) weight and input streams and (N, ceil(w/8)) bias
-    streams of clocks [lo, lo + w), w = min(_DRAW_BLOCK, M - lo), with zero
-    pad bits (`bitstream.encode_blocks` cut by role). APC adds each block's
-    ones per unit. MUX forms unit i's XNOR products of the block and
-    selects their bits with one generator under `select_keys[i]`, kept
-    across blocks. Only the block at hand is held, so memory does not grow
-    with M. Returns the N preactivations, each bit-identical to
-    dot_product_sc on that unit's streams, and tallies the same gate
-    operations, once for the whole M.
-    """
-    ones, lo = None, 0
-    for w_bits, x_bits, b_bits in blocks:
-        if ones is None:
-            N, n, _ = w_bits.shape
-            ones = np.zeros(N, dtype=np.int64)
-            if mode is AccumulationMode.MUX:
-                if select_keys is None or len(select_keys) != N:
-                    raise ValueError(f"MUX accumulation needs one select key for each of the {N} units")
-                gens = [key.generator() for key in select_keys]
-        width = min(_DRAW_BLOCK, M - lo)
-        nbytes = (width + 7) // 8
-        if width < 1 or not w_bits.shape == x_bits.shape == (N, n, nbytes) or b_bits.shape != (N, nbytes):
-            raise StreamMismatchError(
-                f"layer streams disagree: weights {w_bits.shape}, inputs {x_bits.shape}, "
-                f"biases {b_bits.shape} for clocks [{lo}, {lo + width}) of M={M}"
-            )
-        if mode is AccumulationMode.APC:
-            ones += apc_ones(w_bits, x_bits, b_bits, width)
-        else:
-            for i in range(N):
-                products = zero_pad_bits(np.bitwise_not(w_bits[i] ^ x_bits[i]), width)
-                selected = _mux_select([*products, b_bits[i]], width, gens[i])
-                ones[i] += int(np.bitwise_count(selected).sum())
-        lo += width
-    if ones is None or lo != M:
-        raise StreamMismatchError(f"layer streams cover {lo} clocks, expected M={M}")
-    m = n * M
-    if mode is AccumulationMode.APC:
-        add_counts(GateCounts(xnor_ops=N * m, apc_bit_adds=N * m * accumulator_width(m)))
-        return (2 * ones - (n + 1) * M) / M * scale
-    add_counts(GateCounts(xnor_ops=N * m, mux_select_ops=N * m))
-    return (2 * ones - M) / M * (n + 1) * scale

@@ -9,8 +9,11 @@ own substream, so the same input coordinate feeding two units is re-encoded
 independently per unit. Results are pure functions of (net, x, config).
 
 The forward pass is streamed over clocks: each block of 2^16 clocks of the
-whole hidden layer is drawn and reduced before the next, so one forward
-holds a few MiB at any M up to `M_FEASIBLE_CAP`.
+whole hidden layer is drawn and reduced before the next (APC by `apc_ones`,
+MUX by `_mux_select` per unit, one select generator per unit kept across
+blocks), so one forward holds a few MiB at any M up to `M_FEASIBLE_CAP`.
+Gate tallies come from the closed form `energy.layer_energy`; the scalar
+gates of `scgates` are the oracle they are tested against.
 """
 
 from __future__ import annotations
@@ -20,9 +23,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import EncodingRangeError, StreamKey, encode_blocks, key_layout
+from .bitstream import EncodingRangeError, StreamKey, encode_blocks, key_layout, zero_pad_bits
+from .energy import layer_energy
 from .netcore import ReferenceNetwork, activate
-from .scgates import AccumulationMode, dot_product_layer
+from .scgates import AccumulationMode, _mux_select, add_counts, apc_ones
 
 
 #: Longest stream a forward pass simulates. Memory stays bounded at any M,
@@ -68,12 +72,13 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     Weights, inputs, and biases are divided by their network scales and
     encoded as bipolar streams, the whole hidden layer in one `encode_blocks`
     call; a value beyond its scale, or NaN, raises EncodingRangeError naming
-    the first such role (weights, inputs, bias). The SC products and
-    accumulations of all N units run on each block of packed streams as it is
-    drawn (`dot_product_layer`), and the decoded preactivations are multiplied
-    by `net.bias_scale` before the exact activation. The output layer stays in
-    exact reals and is summed in unit order. The result is bit-identical to
-    composing `sng_encode`, `dot_product_sc` and `activate` per unit.
+    the first such role (weights, inputs, bias). The XNOR products and the
+    accumulation of all N units run on each block of packed streams as it is
+    drawn, and the decoded preactivations are multiplied by `net.bias_scale`
+    before the exact activation. The output layer stays in exact reals and is
+    summed in unit order. The result, and the gate ops it tallies
+    (`layer_energy(n, M, N, mode)`), equal those of composing `sng_encode`,
+    `dot_product_sc` and `activate` per unit.
     """
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
@@ -90,14 +95,27 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
         raise EncodingRangeError(f"|{float(values[k])!r}| exceeds the {role} pre-scale factor {float(scales[k])!r}")
     probs = (values / scales + 1.0) / 2.0
     keys = cfg.key.fold_layout(_key_layout(N, n))
-    layer = (
-        (bits[: N * n].reshape(N, n, -1), bits[N * n : 2 * N * n].reshape(N, n, -1), bits[2 * N * n :])
-        for bits in encode_blocks(probs, keys, M)
-    )
-    select = None
-    if cfg.mode is AccumulationMode.MUX:
-        select = [cfg.key.substream("select", i) for i in range(N)]
-    pre = dot_product_layer(layer, M, cfg.mode, select, scale=net.bias_scale)
+    apc = cfg.mode is AccumulationMode.APC
+    if not apc:
+        select = cfg.key.substream_keys([("select", np.arange(N), 0)])
+        gens = [np.random.Generator(np.random.Philox(key=k)) for k in select]
+    ones, lo = np.zeros(N, dtype=np.int64), 0
+    for bits in encode_blocks(probs, keys, M):
+        width = min(8 * bits.shape[1], M - lo)
+        w_bits, x_bits = bits[: 2 * N * n].reshape(2, N, n, -1)
+        b_bits = bits[2 * N * n :]
+        if apc:
+            ones += apc_ones(w_bits, x_bits, b_bits, width)
+        else:
+            products = zero_pad_bits(~(w_bits ^ x_bits), width)
+            for i, gen in enumerate(gens):
+                ones[i] += int(np.bitwise_count(_mux_select([*products[i], b_bits[i]], width, gen)).sum())
+        lo += width
+    add_counts(layer_energy(n, M, N, cfg.mode))
+    if apc:
+        pre = (2 * ones - (n + 1) * M) / M * net.bias_scale
+    else:
+        pre = (2 * ones - M) / M * (n + 1) * net.bias_scale
     out = 0.0
     for alpha, h in zip(net.output_weights.tolist(), activate(net.activation, pre).tolist()):
         out += alpha * h

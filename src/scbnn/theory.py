@@ -90,6 +90,8 @@ def chebyshev_stream_bound_check(
     """Empirical tail P(|decode - x| >= k/(2 sqrt(M))) for unipolar streams,
     compared against the Chebyshev bound 1/k^2 plus sampling slack.
     """
+    if M < 1:
+        raise ValueError(f"stream length M must be >= 1, got {M}")
     if trials < 1000:
         raise ValueError(f"need trials >= 1000 for a stable tail estimate, got {trials}")
     if k <= 0:

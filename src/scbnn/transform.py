@@ -20,14 +20,15 @@ lines by one `from_hex_lines` call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bitstream import Bitstream, Encoding, to_hex_lines
 from .bnn import BinaryNetwork, _require_rows, binary_dot
+from .energy import layer_energy
 from .netcore import Activation, _require_header, _require_numbers
-from .scgates import GateCounts, accumulator_width, add_counts, apc_ones
+from .scgates import AccumulationMode, add_counts, apc_ones
 
 
 class ChunkError(ValueError):
@@ -184,14 +185,15 @@ def preactivation_equivalence_check(
     The SC side runs `apc_ones` on the arrays of `bnn_to_scnn(bnet, M)`, the
     ones a bundle file is written from, and on `chunk_bits` of the input. It
     tallies what `xnor_mult` per chunk pair and `apc_sum` over each unit's
-    n + 1 term streams would; `binary_dot` on the unchunked weight array is
-    the BNN side.
+    n + 1 term streams would, from `layer_energy` at n and at n + 1 terms;
+    `binary_dot` on the unchunked weight array is the BNN side.
     """
     if x_B.length != bnet.m:
         raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
     bundle = bnn_to_scnn(bnet, M)
     n, N = bundle.n, bundle.N
-    add_counts(GateCounts(xnor_ops=N * n * M, apc_bit_adds=N * (n + 1) * M * accumulator_width((n + 1) * M)))
+    terms = layer_energy(n + 1, M, N, AccumulationMode.APC)
+    add_counts(replace(terms, xnor_ops=layer_energy(n, M, N, AccumulationMode.APC).xnor_ops))
     totals = apc_ones(bundle.weights, chunk_bits(x_B.bits, bnet.m, M), bundle.biases, M)
     dots = binary_dot(bnet.binary_weights, x_B.bits, bnet.m)
     units = []

@@ -312,14 +312,18 @@ class TestForwardMatchesScalarComposition:
                 cfg = ScnnConfig(33, StreamKey(p), mode)
                 assert forward_scnn(sine_net, [x], cfg) == scalar_forward(sine_net, [x], cfg)
 
+    @pytest.mark.parametrize("case", ["sine", "two-input"])
     @pytest.mark.parametrize("mode", list(AccumulationMode))
-    def test_streams_over_many_blocks(self, sine_net, mode):
+    def test_streams_over_many_blocks(self, sine_net, mode, case):
         # Four clock blocks: the streamed layer against whole-stream gates.
-        cfg = ScnnConfig(LONG_MUX_M, StreamKey(7), mode)
+        # The two-input net's MUX has k = 3 terms, so its selects come from
+        # `integers` continued across blocks, and the last block is odd.
+        net, x, seed = (sine_net, [0.25], 7) if case == "sine" else (TWO_INPUT_NET, [0.3, 0.9], 11)
+        cfg = ScnnConfig(LONG_MUX_M, StreamKey(seed), mode)
         with counting() as streamed_counts:
-            streamed = forward_scnn(sine_net, [0.25], cfg)
+            streamed = forward_scnn(net, x, cfg)
         with counting() as scalar_counts:
-            scalar = scalar_forward(sine_net, [0.25], cfg)
+            scalar = scalar_forward(net, x, cfg)
         assert streamed.hex() == scalar.hex()
         assert streamed_counts == scalar_counts
 

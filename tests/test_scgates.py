@@ -23,7 +23,7 @@ from scbnn import (
     xnor_mult,
 )
 from scbnn.bitstream import _DRAW_BLOCK
-from scbnn.scgates import SumTrace, accumulator_width, dot_product_layer
+from scbnn.scgates import SumTrace, accumulator_width
 
 KEY = StreamKey(0xBEEF)
 
@@ -321,17 +321,3 @@ class TestCounting:
         # smallest w with 2^w >= m + 2, including where float log2 rounds
         assert accumulator_width(m) == width
         assert 2**width >= m + 2 > 2 ** (width - 1)
-
-
-class TestDotProductLayer:
-    def test_shape_mismatch_rejected(self):
-        w = np.zeros((2, 3, 2), dtype=np.uint8)
-        with pytest.raises(StreamMismatchError):
-            dot_product_layer([(w, w[:, :2], w[:, 0])], 16, AccumulationMode.APC)
-        with pytest.raises(StreamMismatchError):
-            dot_product_layer([(w, w, w[:, 0])], 17, AccumulationMode.APC)
-
-    def test_mux_needs_a_select_key_per_unit(self):
-        w = np.zeros((2, 1, 2), dtype=np.uint8)
-        with pytest.raises(ValueError, match="select key"):
-            dot_product_layer([(w, w, w[:, 0])], 16, AccumulationMode.MUX, [KEY])

@@ -142,6 +142,11 @@ class TestChebyshevCheck:
         with pytest.raises(ValueError):
             chebyshev_stream_bound_check(0.5, 100, 100, 2.0, KEY)
 
+    @pytest.mark.parametrize("M", [0, -3])
+    def test_non_positive_length_rejected(self, M):
+        with pytest.raises(ValueError, match=f"stream length M must be >= 1, got {M}"):
+            chebyshev_stream_bound_check(0.5, M, 2000, 2.0, KEY)
+
     # M = 1000 draws its 1000 trials in two groups (524 + 476).
     @pytest.mark.parametrize("x, M, k", [
         (0.5, 100, 2.0), (0.3, 37, 1.5), (0.9, 1, 1.0), (0.0, 8, 2.0), (0.5, 4, 1.0), (0.3, 1000, 1.5),
