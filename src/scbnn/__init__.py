@@ -27,10 +27,8 @@ from .bnn import (
     binary_dot,
     forward_bnn,
     hard_sigmoid,
-    load_binary_network,
-    save_binary_network,
 )
-from .energy import EnergyReport, bnn_layer_energy, layer_energy, neuron_energy
+from .energy import EnergyReport, bnn_layer_energy, layer_energy
 from .netcore import (
     Activation,
     ReferenceNetwork,
@@ -40,16 +38,13 @@ from .netcore import (
     activate_deriv,
     fit_reference,
     forward_reference,
-    load_network,
     make_target,
-    save_network,
     sup_error,
     unit_grid,
 )
 from .scgates import (
     AccumulationMode,
     GateCounts,
-    SumTrace,
     and_mult,
     apc_sum,
     counting,

@@ -15,7 +15,6 @@ must be the JSON integer +1 or -1.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +23,7 @@ from .bitstream import (
     Bitstream, Encoding, StreamFormatError, StreamKey, StreamMismatchError, encode_many, from_hex_lines, to_hex_lines,
 )
 from .netcore import (
-    Activation, SchemaError, activate, load_json_object, save_json, _require_header, _require_list, _require_numbers,
+    Activation, SchemaError, activate, _require_header, _require_list, _require_numbers,
 )
 
 
@@ -150,10 +149,6 @@ def _require_rows(doc: dict, key: str, shape: tuple, M: int, enc: Encoding | Non
         raise SchemaError(f"{where}: {key}[{index}]: {exc}") from None
 
 
-def save_binary_network(bnet: BinaryNetwork, path: str | os.PathLike) -> None:
-    save_json(path, binary_network_to_dict(bnet))
-
-
 def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> BinaryNetwork:
     if doc.get("binary") is not True:
         raise SchemaError(f"{where}: missing \"binary\": true flag")
@@ -170,6 +165,3 @@ def binary_network_from_dict(doc: dict, where: str = "binary weight file") -> Bi
         name=name,
     )
 
-
-def load_binary_network(path: str | os.PathLike) -> BinaryNetwork:
-    return binary_network_from_dict(load_json_object(path, "weight file"), where=str(path))

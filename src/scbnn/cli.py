@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .bitstream import Bitstream, Encoding, GENERATOR_FAMILY, StreamKey
 from .bnn import (
+    BinaryNetwork,
     binarize_network,
     binary_network_from_dict,
     binary_network_to_dict,
@@ -36,7 +37,6 @@ from .netcore import (
     fit_reference,
     forward_reference,
     load_json_object,
-    load_network,
     make_target,
     network_from_dict,
     network_to_dict,
@@ -164,10 +164,11 @@ def _resolve_target(args, config: dict, n: int, run: dict):
     if args.target_param is None and name != config_name:
         items = []
     source = "config target.params" if args.target_param is None else "--target-param"
-    params = {
-        item.partition("=")[0]: _parse_flag(source, item, lambda s: float(s.partition("=")[2]), "name=number")
-        for item in items
-    }
+    params = {}
+    for item in items:
+        if (param := item.partition("=")[0]) in params:
+            raise ValueError(f"{source} gives {param!r} twice")
+        params[param] = _parse_flag(source, item, lambda s: float(s.partition("=")[2]), "name=number")
     run["target"] = name
     if params:  # only when given, so a run without them keeps its hash
         run["target_params"] = params
@@ -217,27 +218,31 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _load_any_network(path: str):
-    """Returns ('reference'|'binary'|'bundle', object)."""
+#: Each kind of network file: what a refusal calls it, and its reader.
+NETWORK_KINDS = {"reference": ("a reference network file", network_from_dict),
+                 "binary": ("a binary network file", binary_network_from_dict),
+                 "bundle": ("an scnn-streams bundle file", bundle_from_dict)}
+
+
+def _load_network(path: str, flag: str, *kinds: str):
+    """The network in the file at `path`, read by the reader of its kind;
+    a file of a kind not in `kinds` is a ValueError naming `flag`."""
     doc = load_json_object(path, "network file")
-    if doc.get("form") == "scnn-streams":
-        return "bundle", bundle_from_dict(doc, path)
-    if doc.get("binary") is True:
-        return "binary", binary_network_from_dict(doc, where=path)
-    return "reference", network_from_dict(doc, where=path)
+    kind = "bundle" if doc.get("form") == "scnn-streams" else "binary" if doc.get("binary") is True else "reference"
+    if kind not in kinds:
+        raise ValueError(f"{flag} expects " + " or ".join(NETWORK_KINDS[k][0] for k in kinds))
+    return NETWORK_KINDS[kind][1](doc, where=path)
 
 
 def _cmd_eval(args) -> int:
-    kind, net = _load_any_network(args.network)
-    if kind == "binary":
+    net = _load_network(args.network, "--network", "reference", "binary")
+    if isinstance(net, BinaryNetwork):
         if not args.x_bits:
             raise ValueError("binary networks need --x-bits (e.g. 1011 for +,-,+,+)")
         _refuse(args, "is only used with reference networks", "x", "scnn", "M", "mode", "seed")
         x = _parse_flag("--x-bits", args.x_bits, lambda s: Bitstream.from_bits(s, Encoding.BIPOLAR), "0s and 1s")
         print(f"bnn {forward_bnn(net, x)!r}")
         return 0
-    if kind == "bundle":
-        raise ValueError("eval expects a reference or binary network file")
     if not args.x:
         raise ValueError("reference networks need --x (comma-separated reals)")
     _refuse(args, "is only used with binary networks", "x_bits")
@@ -247,18 +252,19 @@ def _cmd_eval(args) -> int:
     point = _parse_flag("--x", args.x, lambda s: [float(v) for v in s.split(",")], what)
     if not np.isfinite(point).all():
         raise ValueError(f"--x must be {what}, got {args.x!r}")
-    print(f"reference {forward_reference(net, point)!r}")
-    if args.scnn:
+    lines = [f"reference {forward_reference(net, point)!r}"]
+    if args.scnn:  # computed before anything is printed, so a refused run prints nothing
         M = 4096 if args.M is None else args.M
         cfg = ScnnConfig(M, StreamKey(args.seed or 0), AccumulationMode(args.mode or "apc"))
-        print(f"scnn {forward_scnn(net, point, cfg)!r} (M={cfg.M}, mode={cfg.mode.value})")
+        lines.append(f"scnn {forward_scnn(net, point, cfg)!r} (M={cfg.M}, mode={cfg.mode.value})")
+    print("\n".join(lines))
     return 0
 
 
 def _cmd_sweep(args) -> int:
     config = _load_config(args.config)
     run = {"command": "sweep", "seed": _resolve(args.seed, config, "seed", 0, int)}
-    net = load_network(args.network)
+    net = _load_network(args.network, "--network", "reference")
     run["network"] = net.name
     f = _resolve_target(args, config, net.n, run)
     Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
@@ -309,7 +315,7 @@ def _cmd_bound(args) -> int:
         return 0
     if not run["network"] or not args.target:
         raise ValueError("--validate needs --network and --target")
-    net = load_network(run["network"])
+    net = _load_network(run["network"], "--network", "reference")
     f = _resolve_target(args, {}, net.n, run)
     report = bound_validation(
         q, net, f, run["trials"], StreamKey(run["seed"]), grid=unit_grid(net.n, run["grid"]),
@@ -328,18 +334,16 @@ def _cmd_bound(args) -> int:
 def _cmd_convert(args) -> int:
     if args.binarize + (args.to_scnn is not None) + args.to_bnn != 1:
         raise ValueError("convert needs exactly one of --binarize, --to-scnn M, --to-bnn")
-    flag, wanted, what = (
-        ("--binarize", "reference", "a reference network file") if args.binarize
-        else ("--to-bnn", "bundle", "an scnn-streams bundle file") if args.to_bnn
-        else ("--to-scnn", "binary", "a binary network file")
+    flag, kind = (
+        ("--binarize", "reference") if args.binarize
+        else ("--to-bnn", "bundle") if args.to_bnn
+        else ("--to-scnn", "binary")
     )
     run = {"command": "convert", "input": os.path.basename(args.network), "seed": args.seed, "mode": flag[2:]}
     if run["mode"] == "to-scnn":
         run["M"] = args.to_scnn
     key = StreamKey(run["seed"])
-    kind, net = _load_any_network(args.network)
-    if kind != wanted:
-        raise ValueError(f"{flag} expects {what}")
+    net = _load_network(args.network, flag, kind)
     # Each mode converts before it creates the output directory, so an
     # input it rejects leaves nothing behind. The header is built after the
     # conversion: built before it, it raised the peak RSS of converting a
@@ -392,13 +396,7 @@ def _cmd_energy(args) -> int:
         out = _out_dir(args.out_dir)
         meta = _metadata(run)
         _write_json(out / "energy.json", report.to_dict(), meta)
-        classes = report.classes()
-        _write_csv(
-            out / "energy.csv",
-            ["class", "count"],
-            [[k, v] for k, v in classes.items()] + [["total", report.total]],
-            meta,
-        )
+        _write_csv(out / "energy.csv", ["class", "count"], [*report.classes().items(), ("total", report.total)], meta)
         print(f"wrote {out / 'energy.json'} and {out / 'energy.csv'}")
     return 0
 

@@ -369,16 +369,25 @@ def _reject_constant(token: str):
     raise SchemaError(f"non-finite number {token!r} not permitted")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """One JSON object as a dict; a key it repeats is a SchemaError."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise SchemaError(f"repeated key {next(key for key in keys if keys.count(key) > 1)!r}")
+    return doc
+
+
 def load_json_object(path: str | os.PathLike, what: str) -> dict:
     """The JSON object in the file at `path`, `what` naming it in errors.
 
-    Every JSON input goes through here, so NaN and Infinity are rejected
-    everywhere and malformed or too deeply nested JSON is a one-line
-    SchemaError.
+    Every JSON input goes through here, so NaN and Infinity and a key
+    repeated within one object are rejected everywhere, and malformed or
+    too deeply nested JSON is a one-line SchemaError.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as exc:
             raise SchemaError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from None
         except SchemaError as exc:
@@ -493,10 +502,6 @@ def network_to_dict(net: ReferenceNetwork) -> dict:
     }
 
 
-def save_network(net: ReferenceNetwork, path: str | os.PathLike) -> None:
-    save_json(path, network_to_dict(net))
-
-
 def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork:
     name, activation, n, N = _require_header(doc, where, "n", "N")
     pres = _require(doc, "prescale", dict, where)
@@ -520,7 +525,3 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
         input_scale=scales["inputs"],
         name=name,
     )
-
-
-def load_network(path: str | os.PathLike) -> ReferenceNetwork:
-    return network_from_dict(load_json_object(path, "weight file"), where=str(path))

@@ -3,7 +3,9 @@ parallel-counter accumulation, with optional gate-operation counting.
 
 All gates are pure functions of immutable streams. When a `counting()`
 context is active, every gate tallies its abstract operation count; the
-same tallies are what the closed-form energy model predicts.
+same tallies are what the closed-form energy model predicts. An APC is a
+counter: `apc_sum` returns the number of ones it added up, and
+`dot_product_sc` decodes that count, with the bias stream's ones, itself.
 
 The scalar gates are the reference oracle of the batched forward pass
 (`scnn.forward_scnn`), which shares two one-block kernels with them:
@@ -183,44 +185,19 @@ def _mux_select(rows: Sequence[np.ndarray], width: int, gen: np.random.Generator
     return out
 
 
-@dataclass(frozen=True)
-class SumTrace:
-    """Accumulated per-clock popcount over `width` parallel streams."""
-
-    total: int
-    clocks: int
-    width: int
-    encoding: Encoding
-
-    def __post_init__(self):
-        if not (0 <= self.total <= self.width * self.clocks):
-            raise ValueError(
-                f"total {self.total} outside [0, {self.width * self.clocks}]"
-            )
-
-    def decoded_sum(self) -> float:
-        """Exact sum of the decoded input values (single integer quotient)."""
-        if self.encoding is Encoding.UNIPOLAR:
-            return self.total / self.clocks
-        return (2 * self.total - self.width * self.clocks) / self.clocks
-
-    def __str__(self) -> str:
-        return f"{self.total}/{self.clocks}/{self.width}"
-
-
-def apc_sum(streams: Sequence[Bitstream]) -> SumTrace:
-    """Parallel-counter accumulation: per-clock popcount summed over all
-    clocks. Unlike MUX addition this is exact: the decoded sum equals the
-    sum of decoded inputs with no selection noise.
+def apc_sum(streams: Sequence[Bitstream]) -> int:
+    """Parallel-counter accumulation: the count of ones over all k streams
+    and all M clocks. Unlike MUX addition this is exact: for bipolar
+    streams (2*count - k*M) / M is the sum of the decoded inputs, with no
+    selection noise.
 
     Counted work: every input bit is added into a register wide enough for
     the full run, i.e. k*M adds through an accumulator_width(k*M) counter.
     """
-    M, enc = _check_family(streams, "apc_sum")
+    M, _ = _check_family(streams, "apc_sum")
     k = len(streams)
     add_counts(GateCounts(apc_bit_adds=k * M * accumulator_width(k * M)))
-    total = sum(popcount(s) for s in streams)
-    return SumTrace(total, M, k, enc)
+    return sum(popcount(s) for s in streams)
 
 
 def dot_product_sc(
@@ -244,19 +221,12 @@ def dot_product_sc(
         raise StreamMismatchError(
             f"dimension mismatch: {n} weight streams vs {len(x_streams)} input streams"
         )
-    _check_family(list(w_streams) + list(x_streams) + [b_stream], "dot_product_sc")
+    M, _ = _check_family(list(w_streams) + list(x_streams) + [b_stream], "dot_product_sc")
     if b_stream.encoding is not Encoding.BIPOLAR:
         raise StreamMismatchError("dot_product_sc operates on bipolar streams")
     products = [xnor_mult(w, x) for w, x in zip(w_streams, x_streams)]
     if mode is AccumulationMode.APC:
-        trace = apc_sum(products)
-        folded = SumTrace(
-            trace.total + popcount(b_stream),
-            trace.clocks,
-            trace.width + 1,
-            trace.encoding,
-        )
-        return folded.decoded_sum() * scale
+        return (2 * (apc_sum(products) + popcount(b_stream)) - (n + 1) * M) / M * scale
     out = mux_add(products + [b_stream], key)
     return decode(out) * (n + 1) * scale
 

@@ -172,9 +172,6 @@ class EquivalenceReport:
     def all_passed(self) -> bool:
         return all(u.passed for u in self.units)
 
-    def failures(self) -> list[UnitEquivalence]:
-        return [u for u in self.units if not u.passed]
-
 
 def preactivation_equivalence_check(
     bnet: BinaryNetwork, x_B: Bitstream, M: int

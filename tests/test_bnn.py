@@ -19,12 +19,11 @@ from scbnn import (
     fit_reference,
     forward_bnn,
     hard_sigmoid,
-    load_binary_network,
     make_target,
-    save_binary_network,
     unit_grid,
 )
-from scbnn.netcore import pow2_scale
+from scbnn.bnn import binary_network_from_dict, binary_network_to_dict
+from scbnn.netcore import load_json_object, pow2_scale, save_json
 from scbnn import ReferenceNetwork
 
 KEY = StreamKey(0x5151)
@@ -253,46 +252,28 @@ class TestBinarySerialization:
     def test_round_trip(self, tmp_path):
         bnet = self._bnet()
         path = tmp_path / "bnet.json"
-        save_binary_network(bnet, path)
-        loaded = load_binary_network(path)
+        save_json(path, binary_network_to_dict(bnet))
+        loaded = binary_network_from_dict(load_json_object(path, "weight file"), where=str(path))
         assert loaded.m == bnet.m and loaded.N == bnet.N
         assert np.array_equal(loaded.binary_weights, bnet.binary_weights)
         assert np.array_equal(loaded.binary_biases, bnet.binary_biases)
         assert np.array_equal(loaded.output_weights, bnet.output_weights)
         assert loaded.activation is bnet.activation
 
-    def test_missing_binary_flag(self, tmp_path):
-        import json
-
-        bnet = self._bnet()
-        path = tmp_path / "bnet.json"
-        save_binary_network(bnet, path)
-        doc = json.loads(path.read_text())
+    def test_missing_binary_flag(self):
+        doc = binary_network_to_dict(self._bnet())
         del doc["binary"]
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="binary"):
-            load_binary_network(path)
+            binary_network_from_dict(doc)
 
-    def test_bad_hex_payload(self, tmp_path):
-        import json
-
-        bnet = self._bnet()
-        path = tmp_path / "bnet.json"
-        save_binary_network(bnet, path)
-        doc = json.loads(path.read_text())
+    def test_bad_hex_payload(self):
+        doc = binary_network_to_dict(self._bnet())
         doc["binary_weights"][1] = "zz"
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match=r"binary_weights\[1\]"):
-            load_binary_network(path)
+            binary_network_from_dict(doc)
 
-    def test_bad_bias_value(self, tmp_path):
-        import json
-
-        bnet = self._bnet()
-        path = tmp_path / "bnet.json"
-        save_binary_network(bnet, path)
-        doc = json.loads(path.read_text())
+    def test_bad_bias_value(self):
+        doc = binary_network_to_dict(self._bnet())
         doc["binary_biases"][0] = 0
-        path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
-            load_binary_network(path)
+            binary_network_from_dict(doc)

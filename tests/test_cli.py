@@ -14,12 +14,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scbnn
-from scbnn import (
-    Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines, load_binary_network, save_binary_network,
-)
+from scbnn import Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines
 from scbnn import cli
 from scbnn.cli import main
-from scbnn.netcore import load_json_object
+from scbnn.bnn import binary_network_from_dict, binary_network_to_dict
+from scbnn.netcore import load_json_object, save_json
 
 
 def run(*argv):
@@ -55,7 +54,7 @@ def bnn_file(tmp_path_factory):
         name="clitest",
     )
     path = out / "bnet.json"
-    save_binary_network(bnet, path)
+    save_json(path, binary_network_to_dict(bnet))
     return path
 
 
@@ -220,6 +219,21 @@ class TestSeedAndTargetParams:
             assert one != two
             assert meta(cmd, (*argv, "--config", cfg), f"{cmd}-config") == two
 
+    @pytest.mark.parametrize("source", ["--target-param", "config target.params"])
+    def test_repeated_param_is_usage_error(self, sine_net, tmp_path, capsys, source):
+        # The last value used to win without a word.
+        argv = ["sweep", "--network", sine_net, "--target", "sine", "--Ms", "4", "--trials", "30",
+                "--grid-points", "2", "--out-dir", tmp_path / "o"]
+        if source == "--target-param":
+            argv += ["--target-param", "cycles=2", "--target-param", "cycles=3"]
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycles=2", "cycles=3"]}}))
+            argv += ["--config", cfg]
+        assert run(*argv) == 2
+        assert capsys.readouterr().err == f"error: {source} gives 'cycles' twice\n"
+        assert not (tmp_path / "o").exists()
+
     def test_parser_keeps_no_values_between_calls(self, tmp_path):
         # The parser is built once; each call's --target-param list is its own.
         parser = cli._build_parser()
@@ -318,6 +332,15 @@ class TestEval:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: --x must be finite") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags", [["--x", "2.5", "--M", "64"], ["--x", "0.5", "--seed", "-1"]],
+                             ids=["beyond-input-scale", "negative-seed"])
+    def test_refused_scnn_prints_nothing(self, sine_net, capsys, flags):
+        # The reference value used to be printed before the stochastic pass was refused.
+        assert run("eval", "--network", sine_net, "--scnn", *flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("network, flags, message", [
         ("sine_net", ["--x", "0.5", "--M", "0", "--mode", "mux", "--seed", "-5"], "--M is only used with --scnn"),
@@ -597,12 +620,11 @@ class TestConvert:
         assert not (tmp_path / "o" / "scnn_streams.json").exists()
 
     @pytest.mark.parametrize("spelling", [" {}", "{} ", "\t{}\n", "  {}  "])
-    def test_whitespace_around_a_binary_weight_row_is_ignored(self, bnn_file, tmp_path, spelling):
+    def test_whitespace_around_a_binary_weight_row_is_ignored(self, bnn_file, spelling):
         doc = json.loads(bnn_file.read_text())
+        want = binary_network_from_dict(doc).binary_weights
         doc["binary_weights"] = [spelling.format(row) for row in doc["binary_weights"]]
-        path = tmp_path / "bnet.json"
-        path.write_text(json.dumps(doc))
-        assert np.array_equal(load_binary_network(path).binary_weights, load_binary_network(bnn_file).binary_weights)
+        assert np.array_equal(binary_network_from_dict(doc).binary_weights, want)
 
     @pytest.mark.parametrize("row", [" abcg", "abcf ", "ab c", " a bc ", "abc0 0"])
     def test_bad_binary_weight_row_is_quoted_as_written(self, bnn_file, tmp_path, capsys, row):
@@ -655,6 +677,57 @@ class TestBundleHeaders:
         # Rejected by the JSON reader, which names the file and the token.
         assert err.startswith(f"error: {tmp_path / 'scnn_streams.json'}: ") and "'NaN'" in err
         assert err.count("\n") == 1
+
+
+#: One argv per command that reads --network, with the file kinds it takes.
+NETWORK_ARGV = {
+    "sweep": (("sweep", "--target", "sine", "--Ms", "4", "--trials", "30", "--grid-points", "2"),
+              "a reference network file"),
+    "bound": (("bound", "--n", "1", "--N", "3", "--epsilon", "1.0", "--delta", "0.25", "--alpha-sum", "30",
+               "--validate", "--target", "sine", "--trials", "2", "--grid-points", "2"),
+              "a reference network file"),
+    "eval": (("eval", "--x", "0.5"), "a reference network file or a binary network file"),
+}
+
+
+class TestNetworkKinds:
+    """Every command that reads --network names the kinds it takes when
+    given a file of another kind. sweep and bound read any file as a
+    reference network, so a binary network or a bundle used to fail on a
+    missing field."""
+
+    @pytest.mark.parametrize("command, kind", [
+        ("sweep", "bnn_file"), ("sweep", "bundle"), ("bound", "bnn_file"), ("bound", "bundle"), ("eval", "bundle"),
+    ])
+    def test_other_kind_exits_2_and_writes_nothing(self, request, bundle_doc, tmp_path, capsys, command, kind):
+        if kind == "bundle":
+            network = tmp_path / "scnn_streams.json"
+            network.write_text(json.dumps(bundle_doc))
+        else:
+            network = request.getfixturevalue(kind)
+        argv, what = NETWORK_ARGV[command]
+        out = () if command == "eval" else ("--out-dir", tmp_path / "o")
+        assert run(*argv, "--network", network, *out) == 2
+        assert capsys.readouterr().err == f"error: --network expects {what}\n"
+        assert not (tmp_path / "o").exists()
+
+
+class TestRepeatedKeys:
+    """A key given twice in one JSON object exits 2 naming the file and the
+    key; the last value used to win without a word."""
+
+    def test_config(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": 1, "target": {"name": "sine"}, "seed": 5}')
+        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: repeated key 'seed'\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_weight_file(self, sine_net, tmp_path, capsys):
+        path = tmp_path / "net.json"
+        path.write_text(sine_net.read_text().replace('"N": 8,', '"N": 8, "N": 8,', 1))
+        assert run("eval", "--network", path, "--x", "0.5") == 2
+        assert capsys.readouterr() == ("", f"error: {path}: repeated key 'N'\n")
 
 
 #: Stands for "a list of the wrong length": the list holding the field loses

@@ -13,7 +13,6 @@ from scbnn import (
     counting,
     dot_product_sc,
     layer_energy,
-    neuron_energy,
     sng_encode,
 )
 
@@ -23,29 +22,25 @@ MODES = [AccumulationMode.MUX, AccumulationMode.APC]
 
 class TestClosedForm:
     def test_smallest_mux_neuron(self):
-        rep = neuron_energy(1, 1, AccumulationMode.MUX)
+        rep = layer_energy(1, 1, 1, AccumulationMode.MUX)
         assert rep.xnor_ops == 1  # one product bit
         assert rep.mux_select_ops == 1  # one binary select cell for 2 terms
         assert rep.apc_bit_adds == 0
         assert rep.total == 2
 
     def test_apc_neuron(self):
-        rep = neuron_energy(4, 16, AccumulationMode.APC)
+        rep = layer_energy(4, 16, 1, AccumulationMode.APC)
         assert rep.xnor_ops == 64
         assert rep.apc_bit_adds == 64 * math.ceil(math.log2(64 + 2))
         assert rep.mux_select_ops == 0
 
     def test_mux_classes_linear_in_M(self):
         for n in (1, 3, 7):
-            a = neuron_energy(n, 32, AccumulationMode.MUX)
-            b = neuron_energy(n, 64, AccumulationMode.MUX)
+            a = layer_energy(n, 32, 1, AccumulationMode.MUX)
+            b = layer_energy(n, 64, 1, AccumulationMode.MUX)
             assert b.xnor_ops == 2 * a.xnor_ops
             assert b.mux_select_ops == 2 * a.mux_select_ops
             assert b.total == 2 * a.total
-
-    def test_layer_of_one_equals_neuron(self):
-        for mode in MODES:
-            assert layer_energy(3, 8, 1, mode).classes() == neuron_energy(3, 8, mode).classes()
 
     def test_layer_additivity(self):
         for mode in MODES:
@@ -56,7 +51,7 @@ class TestClosedForm:
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
-            neuron_energy(0, 8, AccumulationMode.MUX)
+            layer_energy(0, 8, 1, AccumulationMode.MUX)
         with pytest.raises(ValueError):
             layer_energy(1, 0, 1, AccumulationMode.MUX)
         with pytest.raises(ValueError):
@@ -99,13 +94,13 @@ class TestBnnEquivalence:
 class TestAsymptoticRatios:
     def test_mux_total_over_nM_is_constant(self):
         for n in (4, 16, 64, 256, 1024):
-            rep = neuron_energy(n, 8, AccumulationMode.MUX)
+            rep = layer_energy(n, 8, 1, AccumulationMode.MUX)
             assert rep.total / (n * 8) == 2.0
 
     def test_apc_total_over_nM_logn_bounded(self):
         ratios = []
         for n in (4, 16, 64, 256, 1024):
-            rep = neuron_energy(n, 8, AccumulationMode.APC)
+            rep = layer_energy(n, 8, 1, AccumulationMode.APC)
             ratios.append(rep.total / (n * 8 * math.log2(n)))
         assert max(ratios) < 8.0
 
@@ -128,7 +123,7 @@ class TestCounterAgreement:
     @settings(max_examples=25, deadline=None)
     def test_counters_match_closed_form(self, n, M, N, mode):
         counts = simulate_layer(n, M, N, mode)
-        assert layer_energy(n, M, N, mode).matches(counts)
+        assert layer_energy(n, M, N, mode).classes() == counts.as_dict()
 
     def test_and_ops_unused_by_network_path(self):
         counts = simulate_layer(2, 8, 1, AccumulationMode.APC)

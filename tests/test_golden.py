@@ -43,7 +43,7 @@ from scbnn import (
 )
 from scbnn.bitstream import encode_many
 from scbnn.cli import main
-from scbnn.netcore import pow2_scale, save_network
+from scbnn.netcore import network_to_dict, pow2_scale, save_json
 from scbnn.theory import _row_statistics
 
 MS = (1, 7, 64, 4097)
@@ -346,7 +346,7 @@ class TestBnnPathBytes:
         out = tmp_path_factory.mktemp("bnn-path")
         gen = StreamKey(0x5CB_2018, "golden-bnn").generator()
         W, b = gen.uniform(-1.5, 1.5, (5, 24)), gen.uniform(-1.5, 1.5, 5)
-        save_network(_net(W, b, gen.normal(size=5)), out / "reference.json")
+        save_json(out / "reference.json", network_to_dict(_net(W, b, gen.normal(size=5))))
         argv = ["convert", "--network", out / "reference.json", "--binarize", "--seed", "9",
                 "--out-dir", out / "binary"]
         assert main([str(a) for a in argv]) == 0
@@ -386,7 +386,7 @@ class TestBnnEvalBytes:
     def test_forward_bnn(self, activation, tmp_path, capsys):
         gen = StreamKey(0x5CB_2018, "golden-bnn-eval", list(Activation).index(activation)).generator()
         W, b = gen.uniform(-1.5, 1.5, (7, 37)), gen.uniform(-1.5, 1.5, 7)
-        save_network(_net(W, b, gen.normal(size=7), activation), tmp_path / "reference.json")
+        save_json(tmp_path / "reference.json", network_to_dict(_net(W, b, gen.normal(size=7), activation)))
         x_bits = "".join("1" if v < 0.5 else "0" for v in gen.random(37))
         argv = ["convert", "--network", tmp_path / "reference.json", "--binarize", "--seed", "9",
                 "--out-dir", tmp_path]

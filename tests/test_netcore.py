@@ -16,13 +16,11 @@ from scbnn import (
     activate_deriv,
     fit_reference,
     forward_reference,
-    load_network,
     make_target,
-    save_network,
     sup_error,
     unit_grid,
 )
-from scbnn.netcore import MAX_GRID_POINTS, load_json_object, pow2_scale, save_json
+from scbnn.netcore import MAX_GRID_POINTS, load_json_object, network_from_dict, network_to_dict, pow2_scale, save_json
 
 KEY = StreamKey(0xFE11)
 GRID = unit_grid(1, 256)
@@ -239,8 +237,8 @@ class TestWeightFiles:
         f = make_target("sine", 1)
         net = fit_reference(f, 6, GRID, StreamKey(4))
         path = tmp_path / "net.json"
-        save_network(net, path)
-        loaded = load_network(path)
+        save_json(path, network_to_dict(net))
+        loaded = network_from_dict(load_json_object(path, "weight file"), where=str(path))
         assert np.array_equal(loaded.hidden_weights, net.hidden_weights)
         assert np.array_equal(loaded.hidden_biases, net.hidden_biases)
         assert np.array_equal(loaded.output_weights, net.output_weights)
@@ -262,52 +260,47 @@ class TestWeightFiles:
             "prescale": {"weights": 4.0, "inputs": 1.0, "bias": 4.0},
         }
 
-    def _write(self, tmp_path, doc):
-        path = tmp_path / "net.json"
-        path.write_text(json.dumps(doc))
-        return path
-
-    def test_zero_width_rejected(self, tmp_path):
+    def test_zero_width_rejected(self):
         doc = self._valid_doc()
         doc["N"] = 0
         doc["hidden_weights"] = []
         with pytest.raises(SchemaError, match="N"):
-            load_network(self._write(tmp_path, doc))
+            network_from_dict(doc)
 
-    def test_row_length_error_names_row(self, tmp_path):
+    def test_row_length_error_names_row(self):
         doc = self._valid_doc()
         doc["hidden_weights"][1] = [3.0]
         with pytest.raises(SchemaError, match=r"hidden_weights\[1\]"):
-            load_network(self._write(tmp_path, doc))
+            network_from_dict(doc)
 
     def test_nan_rejected(self, tmp_path):
         doc = self._valid_doc()
         path = tmp_path / "net.json"
         path.write_text(json.dumps(doc).replace("0.1", "NaN"))
         with pytest.raises(SchemaError, match="NaN"):
-            load_network(path)
+            load_json_object(path, "weight file")
 
-    def test_unknown_activation(self, tmp_path):
+    def test_unknown_activation(self):
         doc = self._valid_doc()
         doc["activation"] = "swish"
         with pytest.raises(SchemaError, match="swish"):
-            load_network(self._write(tmp_path, doc))
+            network_from_dict(doc)
 
-    def test_missing_field(self, tmp_path):
+    def test_missing_field(self):
         doc = self._valid_doc()
         del doc["output_weights"]
         with pytest.raises(SchemaError, match="output_weights"):
-            load_network(self._write(tmp_path, doc))
+            network_from_dict(doc)
 
     def test_bias_scale_is_weights_times_inputs(self, tmp_path):
         # forward_scnn un-scales every preactivation by weights * inputs, so
         # the bias scale is derived, and written as floats like the others.
         net = ReferenceNetwork(np.array([[0.5]]), np.array([0.75]), np.array([1.0]), Activation.RELU, 2, 3)
         assert net.bias_scale == 6.0
-        save_network(net, tmp_path / "net.json")
+        save_json(tmp_path / "net.json", network_to_dict(net))
         text = (tmp_path / "net.json").read_text()
         assert '"prescale": {\n    "bias": 6.0,\n    "inputs": 3.0,\n    "weights": 2.0\n  }' in text
-        assert load_network(tmp_path / "net.json").bias_scale == 6.0
+        assert network_from_dict(json.loads(text)).bias_scale == 6.0
 
     @pytest.mark.parametrize("weight_scale, input_scale, named", [
         (0.0, 1.0, "weight scale"),
@@ -354,3 +347,22 @@ class TestJsonFiles:
         path.write_text("[" * 100_000)
         with pytest.raises(SchemaError, match=r"deep.json: JSON nested too deeply$"):
             load_json_object(path, "network file")
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"seed": 1, "seed": 5}', "seed"),
+        ('{"N": 2, "n": 1, "N": 2}', "N"),
+        ('{"prescale": {"weights": 1.0, "inputs": 1.0, "weights": 2.0}}', "weights"),
+        ('{"a": [{"b": 1, "c": 2, "b": 1}]}', "b"),
+    ], ids=["config", "same-value", "nested", "in-list"])
+    def test_repeated_key_is_named(self, tmp_path, text, key):
+        # The last value used to win without a word.
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        with pytest.raises(SchemaError) as raised:
+            load_json_object(path, "config")
+        assert str(raised.value) == f"{path}: repeated key {key!r}"
+
+    def test_keys_differing_in_case_are_not_repeats(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"n": 1, "N": 2, "inner": {"n": 3}}')
+        assert load_json_object(path, "config") == {"n": 1, "N": 2, "inner": {"n": 3}}

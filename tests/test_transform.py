@@ -223,7 +223,7 @@ def per_stream_check(bnet, x, M):
     for i, w in enumerate(weight_rows(bnet)):
         b = int(bnet.binary_biases[i])
         products = [xnor_mult(wj, xj) for wj, xj in zip(sliced(w, M), xs)]
-        total = apc_sum(products + [Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)]).total
+        total = apc_sum(products + [Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)])
         wx = int(np.dot(w.signs(), x.signs()))
         lhs, rhs = 2 * total - (n + 1) * M, wx + M * b
         units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, lhs == rhs))
@@ -319,7 +319,6 @@ class TestEquivalence:
         x = Bitstream.from_signs(gen.choice([-1, 1], m))
         report = preactivation_equivalence_check(bnet, x, M)
         assert report.all_passed
-        assert not report.failures()
 
     def test_scaled_identity(self):
         # decoded APC sum equals w.x/M + b exactly (integer identity)
