@@ -58,10 +58,8 @@ from .theory import (
     BoundReport,
     ConvergenceReport,
     InfeasibleBoundError,
-    TailCheck,
     bound_validation,
     bound_value,
-    chebyshev_stream_bound_check,
     convergence_sweep,
     m_min_bound,
 )

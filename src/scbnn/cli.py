@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bitstream import Bitstream, Encoding, GENERATOR_FAMILY, StreamKey
+from .bitstream import Bitstream, Encoding, GENERATOR_FAMILY, StreamKey, sng_encode
 from .bnn import (
     BinaryNetwork,
     binarize_network,
@@ -310,8 +310,9 @@ def _cmd_bound(args) -> int:
            "grid": 9 if args.grid_points is None else args.grid_points, "mode": args.mode or "apc",
            "network": args.network, "seed": args.seed or 0}
     q = BoundQuery(run["n"], run["N"], run["epsilon"], run["delta"], alpha_sum=run["alpha_sum"])
-    print(f"M_min = {m_min_bound(q)}")
+    m_min_line = f"M_min = {m_min_bound(q)}"
     if not args.validate:
+        print(m_min_line)
         return 0
     if not run["network"] or not args.target:
         raise ValueError("--validate needs --network and --target")
@@ -322,8 +323,9 @@ def _cmd_bound(args) -> int:
         mode=AccumulationMode(run["mode"]),
     )
     status = "PASS" if report.passed else "FAIL"
+    # Printed only now, so a refused validation prints nothing.
     print(
-        f"validation: M={report.M} samples={report.samples} "
+        f"{m_min_line}\nvalidation: M={report.M} samples={report.samples} "
         f"failure_rate={report.failure_rate!r} <= delta+2se={report.threshold!r} [{status}]"
     )
     if args.out_dir:
@@ -363,8 +365,7 @@ def _cmd_convert(args) -> int:
     path = _out_dir(args.out_dir) / "scnn_streams.json"
     _write_json(path, bundle_to_dict(bundle), _metadata(run))
     # equivalence check on a keyed random input vector
-    gen = key.substream("convert-input").generator()
-    x = Bitstream.from_bits((gen.random(net.m) < 0.5).astype(np.uint8), Encoding.BIPOLAR)
+    x = sng_encode(0.0, net.m, Encoding.BIPOLAR, key.substream("convert-input"))
     report = preactivation_equivalence_check(net, x, run["M"])
     for u in report.units:
         status = "PASS" if u.passed else "FAIL"

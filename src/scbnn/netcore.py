@@ -7,7 +7,8 @@ all three network loaders are built from, so one number rule holds for all.
 Pre-scaling is part of the network: a bipolar stream carries values in
 [-1, 1], so a network holds a weight scale and an input scale, and its
 bias scale is their product, the one factor the stochastic pass un-scales
-all n+1 accumulated terms by. A weight file states all three; the reader
+all n+1 accumulated terms by. The network refuses a hidden weight or bias
+beyond its scale. A weight file states all three scales; the reader
 refuses a bias scale that is not the product.
 """
 
@@ -94,7 +95,9 @@ class ReferenceNetwork:
     """One-hidden-layer network G(x) = sum_i alpha_i * act(w_i . x + b_i).
 
     `weight_scale` and `input_scale` map weights and inputs into the
-    bipolar range; biases are scaled by their product, `bias_scale`.
+    bipolar range; biases are scaled by their product, `bias_scale`. A
+    hidden weight or bias beyond its scale is a ValueError naming the first
+    such entry: no stream encodes it.
     """
 
     hidden_weights: np.ndarray  # (N, n)
@@ -129,6 +132,14 @@ class ReferenceNetwork:
         for label, scale in (("weight", self.weight_scale), ("input", self.input_scale), ("bias", self.bias_scale)):
             if not (scale > 0 and math.isfinite(scale)):
                 raise ValueError(f"{label} scale must be a positive finite real, got {scale!r}")
+        for key, arr, role, scale in (
+            ("hidden_weights", self.hidden_weights, "weights", self.weight_scale),
+            ("hidden_biases", self.hidden_biases, "bias", self.bias_scale),
+        ):
+            if (over := np.argwhere(np.abs(arr) > scale)).size:
+                index = tuple(over[0].tolist())
+                at = "".join(f"[{i}]" for i in index)
+                raise ValueError(f"field '{key}{at}' is {float(arr[index])!r}, beyond the {role} pre-scale factor {scale!r}")
 
     @property
     def bias_scale(self) -> float:
@@ -476,19 +487,6 @@ def _require_numbers(doc: dict, key: str, shape: tuple, where: str) -> np.ndarra
     return np.array(checked).reshape(shape)
 
 
-def _check_within(values: np.ndarray, scale: float, key: str, role: str, where: str) -> None:
-    """A SchemaError naming the first entry of the field `key` whose
-    magnitude exceeds its `role` pre-scale factor, which no stream encodes."""
-    over = np.argwhere(np.abs(values) > scale)
-    if over.size:
-        index = tuple(over[0].tolist())
-        at = "".join(f"[{i}]" for i in index)
-        raise SchemaError(
-            f"{where}: field '{key}{at}' is {float(values[index])!r}, "
-            f"beyond the {role} pre-scale factor {scale!r}"
-        )
-
-
 def network_to_dict(net: ReferenceNetwork) -> dict:
     return {
         "name": net.name,
@@ -514,14 +512,8 @@ def network_from_dict(doc: dict, where: str = "weight file") -> ReferenceNetwork
         raise SchemaError(f"{where}: prescale 'bias' is {scales['bias']!r}, not weights * inputs = {product!r}")
     weights = _require_numbers(doc, "hidden_weights", (N, n), where)
     biases = _require_numbers(doc, "hidden_biases", (N,), where)
-    _check_within(weights, scales["weights"], "hidden_weights", "weights", where)
-    _check_within(biases, scales["bias"], "hidden_biases", "bias", where)
-    return ReferenceNetwork(
-        hidden_weights=weights,
-        hidden_biases=biases,
-        output_weights=_require_numbers(doc, "output_weights", (N,), where),
-        activation=activation,
-        weight_scale=scales["weights"],
-        input_scale=scales["inputs"],
-        name=name,
-    )
+    outputs = _require_numbers(doc, "output_weights", (N,), where)
+    try:
+        return ReferenceNetwork(weights, biases, outputs, activation, scales["weights"], scales["inputs"], name)
+    except ValueError as exc:  # a weight or bias beyond its pre-scale factor
+        raise SchemaError(f"{where}: {exc}") from None

@@ -1,6 +1,8 @@
 """SCNN forward pass: stochastic encoding of weights, inputs, and biases,
 each divided by its network scale (`weight_scale`, `input_scale` and their
 product `bias_scale`), SC dot products, exact activation and output layer.
+The network holds its weights and biases within their scales, so a pass
+range-checks only its input point.
 `forward_scnn_grid` runs it at every grid row for `theory`'s one
 Monte-Carlo trial loop.
 
@@ -58,21 +60,14 @@ def _key_layout(N: int, n: int) -> np.ndarray:
     return layout
 
 
-@lru_cache(maxsize=16)
-def _scales(N: int, n: int, weight_scale: float, input_scale: float, bias_scale: float) -> np.ndarray:
-    """The read-only scale of each stream in `_key_layout(N, n)` order."""
-    scales = np.repeat([weight_scale, input_scale, bias_scale], [N * n, N * n, N])
-    scales.flags.writeable = False
-    return scales
-
-
 def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
     Weights, inputs, and biases are divided by their network scales and
     encoded as bipolar streams, the whole hidden layer in one `encode_blocks`
-    call; a value beyond its scale, or NaN, raises EncodingRangeError naming
-    the first such role (weights, inputs, bias). The XNOR products and the
+    call. The network holds its weights and biases within their scales; an
+    input coordinate beyond `net.input_scale`, or NaN, raises
+    EncodingRangeError naming it. The XNOR products and the
     accumulation of all N units run on each block of packed streams as it is
     drawn, and the decoded preactivations are multiplied by `net.bias_scale`
     before the exact activation. The output layer stays in exact reals and is
@@ -83,17 +78,16 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     point = np.asarray(x, dtype=float).reshape(-1)
     if point.size != net.n:
         raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
+    if not (inside := np.abs(point) <= net.input_scale).all():  # NaN is outside, too
+        v = float(point[np.argmin(inside)])
+        raise EncodingRangeError(f"|{v!r}| exceeds the inputs pre-scale factor {net.input_scale!r}")
     N, n, M = net.N, net.n, cfg.M
-    values = np.empty(2 * N * n + N)
-    values[: N * n] = net.hidden_weights.reshape(-1)
-    values[N * n : 2 * N * n].reshape(N, n)[:] = point
-    values[2 * N * n :] = net.hidden_biases
-    scales = _scales(N, n, net.weight_scale, net.input_scale, net.bias_scale)
-    if not (inside := np.abs(values) <= scales).all():  # NaN is outside, too
-        k = int(np.argmin(inside))
-        role = ("weights", "inputs", "bias")[k // (N * n)]
-        raise EncodingRangeError(f"|{float(values[k])!r}| exceeds the {role} pre-scale factor {float(scales[k])!r}")
-    probs = (values / scales + 1.0) / 2.0
+    probs = np.empty(2 * N * n + N)
+    np.divide(net.hidden_weights.reshape(-1), net.weight_scale, out=probs[: N * n])
+    probs[N * n : 2 * N * n].reshape(N, n)[:] = point / net.input_scale
+    np.divide(net.hidden_biases, net.bias_scale, out=probs[2 * N * n :])
+    probs += 1.0
+    probs /= 2.0
     keys = cfg.key.fold_layout(_key_layout(N, n))
     apc = cfg.mode is AccumulationMode.APC
     if not apc:

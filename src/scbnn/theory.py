@@ -2,10 +2,11 @@
 
 The bound M > (n+1)^2 A^2 / (eps^2 delta) is evaluated in exact rational
 arithmetic on the decimal values of the inputs, so e.g. (n=2, N=10,
-eps=0.1, delta=0.1) yields exactly 900001. The sweep and validation
-routines verify the predicted convergence behavior empirically on one trial
-loop and one row statistic; they are deterministic in the master key,
-including under parallel execution.
+eps=0.1, delta=0.1) yields exactly 900001. Its Chebyshev step is exact for
+one stream, whose count of ones is Bin(M, x), and needs no simulation.
+The sweep and validation routines verify the predicted convergence
+behavior empirically on one trial loop and one row statistic; they are
+deterministic in the master key, including under parallel execution.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bitstream import _DRAW_BLOCK, StreamKey, encode_blocks
+from .bitstream import StreamKey
 from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
 from .scnn import M_FEASIBLE_CAP, ScnnConfig, forward_scnn_grid
@@ -65,62 +66,6 @@ def bound_value(q: BoundQuery) -> Fraction:
 def m_min_bound(q: BoundQuery) -> int:
     """Smallest integer strictly greater than the bound value."""
     return math.floor(bound_value(q)) + 1
-
-
-@dataclass(frozen=True)
-class TailCheck:
-    x: float
-    M: int
-    trials: int
-    k: float
-    threshold: float  # k / (2 sqrt(M)), from the per-bit variance cap 1/4
-    tail_fraction: float
-    chebyshev_bound: float  # 1 / k^2
-    slack: float
-    passed: bool
-
-
-def chebyshev_stream_bound_check(
-    x: float,
-    M: int,
-    trials: int,
-    k: float,
-    key: StreamKey,
-) -> TailCheck:
-    """Empirical tail P(|decode - x| >= k/(2 sqrt(M))) for unipolar streams,
-    compared against the Chebyshev bound 1/k^2 plus sampling slack.
-    """
-    if M < 1:
-        raise ValueError(f"stream length M must be >= 1, got {M}")
-    if trials < 1000:
-        raise ValueError(f"need trials >= 1000 for a stable tail estimate, got {trials}")
-    if k <= 0:
-        raise ValueError(f"deviation multiple k must be positive, got {k}")
-    threshold = k / (2.0 * math.sqrt(M))
-    # Trial t is the unipolar stream of x under key.substream("cheb", t),
-    # counted one block of clocks at a time, in groups of trials that hold
-    # at most 8 * _DRAW_BLOCK bits per block.
-    ones = np.zeros(trials, dtype=np.int64)
-    group = 8 * _DRAW_BLOCK // min(M, _DRAW_BLOCK)
-    for start in range(0, trials, group):
-        t = np.arange(start, min(trials, start + group))
-        for block in encode_blocks(np.full(t.size, x), key.substream_keys([("cheb", t, 0)]), M):
-            ones[t] += np.bitwise_count(block, out=block).sum(axis=1, dtype=np.int64)
-    hits = int(np.count_nonzero(np.abs(ones / M - x) >= threshold))
-    fraction = hits / trials
-    bound = 1.0 / (k * k)
-    slack = 1.0 / math.sqrt(trials)
-    return TailCheck(
-        x=x,
-        M=M,
-        trials=trials,
-        k=k,
-        threshold=threshold,
-        tail_fraction=fraction,
-        chebyshev_bound=bound,
-        slack=slack,
-        passed=fraction <= bound + slack,
-    )
 
 
 @dataclass(frozen=True)

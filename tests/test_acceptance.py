@@ -108,18 +108,41 @@ class TestAcceptance:
         )
 
     def test_c3_variance_cap(self):
+        # One stream's count of ones is Bin(M, x), so Chebyshev's step in the
+        # bit-length bound is P(|ones/M - x| >= k/(2 sqrt(M))) <= 1/k^2. The
+        # exact tail is checked against 1/k^2, and the keyed streams' tail
+        # against the exact one. The bar, fixed before the run: each
+        # empirical tail lies within 4 binomial standard errors of the exact.
         t0 = time.perf_counter()
-        M = 1000
-        key = StreamKey(0xC3)
-        # Stream t is sng_encode(0.5, M, unipolar, key.substream("v", t)),
-        # all 20,000 drawn in one call; the first 500 are checked against it.
-        rows = encode_many(np.full(20_000, 0.5), key.substream_keys([("v", np.arange(20_000), 0)]), M)
-        for t in range(500):
-            assert np.array_equal(rows[t], sng_encode(0.5, M, Encoding.UNIPOLAR, key.substream("v", t)).bits)
-        vals = np.bitwise_count(rows).sum(axis=1) / M
-        var = float(vals.var())
-        cap = 1.1 / (4 * M)
-        report("3 variance cap", var <= cap, f"empirical var {var:.3e} <= {cap:.3e}", t0)
+        key, trials, z_bar = StreamKey(0xC3), 20_000, 4.0
+        var_ratio, worst_z, bounded = 0.0, 0.0, True
+        # x = 0.5 has the largest per-bit variance; M = 37 is not byte-aligned.
+        for label, x, M, checked in (("v", 0.5, 1000, 500), ("a", 0.3, 37, 100)):
+            # Stream t is sng_encode(x, M, unipolar, key.substream(label, t)),
+            # all drawn in one call; the first `checked` are checked against it.
+            rows = encode_many(np.full(trials, x), key.substream_keys([(label, np.arange(trials), 0)]), M)
+            for t in range(checked):
+                assert np.array_equal(rows[t], sng_encode(x, M, Encoding.UNIPOLAR, key.substream(label, t)).bits)
+            ones = np.bitwise_count(rows).sum(axis=1)
+            var_ratio = max(var_ratio, float((ones / M).var()) * 4 * M)  # capped by 4 x (1 - x) <= 1
+            hist = np.bincount(ones, minlength=M + 1).tolist()
+            xf = Fraction(x)
+            pmf = [math.comb(M, c) * xf**c * (1 - xf) ** (M - c) for c in range(M + 1)]
+            for k in (Fraction(1), Fraction(3, 2), Fraction(2), Fraction(3)):
+                # |c/M - x| >= k/(2 sqrt(M)), decided in exact arithmetic
+                tail = [c for c in range(M + 1) if (c - M * xf) ** 2 >= k * k * M / 4]
+                exact = sum((pmf[c] for c in tail), Fraction(0))
+                bounded &= exact <= 1 / k**2
+                p = float(exact)
+                z = (sum(hist[c] for c in tail) / trials - p) / math.sqrt(p * (1 - p) / trials)
+                worst_z = max(worst_z, abs(z))
+        report(
+            "3 variance cap",
+            var_ratio <= 1.1 and bounded and worst_z <= z_bar,
+            f"empirical var {var_ratio:.3f} / (4M) <= 1.1 / (4M); exact Bin(M, x) tails <= 1/k^2: {bounded}; "
+            f"empirical tails within |z| = {worst_z:.2f} of them (bar {z_bar})",
+            t0,
+        )
 
     def test_c4_universal_approximation_desk_scale(self):
         t0 = time.perf_counter()

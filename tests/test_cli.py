@@ -511,6 +511,27 @@ class TestBound:
         assert capsys.readouterr() == ("", f"error: {named} is only used with --validate\n")
         assert not (tmp_path / "bx").exists()
 
+    @pytest.mark.parametrize("changes", [
+        {"--network": "bnn_file"}, {"--network": "bundle"}, {"--target": "nope"}, {"--n": "2"},
+        {"--alpha-sum": "29"}, {"--epsilon": "0.01"}, {"--target": None},
+    ], ids=["binary-net", "bundle", "unknown-target", "n", "A-below-alpha-sum", "M-past-cap", "no-target"])
+    def test_refused_validation_prints_nothing(self, request, sine_net, bundle_doc, tmp_path, capsys, changes):
+        # M_min used to be printed before the validation inputs were checked.
+        argv = {"--n": "1", "--N": "8", "--epsilon": "1.0", "--delta": "0.25", "--alpha-sum": "30",
+                "--network": sine_net, "--target": "sine", "--trials": "2", "--grid-points": "2",
+                "--out-dir": tmp_path / "o", **changes}
+        if argv["--network"] == "bundle":
+            argv["--network"] = tmp_path / "scnn_streams.json"
+            argv["--network"].write_text(json.dumps(bundle_doc))
+        elif argv["--network"] == "bnn_file":
+            argv["--network"] = request.getfixturevalue("bnn_file")
+        capsys.readouterr()  # what the fixtures printed
+        assert run("bound", "--validate", *[t for kv in argv.items() if kv[1] is not None for t in kv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
+
     def test_validate(self, sine_net, tmp_path, capsys):
         fit_report = json.loads((sine_net.parent / "fit_report.json").read_text())
         alpha_sum = max(2.0, fit_report["alpha_sum"])

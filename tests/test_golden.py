@@ -13,7 +13,9 @@ change that alters a single stream bit, the last bit of a forward value or
 one output byte fails here.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 
 import numpy as np
@@ -103,6 +105,14 @@ BNN_TO_BNN_SHA256 = {
     3: "55e3269d36056d51edcdc8c76ad0c6e56a9b8b4aa7ac5481f994b19fc4a61c8d",
     8: "7e7a2a0dcbfb6cb1bb60de455a70ea8f09f9f5d0c981f63d83f6cd78ab1b83f7",
     12: "d7635d10c7a2d7927e207e6f20e8a3ac4db4db33ce88256ca2e581f7bbafb01f",
+}
+#: BNN preactivation and SC total of each unit that `convert --to-scnn M`
+#: prints for its keyed input vector, which reaches no output file.
+BNN_TO_SCNN_UNITS = {
+    1: ((7, 16), (-3, 11), (1, 13), (-1, 12), (-3, 11)),
+    3: ((7, 18), (-3, 13), (1, 15), (-1, 14), (-3, 11)),
+    8: ((7, 23), (-3, 18), (1, 20), (-1, 19), (-3, 11)),
+    12: ((7, 27), (-3, 22), (1, 24), (-1, 23), (-3, 11)),
 }
 #: stdout of `eval --x-bits` on BNN_EVAL's keyed binary net, per activation.
 BNN_EVAL_STDOUT = {
@@ -353,7 +363,9 @@ class TestBnnPathBytes:
         for M in (1, 3, 8, 12):
             argv = ["convert", "--network", out / "binary" / "binary_network.json",
                     "--to-scnn", M, "--seed", "9", "--out-dir", out / f"scnn{M}"]
-            assert main([str(a) for a in argv]) == 0
+            with contextlib.redirect_stdout(stdout := io.StringIO()):
+                assert main([str(a) for a in argv]) == 0
+            (out / f"scnn{M}.stdout").write_text(stdout.getvalue())
             argv = ["convert", "--network", out / f"scnn{M}" / "scnn_streams.json",
                     "--to-bnn", "--seed", "9", "--out-dir", out / f"bnn{M}"]
             assert main([str(a) for a in argv]) == 0
@@ -365,6 +377,11 @@ class TestBnnPathBytes:
     @pytest.mark.parametrize("M", (1, 3, 8, 12))
     def test_to_scnn(self, runs, M):
         assert _sha256(runs / f"scnn{M}" / "scnn_streams.json") == BNN_TO_SCNN_SHA256[M]
+
+    @pytest.mark.parametrize("M", (1, 3, 8, 12))
+    def test_to_scnn_stdout(self, runs, M):
+        units = "".join(f"unit {u}: bnn={b} sc_total={s} [PASS]\n" for u, (b, s) in enumerate(BNN_TO_SCNN_UNITS[M]))
+        assert (runs / f"scnn{M}.stdout").read_text() == units + f"wrote {runs / f'scnn{M}' / 'scnn_streams.json'}\n"
 
     @pytest.mark.parametrize("M", (1, 3, 8, 12))
     def test_to_bnn_round_trip(self, runs, M):

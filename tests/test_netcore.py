@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -301,6 +302,25 @@ class TestWeightFiles:
         text = (tmp_path / "net.json").read_text()
         assert '"prescale": {\n    "bias": 6.0,\n    "inputs": 3.0,\n    "weights": 2.0\n  }' in text
         assert network_from_dict(json.loads(text)).bias_scale == 6.0
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden_weights", [[0.5, -2.5]], "field 'hidden_weights[0][1]' is -2.5, beyond the weights pre-scale factor 2.0"),
+        ("hidden_biases", [4.5], "field 'hidden_biases[0]' is 4.5, beyond the bias pre-scale factor 4.0"),
+    ])
+    def test_values_beyond_their_scale_are_named(self, field, value, message):
+        # Values at their scales build, output weights are not bounded, and
+        # the bias scale is weights * inputs = 4.
+        net = {"hidden_weights": [[0.5, -2.0]], "hidden_biases": [-4.0], "output_weights": [9.0],
+               "activation": Activation.RELU, "weight_scale": 2.0, "input_scale": 2.0}
+        ReferenceNetwork(**net)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ReferenceNetwork(**{**net, field: value})
+
+    @pytest.mark.parametrize("activation", list(Activation))
+    def test_fitted_nets_build_and_round_trip(self, activation):
+        for N, target, n in ((1, "constant", 1), (7, "sine", 1), (16, "bump", 2)):
+            net = fit_reference(make_target(target, n), N, unit_grid(n, 16), StreamKey(N), activation)
+            assert network_to_dict(network_from_dict(network_to_dict(net))) == network_to_dict(net)
 
     @pytest.mark.parametrize("weight_scale, input_scale, named", [
         (0.0, 1.0, "weight scale"),

@@ -109,10 +109,16 @@ class TestForwardScnn:
         assert abs(got - forward_reference(net, [0.5])) < 0.3
 
     def test_prescale_violation_raises(self):
-        net = ReferenceNetwork(np.array([[3.0]]), np.array([0.5]), np.array([1.0]), Activation.SIGMOID, 2.0)
-        cfg = ScnnConfig(16, StreamKey(0))
-        with pytest.raises(EncodingRangeError, match=r"^\|3.0\| exceeds the weights pre-scale factor 2.0$"):
-            forward_scnn(net, [0.5], cfg)
+        # The network refuses a weight beyond its scale when it is built; one
+        # reassigned past it afterwards is refused as a probability.
+        with pytest.raises(ValueError, match=r"^field 'hidden_weights\[0\]\[0\]' is 3.0, beyond the weights pre-scale factor 2.0$"):
+            ReferenceNetwork(np.array([[3.0]]), np.array([0.5]), np.array([1.0]), Activation.SIGMOID, 2.0)
+        for field, value, prob in [("hidden_weights", [[3.0]], "1.25"), ("hidden_biases", [-2.5], "-0.125"),
+                                   ("hidden_weights", [[float("nan")]], "nan")]:
+            net = net_of([[1.5]], [0.5], [1.0])
+            setattr(net, field, np.array(value))
+            with pytest.raises(EncodingRangeError, match=rf"^probability {prob} outside \[0, 1\]$"):
+                forward_scnn(net, [0.5], ScnnConfig(16, KEY))
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), -1.5])
     def test_out_of_range_input_is_named(self, value):
@@ -121,29 +127,33 @@ class TestForwardScnn:
             forward_scnn(net, [value], ScnnConfig(16, KEY))
 
     def test_range_errors_name_the_first_role(self):
-        # weights, then inputs, then bias: the first role out of range is named.
-        def raised(w, b, x):
-            net = ReferenceNetwork(np.array([[w, 0.5]]), np.array([b]), np.array([1.0]), Activation.SIGMOID, 2.0)
-            with pytest.raises(EncodingRangeError) as err:
-                forward_scnn(net, [0.5, x], ScnnConfig(16, KEY))
+        # The network names its first entry beyond its scale, weights before
+        # biases; the forward pass checks only the input point.
+        def refused(W, b):
+            with pytest.raises(ValueError) as err:
+                ReferenceNetwork(np.array(W), np.array(b), np.array([1.0, 1.0]), Activation.SIGMOID, 2.0)
             return str(err.value)
 
-        assert raised(3.0, 9.0, 5.0) == "|3.0| exceeds the weights pre-scale factor 2.0"
-        assert raised(0.5, 9.0, float("nan")) == "|nan| exceeds the inputs pre-scale factor 1.0"
-        assert raised(0.5, -2.5, 1.0) == "|-2.5| exceeds the bias pre-scale factor 2.0"
+        assert refused([[0.5, 3.0], [5.0, 0.5]], [9.0, 0.0]) == (
+            "field 'hidden_weights[0][1]' is 3.0, beyond the weights pre-scale factor 2.0"
+        )
+        assert refused([[0.5, 2.0], [-2.0, 0.5]], [0.0, -2.5]) == (
+            "field 'hidden_biases[1]' is -2.5, beyond the bias pre-scale factor 2.0"
+        )
+        net = ReferenceNetwork(np.array([[0.5, 2.0]]), np.array([-2.0]), np.array([1.0]), Activation.SIGMOID, 2.0)
+        with pytest.raises(EncodingRangeError) as err:
+            forward_scnn(net, [0.5, float("nan")], ScnnConfig(16, KEY))
+        assert str(err.value) == "|nan| exceeds the inputs pre-scale factor 1.0"
 
-    def test_cached_layout_and_scales_are_read_only(self):
+    def test_cached_layout_is_read_only(self):
         layout = scnn._key_layout(3, 2)
         assert scnn._key_layout(3, 2) is layout
         unit, coord = np.arange(3)[:, None], np.arange(2)
         groups = [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
         assert np.array_equal(layout, key_layout(groups))
         assert np.array_equal(KEY.fold_layout(layout), KEY.substream_keys(groups))
-        scales = scnn._scales(3, 2, 2.0, 1.0, 2.0)
-        assert scales.tolist() == [2.0] * 6 + [1.0] * 6 + [2.0] * 3
-        for cached in (layout, scales):
-            with pytest.raises(ValueError, match="read-only"):
-                cached[0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            layout[0] = 0
 
     def test_dimension_mismatch(self):
         net = net_of([[1.0, 0.5]], [0.0], [1.0])

@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,27 +11,22 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 
 from scbnn import (
     AccumulationMode,
     Activation,
     BoundQuery,
-    Encoding,
     InfeasibleBoundError,
     ReferenceNetwork,
     StreamKey,
     bound_validation,
     bound_value,
-    chebyshev_stream_bound_check,
     convergence_sweep,
     counting,
-    decode,
     fit_reference,
     layer_energy,
     m_min_bound,
     make_target,
-    sng_encode,
     unit_grid,
 )
 from scbnn.netcore import pow2_scale
@@ -102,66 +96,6 @@ class TestMinBound:
     def test_delta_near_one_still_well_formed(self):
         q = BoundQuery(1, 1, 1.0, 0.999)
         assert m_min_bound(q) >= 1
-
-
-class TestChebyshevCheck:
-    def test_worst_case_tail(self):
-        tc = chebyshev_stream_bound_check(0.5, 100, 20_000, 2.0, KEY)
-        assert tc.passed
-        assert tc.tail_fraction <= 0.25 + 0.01
-        # the true binomial tail brackets the empirical one: the threshold
-        # k/(2 sqrt(M)) = 0.1 sits on a lattice point, so float comparison
-        # may include or exclude |ones - 50| = 10 exactly
-        strict = stats.binom.cdf(39, 100, 0.5) + stats.binom.sf(60, 100, 0.5)
-        loose = stats.binom.cdf(40, 100, 0.5) + stats.binom.sf(59, 100, 0.5)
-        se = 3 * math.sqrt(loose * (1 - loose) / 20_000)
-        assert strict - se <= tc.tail_fraction <= loose + se
-
-    def test_degenerate_value_has_zero_tail(self):
-        tc = chebyshev_stream_bound_check(1.0, 100, 2000, 2.0, KEY)
-        assert tc.tail_fraction == 0.0
-        assert tc.passed
-
-    def test_k_one_vacuous(self):
-        tc = chebyshev_stream_bound_check(0.5, 64, 2000, 1.0, KEY)
-        assert tc.chebyshev_bound == 1.0
-        assert tc.passed
-
-    def test_memory_is_bounded_in_trials(self):
-        # Drawn all at once, 2048 trials of 2^16+8 bits would hold 16 MiB per block.
-        tracemalloc.start()
-        try:
-            tc = chebyshev_stream_bound_check(0.5, 2**16 + 8, 2048, 2.0, KEY)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert tc.passed
-        assert peak <= 2 * 2**20
-
-    def test_trials_floor(self):
-        with pytest.raises(ValueError):
-            chebyshev_stream_bound_check(0.5, 100, 100, 2.0, KEY)
-
-    @pytest.mark.parametrize("M", [0, -3])
-    def test_non_positive_length_rejected(self, M):
-        with pytest.raises(ValueError, match=f"stream length M must be >= 1, got {M}"):
-            chebyshev_stream_bound_check(0.5, M, 2000, 2.0, KEY)
-
-    # M = 1000 draws its 1000 trials in two groups (524 + 476).
-    @pytest.mark.parametrize("x, M, k", [
-        (0.5, 100, 2.0), (0.3, 37, 1.5), (0.9, 1, 1.0), (0.0, 8, 2.0), (0.5, 4, 1.0), (0.3, 1000, 1.5),
-    ])
-    def test_matches_per_stream_draws(self, x, M, k):
-        # Oracle: trial t is one sng_encode stream under the key ("cheb", t).
-        key = KEY.substream("cheb-oracle", 3)
-        threshold = k / (2.0 * math.sqrt(M))
-        hits = sum(
-            abs(decode(sng_encode(x, M, Encoding.UNIPOLAR, key.substream("cheb", t))) - x) >= threshold
-            for t in range(1000)
-        )
-        tc = chebyshev_stream_bound_check(x, M, 1000, k, key)
-        assert tc.threshold == threshold and tc.tail_fraction == hits / 1000
-        assert tc.passed == (hits / 1000 <= 1.0 / (k * k) + 1.0 / math.sqrt(1000))
 
 
 def degenerate_net():
