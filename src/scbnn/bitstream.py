@@ -10,7 +10,9 @@ key, the counter starting at zero. `encode_many` packs S streams into one
 (S, ceil(M/8)) array. Calls of at least 512 streams of at most 24 bits
 compute the ceil(M/4) Philox blocks of all keys at once as uint64 array
 rounds; every other call re-keys, once per stream, a C Philox built once
-per thread. Milliseconds per call, array / re-keyed (median of 101 calls,
+per thread. A sweep reaches the array path through `forward_scnn_grid`,
+which draws all 17 grid rows of the README's N = 32 net (1632 streams) in
+one call. Milliseconds per call, array / re-keyed (median of 101 calls,
 one core of a 2 vCPU Xeon, numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
     S       M = 1         M = 16        M = 24        M = 32        M = 64
@@ -27,7 +29,9 @@ fills a block alone (more than _DRAW_BLOCK / 2 clocks), the re-keyed path
 takes its bits that way, with no conversion to double; shorter streams
 share a block of `Generator.random` draws.
 `StreamKey.substream_keys` folds a seed-free `key_layout`, which a caller
-may cache, with the seed in one vectorized pass (`fold_layout`).
+may cache, with the seed in one vectorized pass (`fold_layout`);
+`fold_seeds` folds it with a whole array of seeds, such as the grid-row
+seeds `StreamKey.derive_seeds` derives in one vectorized fold.
 
 `encode_blocks` yields the same streams one block of `_DRAW_BLOCK` (2^16)
 clocks at a time, so a caller that reduces each block as it arrives holds
@@ -183,6 +187,11 @@ class StreamKey:
             h = _fold(h, idx)
         return StreamKey(h)
 
+    def derive_seeds(self, *indices: int, rows: int) -> np.ndarray:
+        """The seeds of ``derive(*indices, p)`` for p in range(rows), a
+        uint64 array, in one vectorized fold: the fold of p comes last."""
+        return _splitmix64_array(np.arange(rows, dtype=np.uint64) ^ np.uint64(self.derive(*indices).seed))
+
     def _philox_key(self) -> np.ndarray:
         k0 = _fold(self.seed, _role_hash(self.role))
         k0 = _fold(_fold(k0, self.i), self.j)
@@ -195,14 +204,23 @@ class StreamKey:
         return self.fold_layout(key_layout(groups))
 
     def fold_layout(self, layout: np.ndarray) -> np.ndarray:
-        """The (S, 2) Philox keys of the (3, S) `key_layout` under this seed,
-        in four vectorized splitmix64 folds; `layout` is only read."""
-        k0 = _splitmix64_array(_splitmix64_array(layout[0] ^ np.uint64(self.seed)) ^ layout[1])
-        k0 = _splitmix64_array(k0 ^ layout[2])
-        return np.stack([k0, _splitmix64_array(k0 ^ _KEY2_SALT_U64)], axis=1)
+        """The (S, 2) Philox keys of the (3, S) `key_layout` under this seed:
+        the one-seed case of `fold_seeds`."""
+        return fold_seeds(layout, self.seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
+
+
+def fold_seeds(layout: np.ndarray, seeds) -> np.ndarray:
+    """The Philox keys of the (3, S) `key_layout` under each of the uint64
+    `seeds`, shape seeds.shape + (S, 2), in four vectorized splitmix64
+    folds; `layout` is only read. The keys under seed s are those of
+    ``StreamKey(s).substream_keys(groups)``."""
+    seeds = np.asarray(seeds, dtype=np.uint64)[..., None]
+    k0 = _splitmix64_array(_splitmix64_array(layout[0] ^ seeds) ^ layout[1])
+    k0 = _splitmix64_array(k0 ^ layout[2])
+    return np.stack([k0, _splitmix64_array(k0 ^ _KEY2_SALT_U64)], axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +434,8 @@ def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
         _rekey.philox = bit_gen, np.random.Generator(bit_gen), state
     bit_gen, gen, state = _rekey.philox
     state["state"]["counter"] = [lo // 4, 0, 0, 0]
-    key_list = keys.tolist()
+    # Keys become Python lists a stream or a block of rows at a time: about
+    # 150 bytes a stream, which for a whole call would outgrow its block.
     if 2 * width > _DRAW_BLOCK:
         # One stream fills the block: raw < ceil(p * 2^53) << 11 is
         # (raw >> 11) < ceil(p * 2^53), so the words need no conversion and
@@ -426,7 +445,7 @@ def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
             if p == 1.0:
                 out[r] = np.packbits(np.ones(width, dtype=bool))
                 continue
-            state["state"]["key"] = key_list[r]
+            state["state"]["key"] = keys[r].tolist()
             bit_gen.state = state
             out[r] = np.packbits(bit_gen.random_raw(width) < below[r])
         return
@@ -435,10 +454,10 @@ def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
     for start in range(0, probs.size, rows):
         stop = min(probs.size, start + rows)
         block = draws[: stop - start]
-        for r in range(start, stop):
-            state["state"]["key"] = key_list[r]
+        for row, key in zip(block, keys[start:stop].tolist()):
+            state["state"]["key"] = key
             bit_gen.state = state
-            gen.random(out=block[r - start])
+            gen.random(out=row)
         out[start:stop] = np.packbits(block < probs[start:stop, None], axis=1)
 
 

@@ -4,7 +4,7 @@ product `bias_scale`), SC dot products, exact activation and output layer.
 The network holds its weights and biases within their scales, so a pass
 range-checks only its input point.
 `forward_scnn_grid` runs it at every grid row for `theory`'s one
-Monte-Carlo trial loop.
+Monte-Carlo trial loop, drawing the streams of a chunk of rows at once.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import EncodingRangeError, StreamKey, encode_blocks, key_layout, zero_pad_bits
+from .bitstream import _DRAW_BLOCK, EncodingRangeError, StreamKey, encode_blocks, fold_seeds, key_layout, zero_pad_bits
 from .energy import layer_energy
 from .netcore import ReferenceNetwork, activate
 from .scgates import AccumulationMode, _mux_select, add_counts, apc_ones
@@ -34,6 +34,12 @@ from .scgates import AccumulationMode, _mux_select, add_counts, apc_ones
 #: Longest stream a forward pass simulates. Memory stays bounded at any M,
 #: so this caps run time; `theory.bound_validation` refuses bounds past it.
 M_FEASIBLE_CAP = 1 << 26
+
+#: Bytes of probabilities, Philox keys and packed bits (8 + 16 + ceil(M/8)
+#: per stream) that a chunk draw of `forward_scnn_grid` holds: as many rows
+#: as fit, at least one. A sweep grid of the README's N = 32 net (17 rows of
+#: 96 streams) is one chunk up to M = 2^12.
+_GRID_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -60,14 +66,43 @@ def _key_layout(N: int, n: int) -> np.ndarray:
     return layout
 
 
-def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
+def _check_points(net: ReferenceNetwork, points: np.ndarray) -> None:
+    """Refuse input points, the rows of `points`, that the network cannot
+    encode: a dimension other than `net.n`, or a coordinate beyond
+    `net.input_scale` or NaN, naming the first such coordinate in row order."""
+    if points.shape[-1] != net.n:
+        raise ValueError(f"input has dimension {points.shape[-1]}, network expects {net.n}")
+    if not (inside := np.abs(points) <= net.input_scale).all():  # NaN is outside, too
+        v = float(points.flat[np.argmin(inside)])
+        raise EncodingRangeError(f"|{v!r}| exceeds the inputs pre-scale factor {net.input_scale!r}")
+
+
+def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
+    """`encode_blocks` of the hidden-layer streams of one forward pass per
+    checked point, point r keyed by seeds[r]: rows [r·S, (r+1)·S) of each
+    block, S = N(2n + 1), are its weight, input and bias streams, each value
+    divided by its network scale."""
+    R, N, n = len(points), net.N, net.n
+    probs = np.empty((R, 2 * N * n + N))
+    np.divide(net.hidden_weights.reshape(-1), net.weight_scale, out=probs[:, : N * n])
+    probs[:, N * n : 2 * N * n] = np.tile(points / net.input_scale, N)
+    np.divide(net.hidden_biases, net.bias_scale, out=probs[:, 2 * N * n :])
+    probs += 1.0
+    probs /= 2.0
+    return encode_blocks(probs, fold_seeds(_key_layout(N, n), seeds).reshape(-1, 2), M)
+
+
+def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, streams: np.ndarray | None = None) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
     Weights, inputs, and biases are divided by their network scales and
     encoded as bipolar streams, the whole hidden layer in one `encode_blocks`
     call. The network holds its weights and biases within their scales; an
     input coordinate beyond `net.input_scale`, or NaN, raises
-    EncodingRangeError naming it. The XNOR products and the
+    EncodingRangeError naming it. Given `streams`, the (S, ceil(M/8))
+    packed rows its chunk draw made for this point under `cfg.key`,
+    `forward_scnn_grid` has checked x and nothing is drawn here; it passes
+    them only for M up to one clock block. The XNOR products and the
     accumulation of all N units run on each block of packed streams as it is
     drawn, and the decoded preactivations are multiplied by `net.bias_scale`
     before the exact activation. The output layer stays in exact reals and is
@@ -75,26 +110,19 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig) -> float:
     (`layer_energy(n, M, N, mode)`), equal those of composing `sng_encode`,
     `dot_product_sc` and `activate` per unit.
     """
-    point = np.asarray(x, dtype=float).reshape(-1)
-    if point.size != net.n:
-        raise ValueError(f"input has dimension {point.size}, network expects {net.n}")
-    if not (inside := np.abs(point) <= net.input_scale).all():  # NaN is outside, too
-        v = float(point[np.argmin(inside)])
-        raise EncodingRangeError(f"|{v!r}| exceeds the inputs pre-scale factor {net.input_scale!r}")
     N, n, M = net.N, net.n, cfg.M
-    probs = np.empty(2 * N * n + N)
-    np.divide(net.hidden_weights.reshape(-1), net.weight_scale, out=probs[: N * n])
-    probs[N * n : 2 * N * n].reshape(N, n)[:] = point / net.input_scale
-    np.divide(net.hidden_biases, net.bias_scale, out=probs[2 * N * n :])
-    probs += 1.0
-    probs /= 2.0
-    keys = cfg.key.fold_layout(_key_layout(N, n))
+    if streams is None:
+        point = np.asarray(x, dtype=float).reshape(1, -1)
+        _check_points(net, point)
+        blocks = _draw(net, point, np.array([cfg.key.seed], dtype=np.uint64), M)
+    else:
+        blocks = [streams]
     apc = cfg.mode is AccumulationMode.APC
     if not apc:
         select = cfg.key.substream_keys([("select", np.arange(N), 0)])
         gens = [np.random.Generator(np.random.Philox(key=k)) for k in select]
     ones, lo = np.zeros(N, dtype=np.int64), 0
-    for bits in encode_blocks(probs, keys, M):
+    for bits in blocks:
         width = min(8 * bits.shape[1], M - lo)
         w_bits, x_bits = bits[: 2 * N * n].reshape(2, N, n, -1)
         b_bits = bits[2 * N * n :]
@@ -120,9 +148,27 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     """`forward_scnn` at every row of `grid`; row p runs under the key
     `cfg.key.derive(*indices, p)`, so each caller keeps its own key scheme
     (a sweep passes (m_index, trial), bound validation (trial,)).
+
+    Every row is checked before any is drawn, so a bad grid raises
+    `forward_scnn`'s error for its first bad coordinate. At M up to one
+    clock block, the streams of as many rows as `_GRID_BYTES` holds are
+    drawn in one `encode_blocks` call (the array Philox path from 512
+    streams of at most 24 bits), and each row is one `forward_scnn` call on
+    its own streams, with its own gate tally. Longer rows draw their own.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    return np.array([
-        forward_scnn(net, x, ScnnConfig(cfg.M, cfg.key.derive(*indices, p), cfg.mode))
-        for p, x in enumerate(grid)
-    ])
+    _check_points(net, grid)
+    M, S = cfg.M, net.N * (2 * net.n + 1)
+    seeds = cfg.key.derive_seeds(*indices, rows=len(grid))
+    rows = max(1, _GRID_BYTES // (S * (24 + (M + 7) // 8))) if M <= _DRAW_BLOCK else 1
+    out = np.empty(len(grid))
+    for start in range(0, len(grid), rows):
+        points, chunk_seeds = grid[start : start + rows], seeds[start : start + rows]
+        if M <= _DRAW_BLOCK:
+            (block,) = _draw(net, points, chunk_seeds, M)
+            streams = block.reshape(len(points), S, -1)
+        else:
+            streams = [None] * len(points)
+        for r, (x, seed, row_streams) in enumerate(zip(points, chunk_seeds.tolist(), streams)):
+            out[start + r] = forward_scnn(net, x, ScnnConfig(M, StreamKey(seed), cfg.mode), row_streams)
+    return out

@@ -360,6 +360,21 @@ class TestKeyLayout:
         assert np.array_equal(keys, np.stack(expected))
         assert np.array_equal(keys, key.substream_keys([("weights", i, j), ("bias", 2**63, 0)]))
 
+    def test_fold_seeds_is_fold_layout_per_seed(self):
+        groups = [("weights", np.arange(4)[:, None], np.arange(3)), ("bias", 2**63, 0)]
+        seeds = np.array([[0, 2**64 - 1, 7], [2**63, 1, 0x5EED]], dtype=np.uint64)
+        keys = bitstream.fold_seeds(bitstream.key_layout(groups), seeds)
+        assert keys.shape == (2, 3, 13, 2)
+        for index in np.ndindex(seeds.shape):
+            assert np.array_equal(keys[index], StreamKey(int(seeds[index])).substream_keys(groups))
+
+    @pytest.mark.parametrize("indices", [(), (3,), (2**64 - 1, 0, 7)])
+    def test_derive_seeds_are_derived_keys(self, indices):
+        key = StreamKey(0x5EED, "trial", 4, 2**63)
+        seeds = key.derive_seeds(*indices, rows=300)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [key.derive(*indices, p).seed for p in range(300)]
+
 
 class TestPopcount:
     def test_worked_example_count(self):

@@ -28,6 +28,7 @@ from scbnn import (
 from scbnn import scnn
 from scbnn.bitstream import _DRAW_BLOCK, key_layout
 from scbnn.netcore import pow2_scale
+from test_golden import TWO_INPUT_NET
 
 KEY = StreamKey(0xA11CE)
 
@@ -269,6 +270,84 @@ class TestForwardScnnGrid:
         assert len(calls) == values.shape[0] == 5
         per_point = layer_energy(1, 16, 3, AccumulationMode.APC)
         assert counts.as_dict() == {k: 5 * v for k, v in per_point.classes().items()}
+
+    @pytest.mark.parametrize("grid, message", [
+        ([[0.5], [2.5], [float("nan")]], "|2.5| exceeds the inputs pre-scale factor 1.0"),
+        ([[0.5], [float("nan")], [2.5]], "|nan| exceeds the inputs pre-scale factor 1.0"),
+        ([[-1.0], [1.0], [-1.5]], "|-1.5| exceeds the inputs pre-scale factor 1.0"),
+        ([[0.5, 0.25], [0.5, 0.0]], "input has dimension 2, network expects 1"),
+    ])
+    def test_bad_point_raises_forward_scnn_error(self, grid, message):
+        # The first offending coordinate in row order is named, exactly as
+        # `forward_scnn` names it, for chunk-drawn and self-drawn rows alike.
+        net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
+        bad = next(x for x in grid if len(x) != net.n or not all(abs(v) <= 1.0 for v in x))
+        with pytest.raises(ValueError) as want:
+            forward_scnn(net, bad, ScnnConfig(16, KEY))
+        assert str(want.value) == message
+        for M in (16, 2 * _DRAW_BLOCK):
+            with pytest.raises(type(want.value)) as got:
+                forward_scnn_grid(net, grid, ScnnConfig(M, KEY), 2)
+            assert str(got.value) == message
+
+    def test_bad_coordinate_of_a_wide_grid_is_named_in_row_order(self):
+        grid = [[0.5, 0.25], [0.5, -3.0], [float("nan"), 0.0]]
+        with pytest.raises(EncodingRangeError, match=r"^\|-3.0\| exceeds the inputs pre-scale factor 1.0$"):
+            forward_scnn_grid(TWO_INPUT_NET, grid, ScnnConfig(16, KEY))
+
+    @pytest.mark.parametrize("M", [1, 16, 24, 25, 64, _DRAW_BLOCK, _DRAW_BLOCK + 8])
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    @pytest.mark.parametrize("net", [net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5]), TWO_INPUT_NET],
+                             ids=["k2", "k3"])
+    def test_chunked_draw_equals_rows_drawn_alone(self, monkeypatch, net, mode, M):
+        # A budget of two rows splits 7 rows into chunks of 2, 2, 2 and 1;
+        # rows longer than one clock block each draw their own streams.
+        # TWO_INPUT_NET's MUX over k = 3 terms selects through `integers`.
+        S = net.N * (2 * net.n + 1)
+        monkeypatch.setattr(scnn, "_GRID_BYTES", 2 * S * (24 + (M + 7) // 8) + 1)
+        draws = []
+        real_encode_blocks = scnn.encode_blocks
+        monkeypatch.setattr(scnn, "encode_blocks", lambda p, k, m: draws.append(np.size(p)) or real_encode_blocks(p, k, m))
+        grid = np.linspace(-1.0, 1.0, 7 * net.n).reshape(7, net.n)
+        with counting() as counts:
+            got = forward_scnn_grid(net, grid, ScnnConfig(M, KEY, mode), 5)
+        assert draws == ([2 * S, 2 * S, 2 * S, S] if M <= _DRAW_BLOCK else [S] * 7)
+        assert counts.as_dict() == layer_energy(net.n, M, net.N * 7, mode).classes()
+        want = [forward_scnn(net, x, ScnnConfig(M, KEY.derive(5, p), mode)) for p, x in enumerate(grid)]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    def test_sweep_grid_is_one_array_path_draw(self, monkeypatch):
+        # A sweep trial of the README's N = 32 net (17 rows of 96 streams) at
+        # M = 16 is one draw of 1632 streams, past the array path's 512.
+        from scbnn import bitstream
+
+        gen = np.random.default_rng(32)
+        net = net_of(gen.uniform(-1, 1, (32, 1)), gen.uniform(-1, 1, 32), gen.normal(size=32), Activation.TANH)
+        sizes = []
+        real_encode_array = bitstream._encode_array
+        monkeypatch.setattr(bitstream, "_encode_array", lambda p, *a: sizes.append(p.size) or real_encode_array(p, *a))
+        got = forward_scnn_grid(net, unit_grid(1, 17), ScnnConfig(16, KEY), 0, 3)
+        assert sizes == [17 * 96]
+        monkeypatch.undo()
+        want = [forward_scnn(net, x, ScnnConfig(16, KEY.derive(0, 3, p))) for p, x in enumerate(unit_grid(1, 17))]
+        assert got.tolist() == want
+
+    def test_chunk_memory_is_bounded_by_the_budget(self):
+        # 4096 rows of 24 streams at M = 256 are 5.25 MiB of probabilities,
+        # keys and packed bits drawn at once. The chunks hold at most
+        # _GRID_BYTES of them; 1.5 MiB more covers the key-fold temporaries
+        # and the re-keyed path's 512 KiB block of draws (the peak exceeded
+        # the budget by 1.27 MiB, and was 5.9 MiB with no budget).
+        gen = np.random.default_rng(33)
+        net = net_of(gen.uniform(-1, 1, (8, 1)), gen.uniform(-1, 1, 8), gen.normal(size=8), Activation.TANH)
+        grid = np.linspace(-1.0, 1.0, 4096)[:, None]
+        tracemalloc.start()
+        try:
+            forward_scnn_grid(net, grid, ScnnConfig(256, KEY), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= scnn._GRID_BYTES + 3 * 2**19
 
 
 class TestPreactivationConvergence:

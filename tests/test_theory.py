@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import json
 import math
@@ -218,6 +219,23 @@ class TestConvergenceSweep:
         )
         assert proc.stdout == "False\n", proc.stderr
 
+    def test_serial_sweep_leaves_multiprocessing_unloaded(self, tmp_path):
+        # A process pool is imported only for --jobs > 1: multiprocessing,
+        # socket and subprocess cost about 1.5 MB of RSS in every command.
+        code = (
+            "import sys; from scbnn.cli import main; "
+            "assert main(['fit', '--target', 'sine', '--N', '4', '--seed', '2', '--out-dir', 'net']) == 0; "
+            "assert main(['sweep', '--network', 'net/network.json', '--target', 'sine', '--Ms', '16', "
+            "'--trials', '30', '--grid-points', '3', '--jobs', '1', '--out-dir', 'sweep']) == 0; "
+            "print('multiprocessing' in sys.modules, file=sys.stderr)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(Path(scbnn.theory.__file__).parents[1])},
+        )
+        assert proc.stderr == "False\n", proc.stderr
+        assert (tmp_path / "sweep" / "sweep.csv").is_file()
+
     def test_pool_is_no_larger_than_its_work(self, monkeypatch):
         # 30 tasks are 4 chunks of 8, so jobs=10**6 asks for at most 4 workers.
         # A fake pool records the size and maps serially: none is started.
@@ -236,7 +254,7 @@ class TestConvergenceSweep:
             def map(self, fn, tasks, chunksize):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(scbnn.theory, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
         f = make_target("sine", 1)
         net = fit_reference(f, 4, unit_grid(1, 32), StreamKey(6))
         args = (net, f, [16], 30, unit_grid(1, 3), AccumulationMode.APC, StreamKey(4), 0.3)
