@@ -28,10 +28,10 @@ so the bytes and `GENERATOR_FAMILY` are those of a fresh Philox per stream.
 fills a block alone (more than _DRAW_BLOCK / 2 clocks), the re-keyed path
 takes its bits that way, with no conversion to double; shorter streams
 share a block of `Generator.random` draws.
-`StreamKey.substream_keys` folds a seed-free `key_layout`, which a caller
-may cache, with the seed in one vectorized pass (`fold_layout`);
-`fold_seeds` folds it with a whole array of seeds, such as the grid-row
-seeds `StreamKey.derive_seeds` derives in one vectorized fold.
+`fold_seeds` folds a seed-free `key_layout`, which a caller may cache,
+with one seed (`StreamKey.substream_keys`) or a whole array of them, such
+as the grid-row seeds `StreamKey.derive_seeds` derives, in one vectorized
+pass.
 
 `encode_blocks` yields the same streams one block of `_DRAW_BLOCK` (2^16)
 clocks at a time, so a caller that reduces each block as it arrives holds
@@ -201,12 +201,7 @@ class StreamKey:
     def substream_keys(self, groups) -> np.ndarray:
         """The (S, 2) Philox keys of the `key_layout` of `groups` under this
         seed; the row for (role, i, j) is ``self.substream(role, i, j)._philox_key()``."""
-        return self.fold_layout(key_layout(groups))
-
-    def fold_layout(self, layout: np.ndarray) -> np.ndarray:
-        """The (S, 2) Philox keys of the (3, S) `key_layout` under this seed:
-        the one-seed case of `fold_seeds`."""
-        return fold_seeds(layout, self.seed)
+        return fold_seeds(key_layout(groups), self.seed)
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))
@@ -467,8 +462,6 @@ def sng_encode(x: float, M: int, enc: Encoding, key: StreamKey) -> Bitstream:
     P(bit=1) is x for unipolar and (x+1)/2 for bipolar. Boundary values
     give deterministic all-ones / all-zeros streams.
     """
-    if M < 1:
-        raise ValueError(f"stream length M must be >= 1, got {M}")
     lo, hi = enc.value_range
     if not (lo <= x <= hi):
         raise EncodingRangeError(

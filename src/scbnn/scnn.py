@@ -2,9 +2,9 @@
 each divided by its network scale (`weight_scale`, `input_scale` and their
 product `bias_scale`), SC dot products, exact activation and output layer.
 The network holds its weights and biases within their scales, so a pass
-range-checks only its input point.
-`forward_scnn_grid` runs it at every grid row for `theory`'s one
-Monte-Carlo trial loop, drawing the streams of a chunk of rows at once.
+range-checks only its input point, in `_draw`, the one entry from points
+to streams. `forward_scnn_grid` runs it at every grid row for `theory`'s
+one Monte-Carlo trial loop, drawing the streams of a chunk of rows at once.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
@@ -66,23 +66,19 @@ def _key_layout(N: int, n: int) -> np.ndarray:
     return layout
 
 
-def _check_points(net: ReferenceNetwork, points: np.ndarray) -> None:
-    """Refuse input points, the rows of `points`, that the network cannot
-    encode: a dimension other than `net.n`, or a coordinate beyond
-    `net.input_scale` or NaN, naming the first such coordinate in row order."""
-    if points.shape[-1] != net.n:
-        raise ValueError(f"input has dimension {points.shape[-1]}, network expects {net.n}")
+def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
+    """`encode_blocks` of the hidden-layer streams of one forward pass per
+    point, the rows of `points`, point r keyed by seeds[r]: rows [r·S, (r+1)·S)
+    of each block, S = N(2n + 1), are its weight, input and bias streams, each
+    value divided by its network scale. A point of a dimension other than
+    `net.n`, or a coordinate beyond `net.input_scale` or NaN, is refused before
+    anything is drawn, naming the first such coordinate in row order."""
+    R, N, n = len(points), net.N, net.n
+    if points.shape[-1] != n:
+        raise ValueError(f"input has dimension {points.shape[-1]}, network expects {n}")
     if not (inside := np.abs(points) <= net.input_scale).all():  # NaN is outside, too
         v = float(points.flat[np.argmin(inside)])
         raise EncodingRangeError(f"|{v!r}| exceeds the inputs pre-scale factor {net.input_scale!r}")
-
-
-def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
-    """`encode_blocks` of the hidden-layer streams of one forward pass per
-    checked point, point r keyed by seeds[r]: rows [r·S, (r+1)·S) of each
-    block, S = N(2n + 1), are its weight, input and bias streams, each value
-    divided by its network scale."""
-    R, N, n = len(points), net.N, net.n
     probs = np.empty((R, 2 * N * n + N))
     np.divide(net.hidden_weights.reshape(-1), net.weight_scale, out=probs[:, : N * n])
     probs[:, N * n : 2 * N * n] = np.tile(points / net.input_scale, N)
@@ -92,38 +88,34 @@ def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
     return encode_blocks(probs, fold_seeds(_key_layout(N, n), seeds).reshape(-1, 2), M)
 
 
-def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, streams: np.ndarray | None = None) -> float:
+def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, blocks=None) -> float:
     """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
 
     Weights, inputs, and biases are divided by their network scales and
-    encoded as bipolar streams, the whole hidden layer in one `encode_blocks`
-    call. The network holds its weights and biases within their scales; an
-    input coordinate beyond `net.input_scale`, or NaN, raises
-    EncodingRangeError naming it. Given `streams`, the (S, ceil(M/8))
-    packed rows its chunk draw made for this point under `cfg.key`,
-    `forward_scnn_grid` has checked x and nothing is drawn here; it passes
-    them only for M up to one clock block. The XNOR products and the
-    accumulation of all N units run on each block of packed streams as it is
-    drawn, and the decoded preactivations are multiplied by `net.bias_scale`
-    before the exact activation. The output layer stays in exact reals and is
-    summed in unit order. The result, and the gate ops it tallies
-    (`layer_energy(n, M, N, mode)`), equal those of composing `sng_encode`,
-    `dot_product_sc` and `activate` per unit.
+    encoded as bipolar streams, the whole hidden layer by one `_draw`, which
+    refuses an input coordinate beyond `net.input_scale`, or NaN, naming it.
+    Given `blocks`, the clock blocks of this point's S = N(2n + 1) streams
+    under `cfg.key` that `forward_scnn_grid` drew, x is unused; block lo
+    must have shape (S, ceil(w/8)), w = min(2^16, M - lo), and together they
+    must cover exactly M clocks. All N units run XNOR and accumulation on
+    each block as it arrives; the decoded preactivations times
+    `net.bias_scale` go through the exact activation, and the output layer
+    is summed in exact reals in unit order. The result, and the gate ops it
+    tallies (`layer_energy(n, M, N, mode)`), equal those of composing
+    `sng_encode`, `dot_product_sc` and `activate` per unit.
     """
-    N, n, M = net.N, net.n, cfg.M
-    if streams is None:
-        point = np.asarray(x, dtype=float).reshape(1, -1)
-        _check_points(net, point)
-        blocks = _draw(net, point, np.array([cfg.key.seed], dtype=np.uint64), M)
-    else:
-        blocks = [streams]
+    N, n, M, S = net.N, net.n, cfg.M, net.N * (2 * net.n + 1)
+    if blocks is None:
+        blocks = _draw(net, np.asarray(x, dtype=float).reshape(1, -1), np.array([cfg.key.seed], dtype=np.uint64), M)
     apc = cfg.mode is AccumulationMode.APC
     if not apc:
         select = cfg.key.substream_keys([("select", np.arange(N), 0)])
         gens = [np.random.Generator(np.random.Philox(key=k)) for k in select]
     ones, lo = np.zeros(N, dtype=np.int64), 0
     for bits in blocks:
-        width = min(8 * bits.shape[1], M - lo)
+        width = min(_DRAW_BLOCK, M - lo)
+        if width < 1 or bits.shape != (S, (width + 7) // 8):
+            raise ValueError(f"blocks of M={M} clocks are ({S}, ceil(w/8)); one at clock {lo} has shape {bits.shape}")
         w_bits, x_bits = bits[: 2 * N * n].reshape(2, N, n, -1)
         b_bits = bits[2 * N * n :]
         if apc:
@@ -133,6 +125,8 @@ def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, streams: np.ndarray 
             for i, gen in enumerate(gens):
                 ones[i] += int(np.bitwise_count(_mux_select([*products[i], b_bits[i]], width, gen)).sum())
         lo += width
+    if lo < M:
+        raise ValueError(f"blocks of M={M} clocks end at clock {lo}")
     add_counts(layer_energy(n, M, N, cfg.mode))
     if apc:
         pre = (2 * ones - (n + 1) * M) / M * net.bias_scale
@@ -149,26 +143,25 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     `cfg.key.derive(*indices, p)`, so each caller keeps its own key scheme
     (a sweep passes (m_index, trial), bound validation (trial,)).
 
-    Every row is checked before any is drawn, so a bad grid raises
-    `forward_scnn`'s error for its first bad coordinate. At M up to one
-    clock block, the streams of as many rows as `_GRID_BYTES` holds are
-    drawn in one `encode_blocks` call (the array Philox path from 512
-    streams of at most 24 bits), and each row is one `forward_scnn` call on
-    its own streams, with its own gate tally. Longer rows draw their own.
+    Rows are drawn by `_draw` a chunk at a time: at M up to one clock block,
+    as many rows as `_GRID_BYTES` holds in one `encode_blocks` call (the
+    array Philox path from 512 streams of at most 24 bits), longer rows one
+    by one. Each chunk is checked as it is drawn, so a bad row raises
+    `forward_scnn`'s error for its first bad coordinate after the chunks
+    before it have run. Each row is one `forward_scnn` call on its own clock
+    blocks, with its own gate tally. A grid with no rows is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    _check_points(net, grid)
+    if not len(grid):
+        raise ValueError("grid is empty")
     M, S = cfg.M, net.N * (2 * net.n + 1)
     seeds = cfg.key.derive_seeds(*indices, rows=len(grid))
     rows = max(1, _GRID_BYTES // (S * (24 + (M + 7) // 8))) if M <= _DRAW_BLOCK else 1
     out = np.empty(len(grid))
     for start in range(0, len(grid), rows):
         points, chunk_seeds = grid[start : start + rows], seeds[start : start + rows]
-        if M <= _DRAW_BLOCK:
-            (block,) = _draw(net, points, chunk_seeds, M)
-            streams = block.reshape(len(points), S, -1)
-        else:
-            streams = [None] * len(points)
-        for r, (x, seed, row_streams) in enumerate(zip(points, chunk_seeds.tolist(), streams)):
-            out[start + r] = forward_scnn(net, x, ScnnConfig(M, StreamKey(seed), cfg.mode), row_streams)
+        chunk = _draw(net, points, chunk_seeds, M)  # several rows only at M <= _DRAW_BLOCK, so in one block
+        per_row = [chunk] if len(points) == 1 else [[block] for block in next(chunk).reshape(len(points), S, -1)]
+        for r, (x, seed, blocks) in enumerate(zip(points, chunk_seeds.tolist(), per_row)):
+            out[start + r] = forward_scnn(net, x, ScnnConfig(M, StreamKey(seed), cfg.mode), blocks)
     return out

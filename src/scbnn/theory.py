@@ -188,8 +188,7 @@ def convergence_sweep(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    g_ref = np.atleast_1d(forward_reference(net, grid))
-    g_target = np.atleast_1d(f(grid))
+    g_ref, g_target = forward_reference(net, grid), f(grid)
     runs = [(ScnnConfig(M, key, mode), (mi, t)) for mi, M in enumerate(Ms) for t in range(trials)]
     values = _run_trials(net, grid, runs, jobs)
     rows = [
@@ -250,7 +249,7 @@ def bound_validation(
     if grid is None:
         grid = unit_grid(net.n, 9)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
-    g_ref, g_target = np.atleast_1d(forward_reference(net, grid)), np.atleast_1d(f(grid))
+    g_ref, g_target = forward_reference(net, grid), f(grid)
     values = _run_trials(net, grid, [(ScnnConfig(M, key, mode), (t,)) for t in range(trials)], 1)
     rate = _row_statistics(values, g_ref, g_target, q.epsilon)["failure_rate"]
     samples = values.size

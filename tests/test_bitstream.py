@@ -345,7 +345,7 @@ class TestKeyLayout:
         assert got.tolist() == [bitstream._splitmix64(v) for v in values.tolist()]
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1, 0x5EED])
-    def test_fold_layout_equals_philox_key(self, seed):
+    def test_fold_seeds_equals_philox_key(self, seed):
         gen = np.random.default_rng(seed % 997)
         i, j = gen.integers(0, 2**64, (2, 1003), dtype=np.uint64, endpoint=False)
         i[:3], j[:3] = [0, 2**63, 2**64 - 1], [2**63, 0, 2**63]
@@ -354,13 +354,13 @@ class TestKeyLayout:
         layout.flags.writeable = False
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            keys = key.fold_layout(layout)
+            keys = bitstream.fold_seeds(layout, seed)
         expected = [key.substream("weights", a, b)._philox_key() for a, b in zip(i.tolist(), j.tolist())]
         expected.append(key.substream("bias", 2**63)._philox_key())
         assert np.array_equal(keys, np.stack(expected))
         assert np.array_equal(keys, key.substream_keys([("weights", i, j), ("bias", 2**63, 0)]))
 
-    def test_fold_seeds_is_fold_layout_per_seed(self):
+    def test_fold_seeds_is_substream_keys_per_seed(self):
         groups = [("weights", np.arange(4)[:, None], np.arange(3)), ("bias", 2**63, 0)]
         seeds = np.array([[0, 2**64 - 1, 7], [2**63, 1, 0x5EED]], dtype=np.uint64)
         keys = bitstream.fold_seeds(bitstream.key_layout(groups), seeds)

@@ -1,4 +1,6 @@
-"""The README's "Package layout" table names only what its modules hold."""
+"""The README names only what the package holds: its "Package layout"
+table names what each module holds, and every backticked dotted name
+rooted in the package resolves."""
 
 import dataclasses
 import importlib
@@ -14,6 +16,7 @@ import scbnn
 README = Path(__file__).resolve().parent.parent / "README.md"
 #: Backticked names that are not identifiers of their row's module.
 NOT_IDENTIFIERS = {"scbnn.cli": {"scbnn"}}  # the command's name
+MODULES = {info.name for info in pkgutil.iter_modules(scbnn.__path__)}
 
 
 def _layout_rows() -> list[tuple[str, list[str]]]:
@@ -52,3 +55,36 @@ def test_named_identifiers_exist(module_name, names):
         if name not in NOT_IDENTIFIERS.get(module_name, ()) and not _resolves(module, name)
     ]
     assert not missing, f"README's {module_name} row names {missing}, which the module does not hold"
+
+
+def _package_names() -> list[str]:
+    """Backticked names outside code blocks, a trailing call dropped, whose
+    first dotted part is `scbnn`, a module of the package or a class it
+    exports; config keys (`sweep.Ms`) and numpy names are left out."""
+    roots = {"scbnn", *MODULES, *(name for name, value in vars(scbnn).items() if inspect.isclass(value))}
+    text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", text))
+    names = (m[1] for span in spans if (m := re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", span)))
+    return sorted({name for name in names if name.split(".")[0] in roots})
+
+
+def _resolves_dotted(name: str) -> bool:
+    parts, obj = name.split("."), scbnn
+    if parts[0] == "scbnn":
+        parts.pop(0)
+    if parts and parts[0] in MODULES:
+        obj = importlib.import_module(f"scbnn.{parts.pop(0)}")
+    for depth, part in enumerate(parts, 1):
+        if not hasattr(obj, part):
+            # A dataclass field without a default is no class attribute.
+            fields = {f.name for f in dataclasses.fields(obj)} if dataclasses.is_dataclass(obj) else set()
+            return depth == len(parts) and part in fields
+        obj = getattr(obj, part)
+    return True
+
+
+def test_backticked_package_names_resolve():
+    names = _package_names()
+    assert {"StreamKey.derive_seeds", "scnn._GRID_BYTES", "cli.HASH_GAPS", "scbnn.scgates.counting"} <= set(names)
+    missing = [name for name in names if not _resolves_dotted(name)]
+    assert not missing, f"README names {missing}, which the package does not hold"

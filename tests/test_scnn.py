@@ -26,7 +26,7 @@ from scbnn import (
     unit_grid,
 )
 from scbnn import scnn
-from scbnn.bitstream import _DRAW_BLOCK, key_layout
+from scbnn.bitstream import _DRAW_BLOCK, fold_seeds, key_layout
 from scbnn.netcore import pow2_scale
 from test_golden import TWO_INPUT_NET
 
@@ -152,7 +152,7 @@ class TestForwardScnn:
         unit, coord = np.arange(3)[:, None], np.arange(2)
         groups = [("weights", unit, coord), ("inputs", unit, coord), ("bias", unit, 0)]
         assert np.array_equal(layout, key_layout(groups))
-        assert np.array_equal(KEY.fold_layout(layout), KEY.substream_keys(groups))
+        assert np.array_equal(fold_seeds(layout, KEY.seed), KEY.substream_keys(groups))
         with pytest.raises(ValueError, match="read-only"):
             layout[0] = 0
 
@@ -160,6 +160,26 @@ class TestForwardScnn:
         net = net_of([[1.0, 0.5]], [0.0], [1.0])
         with pytest.raises(ValueError):
             forward_scnn(net, [0.5], ScnnConfig(8, KEY))
+
+    @pytest.mark.parametrize("M", [16, _DRAW_BLOCK + 8])
+    def test_refuses_blocks_it_cannot_have_drawn(self, M):
+        # Given its own blocks x is unused. Unchecked, blocks cut to one byte
+        # at M = 16 would return 0.1084 here in place of 0.3136.
+        net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
+        cfg = ScnnConfig(M, KEY)
+        blocks = list(scnn._draw(net, np.array([[0.5]]), np.array([KEY.seed], dtype=np.uint64), M))
+        assert forward_scnn(net, [123.0], cfg, blocks) == forward_scnn(net, [0.5], cfg)
+        (first, *rest), width = blocks, min(M, _DRAW_BLOCK) // 8
+        prefix = f"blocks of M={M} clocks are (6, ceil(w/8)); one at clock"
+        for bad, message in [
+            ([first[:, :1], *rest], f"{prefix} 0 has shape (6, 1)"),  # cut to one byte
+            ([first[:5], *rest], f"{prefix} 0 has shape (5, {width})"),  # a wrong S
+            ([*blocks, blocks[-1]], f"{prefix} {M} has shape {blocks[-1].shape}"),  # a block too many
+            (blocks[:-1], f"blocks of M={M} clocks end at clock {M - 8 * blocks[-1].shape[1]}"),  # one too few
+        ]:
+            with pytest.raises(ValueError) as err:
+                forward_scnn(net, [0.5], cfg, bad)
+            assert str(err.value) == message
 
     @pytest.mark.parametrize("mode", list(AccumulationMode))
     def test_memory_is_bounded_at_long_M(self, mode):
@@ -294,6 +314,30 @@ class TestForwardScnnGrid:
         grid = [[0.5, 0.25], [0.5, -3.0], [float("nan"), 0.0]]
         with pytest.raises(EncodingRangeError, match=r"^\|-3.0\| exceeds the inputs pre-scale factor 1.0$"):
             forward_scnn_grid(TWO_INPUT_NET, grid, ScnnConfig(16, KEY))
+
+    @pytest.mark.parametrize("grid", [np.empty((0, 1)), np.empty((0, 2))], ids=["n1", "n2"])
+    def test_empty_grid_is_refused(self, grid):
+        net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
+        for M in (16, 2 * _DRAW_BLOCK):
+            with pytest.raises(ValueError, match=r"^grid is empty$"):
+                forward_scnn_grid(net, grid, ScnnConfig(M, KEY))
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_bad_row_of_a_later_chunk_raises_after_earlier_chunks_ran(self, monkeypatch, mode):
+        # Rows are checked chunk by chunk as they are drawn: with chunks of two
+        # rows, row 4's NaN stops the third chunk's draw after the first two
+        # chunks ran and tallied their four forward passes.
+        net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
+        monkeypatch.setattr(scnn, "_GRID_BYTES", 2 * 6 * (24 + 2) + 1)
+        draws = []
+        real_encode_blocks = scnn.encode_blocks
+        monkeypatch.setattr(scnn, "encode_blocks", lambda p, k, m: draws.append(np.size(p)) or real_encode_blocks(p, k, m))
+        grid = [[0.5], [-0.5], [1.0], [0.0], [float("nan")], [0.25]]
+        with counting() as counts, pytest.raises(EncodingRangeError) as err:
+            forward_scnn_grid(net, grid, ScnnConfig(16, KEY, mode))
+        assert str(err.value) == "|nan| exceeds the inputs pre-scale factor 1.0"
+        assert draws == [12, 12]
+        assert counts.as_dict() == layer_energy(1, 16, 2 * 4, mode).classes()
 
     @pytest.mark.parametrize("M", [1, 16, 24, 25, 64, _DRAW_BLOCK, _DRAW_BLOCK + 8])
     @pytest.mark.parametrize("mode", list(AccumulationMode))

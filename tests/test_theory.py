@@ -194,6 +194,11 @@ class TestConvergenceSweep:
         with pytest.raises(ValueError, match="jobs"):
             convergence_sweep(net, f, [4, 16], 30, grid, AccumulationMode.APC, KEY, 0.1, jobs=0)
 
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValueError, match=r"^grid is empty$"):
+            convergence_sweep(degenerate_net(), make_target("constant", 1, value=0.0), [4], 30, np.empty((0, 1)),
+                              AccumulationMode.APC, KEY, 0.1)
+
     def test_sweep_row_fields_are_the_row_statistics(self):
         names = [field.name for field in dataclasses.fields(SweepRow)]
         stats = _row_statistics(np.ones((1, 1)), np.ones(1), np.ones(1), 0.1)
@@ -293,6 +298,13 @@ class TestBoundValidation:
         with pytest.raises(ValueError) as raised:
             bound_validation(query, net, f, trials=10, key=KEY)
         assert str(raised.value) == message.format(net.alpha_sum)
+
+    def test_empty_grid_is_refused(self):
+        f = make_target("linear", 1)
+        net = fit_reference(f, 2, unit_grid(1, 64), StreamKey(1))
+        q = BoundQuery(1, 2, 10.0, 0.5, alpha_sum=max(2.0, net.alpha_sum))
+        with pytest.raises(ValueError, match=r"^grid is empty$"):
+            bound_validation(q, net, f, trials=10, key=KEY, grid=np.empty((0, 1)))
 
     def test_infeasible_guard(self):
         f = make_target("linear", 1)
