@@ -157,11 +157,11 @@ def key_layout(groups) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StreamKey:
-    """Deterministic substream identity: master seed plus (role, i, j).
-
-    Distinct identities map to distinct Philox keys, giving statistically
-    independent bit sequences; the same identity always reproduces the
-    identical stream.
+    """Deterministic substream identity: master seed plus (role, i, j), each
+    a 64-bit word in [0, 2^64), as is every index `derive` folds. Distinct
+    identities give independent bit sequences unless their Philox keys meet:
+    k1 is a function of k0, so keys span 2^64 values, and S keys collide with
+    probability about S^2/2^65. The same identity reproduces its stream.
     """
 
     seed: int
@@ -170,15 +170,24 @@ class StreamKey:
     j: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.seed <= _MASK64:
-            raise ValueError(f"seed {self.seed} is outside the 64-bit range [0, 2^64)")
+        for name in ("seed", "i", "j"):
+            if not 0 <= getattr(self, name) <= _MASK64:
+                raise ValueError(f"{name} {getattr(self, name)} is outside the 64-bit range [0, 2^64)")
+
+    def _master_seed(self) -> int:
+        """The seed of a master key (role "master", i = j = 0); a key that names a stream is refused."""
+        if (self.role, self.i, self.j) != ("master", 0, 0):
+            raise ValueError(f"{self} names a stream, not a master key")
+        return self.seed
 
     def substream(self, role: str, i: int = 0, j: int = 0) -> "StreamKey":
         """Key for a named substream under the same master seed."""
-        return StreamKey(self.seed, role, i, j)
+        return StreamKey(self._master_seed(), role, i, j)
 
     def derive(self, *indices: int) -> "StreamKey":
         """Fold indices into a fresh master key (for trials, grid points...)."""
+        if not all(0 <= idx <= _MASK64 for idx in indices):
+            raise ValueError(f"indices {indices} are not all in the 64-bit range [0, 2^64)")
         h = _fold(self.seed, _DERIVE_SALT)
         h = _fold(h, _role_hash(self.role))
         h = _fold(h, self.i)
@@ -201,7 +210,7 @@ class StreamKey:
     def substream_keys(self, groups) -> np.ndarray:
         """The (S, 2) Philox keys of the `key_layout` of `groups` under this
         seed; the row for (role, i, j) is ``self.substream(role, i, j)._philox_key()``."""
-        return fold_seeds(key_layout(groups), self.seed)
+        return fold_seeds(key_layout(groups), self._master_seed())
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.Philox(key=self._philox_key()))

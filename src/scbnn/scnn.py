@@ -1,21 +1,20 @@
 """SCNN forward pass: stochastic encoding of weights, inputs, and biases,
 each divided by its network scale (`weight_scale`, `input_scale` and their
 product `bias_scale`), SC dot products, exact activation and output layer.
-The network holds its weights and biases within their scales, so a pass
-range-checks only its input point, in `_draw`, the one entry from points
-to streams. `forward_scnn_grid` runs it at every grid row for `theory`'s
-one Monte-Carlo trial loop, drawing the streams of a chunk of rows at once.
+`_unit_ones` is the one reduction from points to the hidden units' counts of
+ones, and the one place a pass range-checks its input points (the network
+holds its weights and biases within their scales); `forward_scnn` reads one
+point's counts out. `forward_scnn_grid` runs both at every grid row for
+`theory`'s one Monte-Carlo trial loop, a chunk of rows at a time.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
 independently per unit. Results are pure functions of (net, x, config).
 
-The forward pass is streamed over clocks: each block of 2^16 clocks of the
-whole hidden layer is drawn and reduced before the next (APC by `apc_ones`,
-MUX by `_mux_select` per unit, one select generator per unit kept across
-blocks), so one forward holds a few MiB at any M up to `M_FEASIBLE_CAP`.
-Gate tallies come from the closed form `energy.layer_energy`; the scalar
-gates of `scgates` are the oracle they are tested against.
+Counts are streamed over clocks: each 2^16-clock block of the whole hidden
+layer is drawn and reduced before the next, so a forward holds a few MiB at
+any M up to `M_FEASIBLE_CAP`. Gate tallies come from the closed form
+`energy.layer_energy`, tested against the scalar gates of `scgates`.
 """
 
 from __future__ import annotations
@@ -51,6 +50,7 @@ class ScnnConfig:
     mode: AccumulationMode = AccumulationMode.APC
 
     def __post_init__(self):
+        self.key._master_seed()
         if self.M < 1:
             raise ValueError(f"stream length M must be >= 1, got {self.M}")
         if self.M > M_FEASIBLE_CAP:
@@ -66,12 +66,14 @@ def _key_layout(N: int, n: int) -> np.ndarray:
     return layout
 
 
-def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
-    """`encode_blocks` of the hidden-layer streams of one forward pass per
-    point, the rows of `points`, point r keyed by seeds[r]: rows [r·S, (r+1)·S)
-    of each block, S = N(2n + 1), are its weight, input and bias streams, each
-    value divided by its network scale. A point of a dimension other than
-    `net.n`, or a coordinate beyond `net.input_scale` or NaN, is refused before
+def _unit_ones(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int, mode: AccumulationMode):
+    """The (R, N) counts of ones of the units' accumulators over M clocks at
+    the R rows of `points`, row r keyed by seeds[r]. One `encode_blocks` call
+    draws every row's S = N(2n + 1) weight, input and bias streams, rows
+    [r·S, (r+1)·S) of each clock block, which is reduced as it arrives: APC
+    by one `apc_ones` over all R·N units, MUX by `_mux_select` per (row,
+    unit) under its select key. A point of a dimension other than `net.n`,
+    or a coordinate beyond `net.input_scale` or NaN, is refused before
     anything is drawn, naming the first such coordinate in row order."""
     R, N, n = len(points), net.N, net.n
     if points.shape[-1] != n:
@@ -85,53 +87,49 @@ def _draw(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: int):
     np.divide(net.hidden_biases, net.bias_scale, out=probs[:, 2 * N * n :])
     probs += 1.0
     probs /= 2.0
-    return encode_blocks(probs, fold_seeds(_key_layout(N, n), seeds).reshape(-1, 2), M)
-
-
-def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, blocks=None) -> float:
-    """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
-
-    Weights, inputs, and biases are divided by their network scales and
-    encoded as bipolar streams, the whole hidden layer by one `_draw`, which
-    refuses an input coordinate beyond `net.input_scale`, or NaN, naming it.
-    Given `blocks`, the clock blocks of this point's S = N(2n + 1) streams
-    under `cfg.key` that `forward_scnn_grid` drew, x is unused; block lo
-    must have shape (S, ceil(w/8)), w = min(2^16, M - lo), and together they
-    must cover exactly M clocks. All N units run XNOR and accumulation on
-    each block as it arrives; the decoded preactivations times
-    `net.bias_scale` go through the exact activation, and the output layer
-    is summed in exact reals in unit order. The result, and the gate ops it
-    tallies (`layer_energy(n, M, N, mode)`), equal those of composing
-    `sng_encode`, `dot_product_sc` and `activate` per unit.
-    """
-    N, n, M, S = net.N, net.n, cfg.M, net.N * (2 * net.n + 1)
-    if blocks is None:
-        blocks = _draw(net, np.asarray(x, dtype=float).reshape(1, -1), np.array([cfg.key.seed], dtype=np.uint64), M)
-    apc = cfg.mode is AccumulationMode.APC
-    if not apc:
-        select = cfg.key.substream_keys([("select", np.arange(N), 0)])
-        gens = [np.random.Generator(np.random.Philox(key=k)) for k in select]
-    ones, lo = np.zeros(N, dtype=np.int64), 0
-    for bits in blocks:
+    blocks = encode_blocks(probs, fold_seeds(_key_layout(N, n), seeds).reshape(-1, 2), M)
+    apc = mode is AccumulationMode.APC
+    select = () if apc else fold_seeds(key_layout([("select", np.arange(N), 0)]), seeds)
+    # Only a one-row chunk has several blocks, so only its select generators outlive a block.
+    gens = [np.random.Generator(np.random.Philox(key=k)) for k in select[0]] if R == 1 and not apc else ()
+    ones = np.zeros((R, N), dtype=np.int64)
+    for lo, bits in zip(range(0, M, _DRAW_BLOCK), blocks):
         width = min(_DRAW_BLOCK, M - lo)
-        if width < 1 or bits.shape != (S, (width + 7) // 8):
-            raise ValueError(f"blocks of M={M} clocks are ({S}, ceil(w/8)); one at clock {lo} has shape {bits.shape}")
-        w_bits, x_bits = bits[: 2 * N * n].reshape(2, N, n, -1)
-        b_bits = bits[2 * N * n :]
+        wx_bits, b_bits = np.split(bits.reshape(R, -1, bits.shape[-1]), [2 * N * n], axis=1)
+        w_bits, x_bits = wx_bits.reshape(R, 2, N, n, -1).swapaxes(0, 1)
         if apc:
             ones += apc_ones(w_bits, x_bits, b_bits, width)
         else:
             products = zero_pad_bits(~(w_bits ^ x_bits), width)
-            for i, gen in enumerate(gens):
-                ones[i] += int(np.bitwise_count(_mux_select([*products[i], b_bits[i]], width, gen)).sum())
-        lo += width
-    if lo < M:
-        raise ValueError(f"blocks of M={M} clocks end at clock {lo}")
+            for r, i in np.ndindex(R, N):
+                gen = gens[i] if gens else np.random.Generator(np.random.Philox(key=select[r, i]))
+                ones[r, i] += int(np.bitwise_count(_mux_select([*products[r, i], b_bits[r, i]], width, gen)).sum())
+    return ones
+
+
+def forward_scnn(net: ReferenceNetwork, x, cfg: ScnnConfig, ones=None) -> float:
+    """Evaluate the network with M-bit stochastic hidden-layer arithmetic.
+
+    Weights, inputs, and biases are divided by their network scales and
+    encoded as bipolar streams, which one `_unit_ones` reduces to the N
+    units' counts of ones, refusing an input coordinate beyond
+    `net.input_scale`, or NaN, by name. Given `ones`, the counts that
+    `forward_scnn_grid` reduced for this point, x and `cfg.key` are unused;
+    counts of any shape but (N,) are refused. The decoded preactivations
+    times `net.bias_scale` go through the exact activation, and the output
+    layer is a float sum in unit order. The result, and the gate ops it
+    tallies (`layer_energy(n, M, N, mode)`), equal those of composing
+    `sng_encode`, `dot_product_sc` and `activate` per unit.
+    """
+    N, n, M = net.N, net.n, cfg.M
+    if ones is None:
+        ones = _unit_ones(net, np.asarray(x, dtype=float).reshape(1, -1), np.array([cfg.key.seed], dtype=np.uint64), M, cfg.mode)[0]
+    elif np.shape(ones) != (N,):
+        raise ValueError(f"counts of ones of {N} units have shape ({N},), got {np.shape(ones)}")
     add_counts(layer_energy(n, M, N, cfg.mode))
-    if apc:
-        pre = (2 * ones - (n + 1) * M) / M * net.bias_scale
-    else:
-        pre = (2 * ones - M) / M * (n + 1) * net.bias_scale
+    # APC counts the ones of all n + 1 terms, MUX of one selected term.
+    terms, scale = (n + 1, 1) if cfg.mode is AccumulationMode.APC else (1, n + 1)
+    pre = (2 * np.asarray(ones) - terms * M) / M * scale * net.bias_scale
     out = 0.0
     for alpha, h in zip(net.output_weights.tolist(), activate(net.activation, pre).tolist()):
         out += alpha * h
@@ -143,13 +141,14 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     `cfg.key.derive(*indices, p)`, so each caller keeps its own key scheme
     (a sweep passes (m_index, trial), bound validation (trial,)).
 
-    Rows are drawn by `_draw` a chunk at a time: at M up to one clock block,
-    as many rows as `_GRID_BYTES` holds in one `encode_blocks` call (the
-    array Philox path from 512 streams of at most 24 bits), longer rows one
-    by one. Each chunk is checked as it is drawn, so a bad row raises
-    `forward_scnn`'s error for its first bad coordinate after the chunks
-    before it have run. Each row is one `forward_scnn` call on its own clock
-    blocks, with its own gate tally. A grid with no rows is a ValueError.
+    Rows are reduced to their units' counts of ones by `_unit_ones` a chunk
+    at a time: at M up to one clock block, as many rows as `_GRID_BYTES`
+    holds in one `encode_blocks` call (the array Philox path from 512
+    streams of at most 24 bits), longer rows one by one. Each chunk is
+    checked as it is drawn, so a bad row raises `forward_scnn`'s error for
+    its first bad coordinate after the chunks before it have run. Each row
+    is one `forward_scnn(net, x, cfg, ones)` call on its counts, with its
+    own gate tally. A grid with no rows is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if not len(grid):
@@ -159,9 +158,7 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     rows = max(1, _GRID_BYTES // (S * (24 + (M + 7) // 8))) if M <= _DRAW_BLOCK else 1
     out = np.empty(len(grid))
     for start in range(0, len(grid), rows):
-        points, chunk_seeds = grid[start : start + rows], seeds[start : start + rows]
-        chunk = _draw(net, points, chunk_seeds, M)  # several rows only at M <= _DRAW_BLOCK, so in one block
-        per_row = [chunk] if len(points) == 1 else [[block] for block in next(chunk).reshape(len(points), S, -1)]
-        for r, (x, seed, blocks) in enumerate(zip(points, chunk_seeds.tolist(), per_row)):
-            out[start + r] = forward_scnn(net, x, ScnnConfig(M, StreamKey(seed), cfg.mode), blocks)
+        points = grid[start : start + rows]
+        for r, (x, ones) in enumerate(zip(points, _unit_ones(net, points, seeds[start : start + rows], M, cfg.mode))):
+            out[start + r] = forward_scnn(net, x, cfg, ones)
     return out

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -11,11 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scbnn import (
+    AccumulationMode,
+    Activation,
     Bitstream,
     Encoding,
     EncodingRangeError,
+    ReferenceNetwork,
+    ScnnConfig,
     StreamFormatError,
     StreamKey,
+    binarize_network,
     decode,
     from_hex_line,
     from_hex_lines,
@@ -543,6 +549,38 @@ class TestStreamKey:
 
     def test_64_bit_seeds_accepted(self):
         assert StreamKey(0).derive(1) != StreamKey(2**64 - 1).derive(1)
+
+    @pytest.mark.parametrize("word, make", [
+        ("i", lambda v: StreamKey(1, "w", v)),
+        ("j", lambda v: StreamKey(1, "w", 0, v)),
+        ("indices", lambda v: StreamKey(7).derive(3, v)),
+    ])
+    def test_every_folded_word_is_a_64_bit_word(self, word, make):
+        # Folds mask each word to 64 bits, so -1 would be read as 2^64 - 1
+        # and 2^64 + 5 as 5.
+        assert make(2**64 - 1) != make(0)
+        for value in (-1, 2**64, 2**64 + 5):
+            with pytest.raises(ValueError, match=rf"^{word} .*64-bit range \[0, 2\^64\)$"):
+                make(value)
+
+    @pytest.mark.parametrize("named", [StreamKey(5, "trialA", 1, 2), StreamKey(5).substream("trialB", 3, 4),
+                                       StreamKey(5).substream("p")])
+    def test_a_key_that_names_a_stream_is_no_master_key(self, named):
+        # Only the seed of a master key is read where one is needed, so the
+        # role, i and j of a named key would be dropped without a word.
+        net = ReferenceNetwork(np.array([[0.5], [-0.75]]), np.array([0.25, -0.5]), np.array([1.0, -0.5]),
+                               Activation.TANH, 1.0)
+        message = rf"^{re.escape(repr(named))} names a stream, not a master key$"
+        for refused in (
+            lambda: ScnnConfig(64, named, AccumulationMode.APC),
+            lambda: ScnnConfig(64, named, AccumulationMode.MUX),
+            lambda: binarize_network(net, named),
+            lambda: named.substream("q"),
+            lambda: named.substream_keys([("w", 0, 0)]),
+        ):
+            with pytest.raises(ValueError, match=message):
+                refused()
+        assert named.derive(1) != StreamKey(5).derive(1)  # derive folds role, i and j
 
     def test_exact_rational_decode_semantics(self):
         # decode is a single integer quotient: matches Fraction exactly

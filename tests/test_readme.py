@@ -1,6 +1,6 @@
 """The README names only what the package holds: its "Package layout"
-table names what each module holds, and every backticked dotted name
-rooted in the package resolves."""
+table names what each module holds, every backticked dotted name rooted in
+the package resolves, and every test its claims ledger cites exists."""
 
 import dataclasses
 import importlib
@@ -88,3 +88,26 @@ def test_backticked_package_names_resolve():
     assert {"StreamKey.derive_seeds", "scnn._GRID_BYTES", "cli.HASH_GAPS", "scbnn.scgates.counting"} <= set(names)
     missing = [name for name in names if not _resolves_dotted(name)]
     assert not missing, f"README names {missing}, which the package does not hold"
+
+
+def _ledger_test_ids() -> list[str]:
+    """The `tests/...::...` ids of the "Paper claims and their checks" table."""
+    section = README.read_text(encoding="utf-8").split("## Paper claims and their checks", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"`(tests/[^`]+::[^`]+)`", section)
+
+
+def _names_a_test_function(test_id: str) -> bool:
+    path, *names = test_id.split("::")
+    if not (README.parent / path).is_file():
+        return False
+    obj = importlib.import_module(Path(path).stem)
+    for name in names:
+        obj = getattr(obj, name, None)
+    return inspect.isfunction(obj) and names[-1].startswith("test_")
+
+
+def test_claims_ledger_names_existing_tests():
+    ids = _ledger_test_ids()
+    assert ids, "the claims ledger cites no tests"
+    missing = [test_id for test_id in ids if not _names_a_test_function(test_id)]
+    assert not missing, f"the claims ledger cites {missing}, which name no test function"

@@ -161,25 +161,21 @@ class TestForwardScnn:
         with pytest.raises(ValueError):
             forward_scnn(net, [0.5], ScnnConfig(8, KEY))
 
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
     @pytest.mark.parametrize("M", [16, _DRAW_BLOCK + 8])
-    def test_refuses_blocks_it_cannot_have_drawn(self, M):
-        # Given its own blocks x is unused. Unchecked, blocks cut to one byte
-        # at M = 16 would return 0.1084 here in place of 0.3136.
+    def test_takes_one_count_of_ones_per_unit(self, M, mode):
+        # Given its units' counts of ones, the pass reads them out; x and the
+        # key are unused, and counts of any other shape are refused.
         net = net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5])
-        cfg = ScnnConfig(M, KEY)
-        blocks = list(scnn._draw(net, np.array([[0.5]]), np.array([KEY.seed], dtype=np.uint64), M))
-        assert forward_scnn(net, [123.0], cfg, blocks) == forward_scnn(net, [0.5], cfg)
-        (first, *rest), width = blocks, min(M, _DRAW_BLOCK) // 8
-        prefix = f"blocks of M={M} clocks are (6, ceil(w/8)); one at clock"
-        for bad, message in [
-            ([first[:, :1], *rest], f"{prefix} 0 has shape (6, 1)"),  # cut to one byte
-            ([first[:5], *rest], f"{prefix} 0 has shape (5, {width})"),  # a wrong S
-            ([*blocks, blocks[-1]], f"{prefix} {M} has shape {blocks[-1].shape}"),  # a block too many
-            (blocks[:-1], f"blocks of M={M} clocks end at clock {M - 8 * blocks[-1].shape[1]}"),  # one too few
-        ]:
+        cfg = ScnnConfig(M, KEY, mode)
+        ones = scnn._unit_ones(net, np.array([[0.5]]), np.array([KEY.seed], dtype=np.uint64), M, mode)
+        assert ones.shape == (1, 2)
+        got = forward_scnn(net, [123.0], ScnnConfig(M, StreamKey(9), mode), ones[0])
+        assert got.hex() == forward_scnn(net, [0.5], cfg).hex()
+        for bad in (ones, ones[0, :1], np.append(ones[0], 0), ones[0, 0], ones[0][:, None]):
             with pytest.raises(ValueError) as err:
                 forward_scnn(net, [0.5], cfg, bad)
-            assert str(err.value) == message
+            assert str(err.value) == f"counts of ones of 2 units have shape (2,), got {np.shape(bad)}"
 
     @pytest.mark.parametrize("mode", list(AccumulationMode))
     def test_memory_is_bounded_at_long_M(self, mode):
@@ -376,18 +372,21 @@ class TestForwardScnnGrid:
         want = [forward_scnn(net, x, ScnnConfig(16, KEY.derive(0, 3, p))) for p, x in enumerate(unit_grid(1, 17))]
         assert got.tolist() == want
 
-    def test_chunk_memory_is_bounded_by_the_budget(self):
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_chunk_memory_is_bounded_by_the_budget(self, mode):
         # 4096 rows of 24 streams at M = 256 are 5.25 MiB of probabilities,
         # keys and packed bits drawn at once. The chunks hold at most
         # _GRID_BYTES of them; 1.5 MiB more covers the key-fold temporaries
         # and the re-keyed path's 512 KiB block of draws (the peak exceeded
-        # the budget by 1.27 MiB, and was 5.9 MiB with no budget).
+        # the budget by 0.79 MiB in APC mode and 0.90 MiB in MUX mode, and
+        # was 5.9 MiB with no budget). Building every MUX select generator
+        # of a chunk at once read 5.56 MiB.
         gen = np.random.default_rng(33)
         net = net_of(gen.uniform(-1, 1, (8, 1)), gen.uniform(-1, 1, 8), gen.normal(size=8), Activation.TANH)
         grid = np.linspace(-1.0, 1.0, 4096)[:, None]
         tracemalloc.start()
         try:
-            forward_scnn_grid(net, grid, ScnnConfig(256, KEY), 1)
+            forward_scnn_grid(net, grid, ScnnConfig(256, KEY, mode), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -20,6 +20,7 @@ from scbnn import (
     InfeasibleBoundError,
     ReferenceNetwork,
     StreamKey,
+    binarize_network,
     bound_validation,
     bound_value,
     convergence_sweep,
@@ -31,8 +32,11 @@ from scbnn import (
     unit_grid,
 )
 from scbnn.netcore import pow2_scale
+import scbnn.bnn
+import scbnn.scnn
 import scbnn.theory
 from scbnn.theory import SweepRow, _median, _row_statistics
+from test_golden import TWO_INPUT_NET
 
 KEY = StreamKey(0x7E07)
 
@@ -312,3 +316,55 @@ class TestBoundValidation:
         q = BoundQuery(3, 64, 0.01, 0.01)
         with pytest.raises(InfeasibleBoundError, match="2\\^26"):
             bound_validation(q, net, f, trials=10, key=KEY)
+
+
+class TestEveryKeyIsDistinct:
+    """The convergence proofs assume that every stream of a run is
+    independent of every other. Streams under distinct Philox keys are, so
+    the assumption reduces to one fact: no two streams of a run share a key.
+    Every stream and select key of a forward pass comes from
+    `scnn.fold_seeds`, and every sign of a binarization from one
+    `bnn.encode_many`, so a run's keys are recorded there. The second key
+    word is a function of the first, so keys span 2^64 values, and S keys
+    collide by chance with probability about S^2/2^65, below 10^-11 for the
+    at most 10^4 keys of a run here: a repeat is a fault of the key scheme,
+    not bad luck."""
+
+    @pytest.fixture
+    def recorded(self, monkeypatch):
+        keys = []
+        real_fold, real_encode = scbnn.scnn.fold_seeds, scbnn.bnn.encode_many
+
+        def fold(*args):
+            out = real_fold(*args)
+            keys.append(out.reshape(-1, 2))
+            return out
+
+        monkeypatch.setattr(scbnn.scnn, "fold_seeds", fold)
+        monkeypatch.setattr(scbnn.bnn, "encode_many", lambda p, k, M: keys.append(k) or real_encode(p, k, M))
+        return keys
+
+    @staticmethod
+    def assert_distinct(keys, count):
+        keys = np.concatenate(keys)
+        assert len(keys) == count
+        duplicates = count - len(np.unique(keys, axis=0))
+        assert duplicates == 0, f"{duplicates} of {count} keys repeat an earlier key"
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_sweep(self, recorded, mode):
+        # TWO_INPUT_NET has n = 2 and N = 3: 15 streams a row, and 3 select keys in MUX mode.
+        f = make_target("linear", 2)
+        convergence_sweep(TWO_INPUT_NET, f, [16, 64], 30, unit_grid(2, 3), mode, StreamKey(12), 0.1)
+        per_row = 15 + (3 if mode is AccumulationMode.MUX else 0)
+        self.assert_distinct(recorded, 2 * 30 * 9 * per_row)
+
+    def test_mux_bound_validation(self, recorded):
+        q = BoundQuery(2, 3, 2.0, 0.5, alpha_sum=2.5)
+        bound_validation(q, TWO_INPUT_NET, make_target("linear", 2), trials=30, key=StreamKey(13),
+                         grid=unit_grid(2, 3), mode=AccumulationMode.MUX)
+        self.assert_distinct(recorded, 30 * 9 * 18)
+
+    def test_binarize_network(self, recorded):
+        binarize_network(TWO_INPUT_NET, StreamKey(14))
+        self.assert_distinct(recorded, 3 * 2 + 3)
