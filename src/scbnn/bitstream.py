@@ -141,12 +141,21 @@ def _role_hash(role: str) -> int:
     return h
 
 
+def _words(name: str, value) -> np.ndarray:
+    """`value`, an integer or an array of them, as uint64 words. A bool, a
+    float or a value outside [0, 2^64) is refused: folds mask to 64 bits."""
+    words = np.asarray(value)
+    if words.dtype.kind not in "iu" or (words < 0).any():
+        raise ValueError(f"{name} {value!r} is not an integer in the 64-bit range [0, 2^64)")
+    return words.astype(np.uint64)
+
+
 def key_layout(groups) -> np.ndarray:
     """The seed-free half of `StreamKey.substream_keys`: the (3, S) uint64
     columns (role hash, i, j) of a sequence of (role, i, j) groups. Index
     arrays (or ints) i and j broadcast together, and each broadcast element
     in row-major order is one column, groups in order."""
-    pairs = [np.broadcast_arrays(np.asarray(i, dtype=np.uint64), np.asarray(j, dtype=np.uint64)) for _, i, j in groups]
+    pairs = [np.broadcast_arrays(_words("i", i), _words("j", j)) for _, i, j in groups]
     layout, stop = np.empty((3, sum(i.size for i, _ in pairs)), dtype=np.uint64), 0
     for (role, _, _), (i, j) in zip(groups, pairs):
         start, stop = stop, stop + i.size
@@ -171,8 +180,7 @@ class StreamKey:
 
     def __post_init__(self):
         for name in ("seed", "i", "j"):
-            if not 0 <= getattr(self, name) <= _MASK64:
-                raise ValueError(f"{name} {getattr(self, name)} is outside the 64-bit range [0, 2^64)")
+            object.__setattr__(self, name, int(_words(name, getattr(self, name))))
 
     def _master_seed(self) -> int:
         """The seed of a master key (role "master", i = j = 0); a key that names a stream is refused."""
@@ -186,8 +194,7 @@ class StreamKey:
 
     def derive(self, *indices: int) -> "StreamKey":
         """Fold indices into a fresh master key (for trials, grid points...)."""
-        if not all(0 <= idx <= _MASK64 for idx in indices):
-            raise ValueError(f"indices {indices} are not all in the 64-bit range [0, 2^64)")
+        indices = [int(_words("indices", idx)) for idx in indices]
         h = _fold(self.seed, _DERIVE_SALT)
         h = _fold(h, _role_hash(self.role))
         h = _fold(h, self.i)

@@ -53,7 +53,6 @@ from .theory import (
     m_min_bound,
 )
 from .transform import (
-    bnn_to_scnn,
     bundle_from_dict,
     bundle_to_dict,
     preactivation_equivalence_check,
@@ -361,15 +360,14 @@ def _cmd_convert(args) -> int:
         print(f"{'binarized' if binarize else 'joined'} {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
-    bundle = bnn_to_scnn(net, run["M"])
-    path = _out_dir(args.out_dir) / "scnn_streams.json"
-    _write_json(path, bundle_to_dict(bundle), _metadata(run))
-    # equivalence check on a keyed random input vector
+    # The equivalence check on a keyed random input converts the net; the bundle it checked is written.
     x = sng_encode(0.0, net.m, Encoding.BIPOLAR, key.substream("convert-input"))
     report = preactivation_equivalence_check(net, x, run["M"])
-    for u in report.units:
-        status = "PASS" if u.passed else "FAIL"
-        print(f"unit {u.unit}: bnn={u.bnn_preactivation} sc_total={u.sc_total} [{status}]")
+    path = _out_dir(args.out_dir) / "scnn_streams.json"
+    _write_json(path, bundle_to_dict(report.bundle), _metadata(run))
+    rows = zip(report.bnn_preactivations.tolist(), report.sc_totals.tolist(), report.passed.tolist())
+    for u, (bnn, total, passed) in enumerate(rows):
+        print(f"unit {u}: bnn={bnn} sc_total={total} [{'PASS' if passed else 'FAIL'}]")
     print(f"wrote {path}")
     if not report.all_passed:
         print("equivalence check FAILED", file=sys.stderr)

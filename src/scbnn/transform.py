@@ -13,9 +13,10 @@ with the bias weighted by M:
 
 A `ScnnStreamBundle` holds what a bundle file holds, every stream as a
 packed uint8 array, so the equivalence check is one `apc_ones` call for the
-SC side and one `binary_dot` call for the BNN side. A bundle file's headers
-and output weights are read by netcore's typed readers, and its N*n weight
-lines by one `from_hex_lines` call.
+SC side and one `binary_dot` call for the BNN side; its report holds the
+bundle it checked, the one `convert --to-scnn` writes. A bundle file's
+headers and output weights are read by netcore's typed readers, and its
+N*n weight lines by one `from_hex_lines` call.
 """
 
 from __future__ import annotations
@@ -151,39 +152,32 @@ def bundle_from_dict(doc: dict, where: str = "stream bundle") -> ScnnStreamBundl
     )
 
 
-@dataclass(frozen=True)
-class UnitEquivalence:
-    unit: int
-    bnn_preactivation: int  # w.x + b
-    sc_total: int  # APC total over the n+1 term streams
-    lhs: int  # 2*total - (n+1)*M
-    rhs: int  # w.x + M*b
-    passed: bool
-
-
 @dataclass
 class EquivalenceReport:
-    m: int
-    M: int
-    n: int
-    units: list[UnitEquivalence]
+    """The bundle the check ran on and, per unit, the BNN preactivation
+    w.x + b, the APC total over the n+1 term streams, and whether
+    2*total - (n+1)*M == w.x + M*b: three (N,) arrays."""
+
+    bundle: ScnnStreamBundle
+    bnn_preactivations: np.ndarray  # int64
+    sc_totals: np.ndarray  # int64
+    passed: np.ndarray  # bool
 
     @property
     def all_passed(self) -> bool:
-        return all(u.passed for u in self.units)
+        return bool(self.passed.all())
 
 
-def preactivation_equivalence_check(
-    bnet: BinaryNetwork, x_B: Bitstream, M: int
-) -> EquivalenceReport:
-    """Verify, unit by unit, that the chunked SC datapath reproduces the
-    BNN integer preactivation exactly (bias entering as its sign extension).
+def preactivation_equivalence_check(bnet: BinaryNetwork, x_B: Bitstream, M: int) -> EquivalenceReport:
+    """Check, for every unit at once, that the chunked SC datapath
+    reproduces the BNN integer preactivation exactly (bias entering as its
+    sign extension), on the bundle `bnn_to_scnn(bnet, M)` that it returns.
 
-    The SC side runs `apc_ones` on the arrays of `bnn_to_scnn(bnet, M)`, the
-    ones a bundle file is written from, and on `chunk_bits` of the input. It
-    tallies what `xnor_mult` per chunk pair and `apc_sum` over each unit's
-    n + 1 term streams would, from `layer_energy` at n and at n + 1 terms;
-    `binary_dot` on the unchunked weight array is the BNN side.
+    The SC side is one `apc_ones` call on that bundle's arrays and on
+    `chunk_bits` of the input; it tallies what `xnor_mult` per chunk pair and
+    `apc_sum` over each unit's n + 1 term streams would, from `layer_energy`
+    at n and at n + 1 terms. `binary_dot` on the unchunked weight array is
+    the BNN side.
     """
     if x_B.length != bnet.m:
         raise ChunkError(f"input has {x_B.length} bits, network has m={bnet.m}")
@@ -193,9 +187,5 @@ def preactivation_equivalence_check(
     add_counts(replace(terms, xnor_ops=layer_energy(n, M, N, AccumulationMode.APC).xnor_ops))
     totals = apc_ones(bundle.weights, chunk_bits(x_B.bits, bnet.m, M), bundle.biases, M)
     dots = binary_dot(bnet.binary_weights, x_B.bits, bnet.m)
-    units = []
-    for i, (total, wx, b) in enumerate(zip(totals.tolist(), dots.tolist(), bnet.binary_biases.tolist())):
-        lhs = 2 * total - (n + 1) * M
-        rhs = wx + M * b
-        units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, passed=lhs == rhs))
-    return EquivalenceReport(m=bnet.m, M=M, n=n, units=units)
+    b = bnet.binary_biases.astype(np.int64)  # M * b on int8 overflows for M >= 128
+    return EquivalenceReport(bundle, dots + b, totals, 2 * totals - (n + 1) * M == dots + M * b)

@@ -298,6 +298,35 @@ class TestAcceptance:
             t0,
         )
 
+    def test_c8_energy_counted_on_both_sides_of_the_bridge(self):
+        # c8's closed forms agree by construction; here the scalar gates are
+        # counted on a BNN (M = 1) and on every chunking of it at once.
+        t0 = time.perf_counter()
+        gen = np.random.default_rng(0xC8)
+        m, N = 12, 3
+        bnet = BinaryNetwork(
+            np.packbits(gen.integers(0, 2, (N, m)), axis=1), m, gen.choice([-1, 1], N),
+            gen.normal(size=N), Activation.SIGMOID,
+        )
+        x = Bitstream.from_signs(gen.choice([-1, 1], m))
+        Ms = [M for M in range(1, m + 1) if m % M == 0]
+        ok, details = True, []
+        for mode in (AccumulationMode.APC, AccumulationMode.MUX):
+            counted = []
+            for M in Ms:
+                bundle = bnn_to_scnn(bnet, M)
+                xs = [Bitstream(row, M, Encoding.BIPOLAR) for row in chunk_bits(x.bits, m, M)]
+                with counting() as counts:
+                    for i in range(N):
+                        ws = [Bitstream(row, M, Encoding.BIPOLAR) for row in bundle.weights[i]]
+                        b = Bitstream(bundle.biases[i], M, Encoding.BIPOLAR)
+                        dot_product_sc(ws, xs, b, mode, StreamKey(0xC8).substream("sel", i))
+                counted.append(counts.as_dict())
+            ok = ok and all(c == bnn_layer_energy(m, N, mode).classes() for c in counted)
+            details.append(f"{mode.value} {counted[0]}")
+        report("8 energy model, counted", ok, f"m={m}, N={N}, M in {Ms}: every split counts "
+               f"bnn_layer_energy(m, N): " + "; ".join(details), t0)
+
     def test_c9_sweep_determinism(self, tmp_path):
         t0 = time.perf_counter()
         from scbnn.cli import main

@@ -338,6 +338,86 @@ class TestRawWords:
         assert np.array_equal(rows, generator_rows([0.3, 0.6, 0.9], keys, M))
 
 
+class PhiloxWords:
+    """Raw 64-bit Philox words under one key, split into 32-bit halves as
+    numpy's `next_uint32` splits them: low half first, the high half kept
+    for the next 32-bit draw, which whole-word draws do not take."""
+
+    def __init__(self, key: StreamKey):
+        self.bit_gen, self.half = np.random.Philox(key=key._philox_key()), None
+
+    def word(self) -> int:
+        return int(self.bit_gen.random_raw())
+
+    def double(self) -> float:
+        return (self.word() >> 11) * 2.0**-53
+
+    def uint32(self) -> int:
+        if self.half is not None:
+            half, self.half = self.half, None
+            return half
+        word = self.word()
+        self.half = word >> 32
+        return word & 0xFFFF_FFFF
+
+
+class TestGeneratorCanaries:
+    """numpy keeps bit-generator streams stable across releases, but not the
+    output of `Generator` methods, and the pinned bytes depend on four of
+    them. Each test checks one against its raw-word form, so a numpy that
+    changed a method fails the test that names it."""
+
+    KEY = StreamKey(0xCA4A27, "canary", 3)
+
+    def test_random(self):
+        # bnn.binarize draws random(); _encode_rekeyed fills stacked short
+        # streams with random(out=).
+        gen, raw = self.KEY.generator(), PhiloxWords(self.KEY)
+        drawn = [gen.random() for _ in range(5)]
+        rows = np.empty((2, 7))
+        for row in rows:
+            gen.random(out=row)
+        expected = [raw.double() for _ in range(19)]
+        assert drawn + rows.reshape(-1).tolist() == expected, "Generator.random is no longer (raw >> 11) * 2^-53"
+
+    def _hidden_draws(self, n=3, units=4, a=-2.5, b=4.0):
+        """choice then uniform of n values per unit, as netcore._draw_hidden
+        interleaves them: from the Generator and from raw words."""
+        gen, raw = self.KEY.generator(), PhiloxWords(self.KEY)
+        drawn, expected = [], []
+        for _ in range(units):
+            drawn.append((gen.choice([-1.0, 1.0], size=n).tolist(), gen.uniform(a, b, size=n).tolist()))
+            expected.append((
+                [1.0 if raw.uint32() >> 31 else -1.0 for _ in range(n)],
+                [a + (b - a) * raw.double() for _ in range(n)],
+            ))
+        return drawn, expected
+
+    def test_choice(self):
+        # An odd n leaves a half buffered, and the next unit's choice takes it.
+        drawn, expected = self._hidden_draws()
+        assert [c for c, _ in drawn] == [c for c, _ in expected], \
+            "Generator.choice([-1.0, 1.0]) no longer takes the top bit of successive 32-bit halves"
+
+    def test_uniform(self):
+        drawn, expected = self._hidden_draws()
+        assert [u for _, u in drawn] == [u for _, u in expected], \
+            "Generator.uniform(a, b) is no longer a + (b - a) * (raw >> 11) * 2^-53 on whole words"
+
+    def test_integers(self):
+        # scgates._mux_select draws integers(0, k) for k not a power of two.
+        k, raw = 3, PhiloxWords(self.KEY)
+        threshold = (2**32 - k) % k
+        expected = []
+        for _ in range(1000):
+            product = raw.uint32() * k
+            while product & 0xFFFF_FFFF < threshold:
+                product = raw.uint32() * k
+            expected.append(product >> 32)
+        assert self.KEY.generator().integers(0, k, size=1000).tolist() == expected, \
+            "Generator.integers(0, 3) is no longer Lemire's multiply-and-reject on 32-bit halves"
+
+
 class TestKeyLayout:
     """`substream_keys` is the seed-free `key_layout` folded under the seed
     with uint64 arrays; that fold must equal the scalar Python-int one."""
@@ -551,15 +631,20 @@ class TestStreamKey:
         assert StreamKey(0).derive(1) != StreamKey(2**64 - 1).derive(1)
 
     @pytest.mark.parametrize("word, make", [
-        ("i", lambda v: StreamKey(1, "w", v)),
-        ("j", lambda v: StreamKey(1, "w", 0, v)),
-        ("indices", lambda v: StreamKey(7).derive(3, v)),
+        ("i", lambda v: StreamKey(1, "w", v)._philox_key().tolist()),
+        ("j", lambda v: StreamKey(1, "w", 0, v)._philox_key().tolist()),
+        ("indices", lambda v: StreamKey(7).derive(3, v)._philox_key().tolist()),
+        pytest.param("i", lambda v: StreamKey(1).substream_keys([("w", v, 0)]).tolist(), id="i-substream_keys"),
+        pytest.param("j", lambda v: StreamKey(1).substream_keys([("w", 0, v)]).tolist(), id="j-substream_keys"),
+        ("seed", lambda v: StreamKey(v).substream("w", 1)._philox_key().tolist()),
     ])
     def test_every_folded_word_is_a_64_bit_word(self, word, make):
         # Folds mask each word to 64 bits, so -1 would be read as 2^64 - 1
-        # and 2^64 + 5 as 5.
+        # and 2^64 + 5 as 5; a float or a bool would be truncated to an int.
         assert make(2**64 - 1) != make(0)
-        for value in (-1, 2**64, 2**64 + 5):
+        for value in (np.uint64(3), np.int64(3), np.uint8(3)):
+            assert make(value) == make(3), f"{value!r} folds unlike the Python int 3"
+        for value in (-1, 2**64, 2**64 + 5, 1.5, True, np.array([-1])):
             with pytest.raises(ValueError, match=rf"^{word} .*64-bit range \[0, 2\^64\)$"):
                 make(value)
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import scbnn
 from scbnn import Activation, BinaryNetwork, Encoding, StreamFormatError, from_hex_lines
-from scbnn import cli
+from scbnn import cli, transform
 from scbnn.cli import main
 from scbnn.bnn import binary_network_from_dict, binary_network_to_dict
 from scbnn.netcore import load_json_object, save_json
@@ -584,6 +584,21 @@ class TestConvert:
         back = json.loads((b / "binary_network.json").read_text())
         for k in ("binary_weights", "binary_biases", "m", "N", "output_weights", "activation"):
             assert orig[k] == back[k]
+
+    def test_to_scnn_converts_once_and_writes_the_bundle_it_checked(self, bnn_file, tmp_path, monkeypatch):
+        bundles, to_scnn = [], transform.bnn_to_scnn
+
+        def recorded(bnet, M):
+            bundles.append(to_scnn(bnet, M))
+            return bundles[-1]
+
+        monkeypatch.setattr(transform, "bnn_to_scnn", recorded)
+        monkeypatch.setattr(cli, "bnn_to_scnn", recorded, raising=False)
+        assert run("convert", "--network", bnn_file, "--to-scnn", "4", "--seed", "2", "--out-dir", tmp_path) == 0
+        assert len(bundles) == 1
+        doc = json.loads((tmp_path / "scnn_streams.json").read_text())
+        doc.pop("meta")
+        assert doc == transform.bundle_to_dict(bundles[0])
 
     def test_non_divisor_chunk_is_error(self, bnn_file, tmp_path, capsys):
         out = tmp_path / "o"

@@ -1,17 +1,21 @@
 """The README names only what the package holds: its "Package layout"
 table names what each module holds, every backticked dotted name rooted in
-the package resolves, and every test its claims ledger cites exists."""
+the package resolves, every test its claims ledger cites exists, and every
+command and flag it shows is one the CLI takes."""
 
+import argparse
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import scbnn
+from scbnn import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 #: Backticked names that are not identifiers of their row's module.
@@ -111,3 +115,34 @@ def test_claims_ledger_names_existing_tests():
     assert ids, "the claims ledger cites no tests"
     missing = [test_id for test_id in ids if not _names_a_test_function(test_id)]
     assert not missing, f"the claims ledger cites {missing}, which name no test function"
+
+
+def _sh_commands() -> list[list[str]]:
+    """The arguments of every `scbnn` command in the README's sh blocks,
+    continuation lines joined."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    commands = (shlex.split(line, comments=True) for line in lines)
+    return [argv[1:] for argv in commands if argv[:1] == ["scbnn"]]
+
+
+def test_readme_commands_parse(capsys):
+    commands = _sh_commands()
+    assert len(commands) >= 10
+    refused = []
+    for argv in commands:
+        try:
+            cli._build_parser().parse_args(argv)
+        except SystemExit:
+            refused.append(f"scbnn {shlex.join(argv)}: {capsys.readouterr().err.strip().splitlines()[-1]}")
+    assert not refused, f"README shows commands the CLI refuses: {refused}"
+
+
+def test_backticked_flags_are_cli_options():
+    subcommands = next(a for a in cli._build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {flag for parser in subcommands.choices.values() for flag in parser._option_string_actions}
+    spans = re.findall(r"^```.*?^```|`[^`]+`", README.read_text(encoding="utf-8"), flags=re.S | re.M)
+    flags = set(re.findall(r"(?<![\w-])--[A-Za-z][\w-]*", "\n".join(spans))) - {"--no-build-isolation"}
+    assert "--to-scnn" in flags
+    unknown = sorted(flags - options)
+    assert not unknown, f"README names {unknown}, which no subcommand takes"

@@ -19,7 +19,7 @@ from scbnn import (
 )
 from scbnn.bitstream import Bitstream
 from scbnn.scgates import apc_sum, counting, xnor_mult
-from scbnn.transform import UnitEquivalence, bundle_from_dict, bundle_to_dict
+from scbnn.transform import bundle_from_dict, bundle_to_dict
 
 
 def random_bnet(gen, m, N):
@@ -217,17 +217,23 @@ def per_stream_check(bnet, x, M):
     """The equivalence check stream by stream, sharing no code with the
     packed path: chunks cut from the unpacked bits, `Bitstream.constant` bias
     streams, one xnor_mult per weight/input chunk pair and one apc_sum over
-    each unit's n + 1 term streams, with the +/-1 dot product as the BNN side."""
+    each unit's n + 1 term streams, with the +/-1 dot product as the BNN side.
+    Returns the per-unit lists of BNN preactivations, APC totals and passes."""
     n, xs = bnet.m // M, sliced(x, M)
-    units = []
+    preactivations, totals, passed = [], [], []
     for i, w in enumerate(weight_rows(bnet)):
         b = int(bnet.binary_biases[i])
         products = [xnor_mult(wj, xj) for wj, xj in zip(sliced(w, M), xs)]
         total = apc_sum(products + [Bitstream.constant(int(b == 1), M, Encoding.BIPOLAR)])
         wx = int(np.dot(w.signs(), x.signs()))
-        lhs, rhs = 2 * total - (n + 1) * M, wx + M * b
-        units.append(UnitEquivalence(i, wx + b, total, lhs, rhs, lhs == rhs))
-    return units
+        preactivations.append(wx + b)
+        totals.append(total)
+        passed.append(2 * total - (n + 1) * M == wx + M * b)
+    return preactivations, totals, passed
+
+
+def report_lists(report):
+    return report.bnn_preactivations.tolist(), report.sc_totals.tolist(), report.passed.tolist()
 
 
 class TestPackedAgainstPerStream:
@@ -242,8 +248,12 @@ class TestPackedAgainstPerStream:
                 report = preactivation_equivalence_check(bnet, x, M)
             with counting() as stream_counts:
                 units = per_stream_check(bnet, x, M)
-            assert report.units == units
-            assert (report.m, report.M, report.n) == (m, M, m // M)
+            assert report_lists(report) == units
+            assert (report.bundle.m, report.bundle.M, report.bundle.n) == (m, M, m // M)
+            bundle = bnn_to_scnn(bnet, M)
+            assert (report.bundle.name, report.bundle.activation) == (bundle.name, bundle.activation)
+            for field in ("weights", "biases", "output_weights"):
+                assert np.array_equal(getattr(report.bundle, field), getattr(bundle, field)), field
             assert packed_counts == stream_counts
 
     @given(st.integers(0, 2**32), st.integers(1, 40), st.integers(1, 3))
@@ -280,8 +290,7 @@ class TestEquivalence:
         report = preactivation_equivalence_check(bnet, x, 1)
         assert report.all_passed
         # at M=1 the identity literally reads 2*total - (m+1) = w.x + b
-        for u, w in zip(report.units, weight_rows(bnet)):
-            assert u.lhs == u.bnn_preactivation
+        assert np.array_equal(2 * report.sc_totals - (10 + 1), report.bnn_preactivations)
 
     def test_small_random_instance(self):
         gen = np.random.default_rng(8)
@@ -289,9 +298,9 @@ class TestEquivalence:
         x = Bitstream.from_signs(gen.choice([-1, 1], 8))
         report = preactivation_equivalence_check(bnet, x, 4)
         assert report.all_passed
-        for i, u in enumerate(report.units):
+        for i, total in enumerate(report.sc_totals.tolist()):
             wx = int(np.dot(weight_rows(bnet)[i].signs(), x.signs()))
-            assert u.rhs == wx + 4 * int(bnet.binary_biases[i])
+            assert 2 * total - (2 + 1) * 4 == wx + 4 * int(bnet.binary_biases[i])
 
     def test_maximal_agreement(self):
         m, M = 12, 4
@@ -306,8 +315,8 @@ class TestEquivalence:
         report = preactivation_equivalence_check(bnet, x, M)
         assert report.all_passed
         # all n+1 term streams are all-ones: both sides equal m + M
-        assert report.units[0].lhs == report.units[0].rhs == m + M
-        assert report.units[0].bnn_preactivation == m + 1
+        assert 2 * report.sc_totals[0] - (m // M + 1) * M == m + M
+        assert report.bnn_preactivations.tolist() == [m + 1]
 
     @given(st.integers(0, 2**32), st.sampled_from([(8, 1), (8, 2), (8, 4), (8, 8),
                                                    (12, 3), (12, 6), (16, 4)]))
@@ -320,6 +329,15 @@ class TestEquivalence:
         report = preactivation_equivalence_check(bnet, x, M)
         assert report.all_passed
 
+    @pytest.mark.parametrize("M", [128, 512])
+    def test_bias_scaled_by_a_long_chunk(self, M):
+        # Binary biases are int8, so M * b must be taken in a wider type.
+        gen = np.random.default_rng(5)
+        bnet = random_bnet(gen, 512, 3)
+        x = Bitstream.from_signs(gen.choice([-1, 1], 512))
+        report = preactivation_equivalence_check(bnet, x, M)
+        assert report.all_passed and report_lists(report) == per_stream_check(bnet, x, M)
+
     def test_scaled_identity(self):
         # decoded APC sum equals w.x/M + b exactly (integer identity)
         gen = np.random.default_rng(4)
@@ -327,8 +345,8 @@ class TestEquivalence:
         bnet = random_bnet(gen, m, 2)
         x = Bitstream.from_signs(gen.choice([-1, 1], m))
         report = preactivation_equivalence_check(bnet, x, M)
-        for i, u in enumerate(report.units):
+        for i, total in enumerate(report.sc_totals.tolist()):
             wx = int(np.dot(weight_rows(bnet)[i].signs(), x.signs()))
             n = m // M
-            decoded = (2 * u.sc_total - (n + 1) * M) / M
+            decoded = (2 * total - (n + 1) * M) / M
             assert decoded == (wx + M * int(bnet.binary_biases[i])) / M
