@@ -111,7 +111,7 @@ def _splitmix64(z: int) -> int:
 
 
 def _fold(state, value):
-    return _splitmix64(state ^ (value & _MASK64))
+    return _splitmix64(state ^ value)
 
 
 # 0-d uint64 arrays, which ufuncs take faster than np.uint64 scalars.
@@ -143,7 +143,7 @@ def _role_hash(role: str) -> int:
 
 def _words(name: str, value) -> np.ndarray:
     """`value`, an integer or an array of them, as uint64 words. A bool, a
-    float or a value outside [0, 2^64) is refused: folds mask to 64 bits."""
+    float or a value outside [0, 2^64) is refused, so a fold needs no mask."""
     words = np.asarray(value)
     if words.dtype.kind not in "iu" or (words < 0).any():
         raise ValueError(f"{name} {value!r} is not an integer in the 64-bit range [0, 2^64)")
@@ -376,14 +376,7 @@ def encode_many(probs, keys, M: int) -> np.ndarray:
     whichever of the two paths draws it.
     """
     blocks = encode_blocks(probs, keys, M)
-    S = np.size(probs)
-    try:
-        out = np.empty((S, (M + 7) // 8), dtype=np.uint8)
-    except MemoryError:
-        raise ValueError(
-            f"stream length M={M} is too long: {S} streams of "
-            f"{(M + 7) // 8} bytes do not fit in memory"
-        ) from None
+    out = np.empty((np.size(probs), (M + 7) // 8), dtype=np.uint8)
     for lo, block in zip(range(0, M, _DRAW_BLOCK), blocks):
         out[:, lo // 8 : lo // 8 + block.shape[1]] = block
     return out

@@ -60,13 +60,13 @@ class BinaryNetwork:
 
     binary_weights: np.ndarray  # uint8 (N, ceil(m/8)), packed bipolar rows, pad bits zero
     m: int
-    binary_biases: np.ndarray  # (N,) of +/-1
+    binary_biases: np.ndarray  # int64 (N,) of +/-1
     output_weights: np.ndarray  # (N,)
     activation: Activation
     name: str = "binary-network"
 
     def __post_init__(self):
-        self.binary_biases = np.asarray(self.binary_biases, dtype=np.int8).reshape(-1)
+        self.binary_biases = np.asarray(self.binary_biases, dtype=np.int64).reshape(-1)
         self.output_weights = np.asarray(self.output_weights, dtype=float).reshape(-1)
         w = self.binary_weights
         if self.m < 1 or w.dtype != np.uint8 or w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != (self.m + 7) // 8:
@@ -113,7 +113,7 @@ def binarize_network(net, key: StreamKey) -> BinaryNetwork:
 
 
 def forward_bnn(bnet: BinaryNetwork, x_B: Bitstream) -> float:
-    """Exact integer preactivations, exact activation and output layer."""
+    """Exact integer preactivations; the output layer is a float sum in unit order."""
     if x_B.length != bnet.m:
         raise StreamMismatchError(f"input has {x_B.length} bits, network expects m={bnet.m}")
     pre = binary_dot(bnet.binary_weights, x_B.bits, bnet.m) + bnet.binary_biases

@@ -3,7 +3,7 @@
 Subcommands: fit, eval, sweep, bound, convert, energy. Every command is
 deterministic given its seed; every output file embeds a metadata header
 (tool version, config hash, seed, RNG family). Exit codes: 0 success,
-1 validation-check failure, 2 usage/config error.
+1 validation-check failure, 2 usage/config error or out of memory.
 """
 
 from __future__ import annotations
@@ -429,7 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-bits", help="bit string, 1 = +1 (binary networks)")
     p.add_argument("--scnn", action="store_true", help="also evaluate the stochastic pass")
     p.add_argument("--M", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--mode", choices=[m.value for m in AccumulationMode])
     p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_eval)
 
@@ -441,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--grid-points", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--mode", choices=[m.value for m in AccumulationMode])
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--seed", type=int)
     p.add_argument("--config")
@@ -460,7 +460,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target-param", action="append", metavar="K=V")
     p.add_argument("--trials", type=int)
     p.add_argument("--grid-points", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"])
+    p.add_argument("--mode", choices=[m.value for m in AccumulationMode])
     p.add_argument("--seed", type=int)
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_bound)
@@ -480,7 +480,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int)
     p.add_argument("--bnn", action="store_true")
     p.add_argument("--m", type=int)
-    p.add_argument("--mode", choices=["mux", "apc"], default="apc")
+    p.add_argument("--mode", choices=[m.value for m in AccumulationMode], default="apc")
     p.add_argument("--out-dir")
     p.set_defaults(func=_cmd_energy)
 
@@ -492,7 +492,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
+        if isinstance(exc, MemoryError):  # numpy's names what it could not allocate; a bare one has no text
+            exc = f"out of memory: {exc}" if str(exc) else "out of memory"
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

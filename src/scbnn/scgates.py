@@ -91,24 +91,13 @@ def accumulator_width(input_bits: int) -> int:
     return (operator.index(input_bits) + 1).bit_length()
 
 
-def _check_pair(a: Bitstream, b: Bitstream, enc: Encoding, gate: str) -> None:
-    if a.encoding is not enc or b.encoding is not enc:
-        raise StreamMismatchError(
-            f"{gate} requires {enc.value} streams, got "
-            f"{a.encoding.value} and {b.encoding.value}"
-        )
-    if a.length != b.length:
-        raise StreamMismatchError(
-            f"{gate} requires equal lengths, got {a.length} and {b.length}"
-        )
-
-
-def _check_family(streams: Sequence[Bitstream], gate: str) -> tuple[int, Encoding]:
+def _check_family(streams: Sequence[Bitstream], gate: str, enc: Encoding | None = None) -> tuple[int, Encoding]:
+    """The length and encoding that `streams` share: there is at least one,
+    and all agree with the first, or with `enc` if given, in both."""
     if not streams:
         raise StreamMismatchError(f"{gate} requires at least one input stream")
-    length = streams[0].length
-    enc = streams[0].encoding
-    for s in streams[1:]:
+    length, enc = streams[0].length, streams[0].encoding if enc is None else enc
+    for s in streams:
         if s.length != length or s.encoding is not enc:
             raise StreamMismatchError(
                 f"{gate} inputs disagree: expected length {length} / {enc.value}, "
@@ -119,14 +108,14 @@ def _check_family(streams: Sequence[Bitstream], gate: str) -> tuple[int, Encodin
 
 def and_mult(a: Bitstream, b: Bitstream) -> Bitstream:
     """Unipolar multiply: bitwise AND, decode(out) estimates x*y."""
-    _check_pair(a, b, Encoding.UNIPOLAR, "and_mult")
+    _check_family((a, b), "and_mult", Encoding.UNIPOLAR)
     add_counts(GateCounts(and_ops=a.length))
     return Bitstream(a.bits & b.bits, a.length, Encoding.UNIPOLAR)
 
 
 def xnor_mult(a: Bitstream, b: Bitstream) -> Bitstream:
     """Bipolar multiply: bitwise XNOR, decode(out) estimates a*b."""
-    _check_pair(a, b, Encoding.BIPOLAR, "xnor_mult")
+    _check_family((a, b), "xnor_mult", Encoding.BIPOLAR)
     add_counts(GateCounts(xnor_ops=a.length))
     raw = np.bitwise_not(a.bits ^ b.bits)
     return Bitstream(zero_pad_bits(raw, a.length), a.length, Encoding.BIPOLAR)
@@ -221,9 +210,7 @@ def dot_product_sc(
         raise StreamMismatchError(
             f"dimension mismatch: {n} weight streams vs {len(x_streams)} input streams"
         )
-    M, _ = _check_family(list(w_streams) + list(x_streams) + [b_stream], "dot_product_sc")
-    if b_stream.encoding is not Encoding.BIPOLAR:
-        raise StreamMismatchError("dot_product_sc operates on bipolar streams")
+    M, _ = _check_family([*w_streams, *x_streams, b_stream], "dot_product_sc", Encoding.BIPOLAR)
     products = [xnor_mult(w, x) for w, x in zip(w_streams, x_streams)]
     if mode is AccumulationMode.APC:
         return (2 * (apc_sum(products) + popcount(b_stream)) - (n + 1) * M) / M * scale

@@ -91,14 +91,7 @@ class ConvergenceReport:
     slope_rms: float | None
 
     def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "mode": self.mode.value,
-            "seed": self.seed,
-            "slope_median": self.slope_median,
-            "slope_rms": self.slope_rms,
-            "rows": [vars(r) for r in self.rows],
-        }
+        return {**vars(self), "mode": self.mode.value, "rows": [vars(r) for r in self.rows]}
 
 
 def _sweep_task(args) -> tuple[np.ndarray, GateCounts]:

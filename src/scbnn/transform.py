@@ -186,6 +186,5 @@ def preactivation_equivalence_check(bnet: BinaryNetwork, x_B: Bitstream, M: int)
     terms = layer_energy(n + 1, M, N, AccumulationMode.APC)
     add_counts(replace(terms, xnor_ops=layer_energy(n, M, N, AccumulationMode.APC).xnor_ops))
     totals = apc_ones(bundle.weights, chunk_bits(x_B.bits, bnet.m, M), bundle.biases, M)
-    dots = binary_dot(bnet.binary_weights, x_B.bits, bnet.m)
-    b = bnet.binary_biases.astype(np.int64)  # M * b on int8 overflows for M >= 128
+    dots, b = binary_dot(bnet.binary_weights, x_B.bits, bnet.m), bnet.binary_biases
     return EquivalenceReport(bundle, dots + b, totals, 2 * totals - (n + 1) * M == dots + M * b)

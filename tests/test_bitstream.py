@@ -482,6 +482,17 @@ class TestSigns:
         with pytest.raises(ValueError):
             Bitstream.from_signs([1, 0, -1])
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: Bitstream(np.zeros(0, dtype=np.uint8), 0, Encoding.UNIPOLAR), "stream length must be >= 1, got 0"),
+        (lambda: Bitstream(np.zeros(2, dtype=np.uint8), 8, Encoding.UNIPOLAR),
+         "packed storage has 2 bytes, expected 1 for length 8"),
+        (lambda: Bitstream.from_bits([[0, 1]], Encoding.BIPOLAR), "bits must be a flat sequence of 0s and 1s"),
+        (lambda: Bitstream.constant(2, 8, Encoding.BIPOLAR), "constant bit must be 0 or 1, got 2"),
+    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit"])
+    def test_malformed_stream_is_refused(self, make, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            make()
+
     def test_popcount(self):
         assert popcount(Bitstream.from_bits("1" * 65, Encoding.BIPOLAR)) == 65
 

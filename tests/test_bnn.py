@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -199,6 +200,19 @@ class TestForwardBnn:
     def test_malformed_weight_array_rejected(self, weights, m):
         with pytest.raises(ValueError, match="binary_weights"):
             BinaryNetwork(weights, m, np.ones(2), np.ones(2), Activation.SIGMOID)
+
+    @pytest.mark.parametrize(
+        "biases, outputs, message",
+        [
+            ([1, -1, 1], [1.0, 1.0], "inconsistent unit count: 2 weight vectors, 3 biases, 2 outputs"),
+            ([1, -1], [1.0, float("nan")], "output_weights contains non-finite values"),
+            (np.array([257, -1]), [1.0, 1.0], "binary biases must be +1 or -1"),  # stored as int8, 257 was +1
+        ],
+        ids=["unit-count", "non-finite-output", "wide-bias"],
+    )
+    def test_malformed_units_rejected(self, biases, outputs, message):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            BinaryNetwork(np.zeros((2, 1), dtype=np.uint8), 8, biases, outputs, Activation.SIGMOID)
 
     def test_length_mismatch(self):
         bnet = self._bnet([[1, -1]], [1], [1.0])

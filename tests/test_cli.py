@@ -138,6 +138,19 @@ class TestFit:
         assert err.startswith(f"error: {key} must be finite and >= 0") and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("error, message", [
+        (MemoryError(), "out of memory"),
+        (MemoryError("Unable to allocate 7.28 TiB"), "out of memory: Unable to allocate 7.28 TiB"),
+    ], ids=["bare", "numpy"])
+    def test_out_of_memory_is_one_line_usage_error(self, tmp_path, capsys, monkeypatch, error, message):
+        def fit_reference(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(cli, "fit_reference", fit_reference)
+        assert run("fit", "--target", "sine", "--N", "4", "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_singular_fit_is_usage_error(self, tmp_path):
         # One grid point and no regularization leave the solve singular. The
         # fit is not retried at a larger ridge than the one asked for, so it
@@ -308,6 +321,20 @@ class TestEval:
 
     def test_binary_needs_bits(self, bnn_file):
         assert run("eval", "--network", bnn_file, "--x", "0.5") == 2
+
+    def test_reference_needs_x(self, sine_net, capsys):
+        assert run("eval", "--network", sine_net, "--scnn") == 2
+        assert capsys.readouterr() == ("", "error: reference networks need --x (comma-separated reals)\n")
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"n": 1', "invalid JSON at line 1: Expecting ',' delimiter"),
+        ("[1, 2]", "network file must contain a JSON object"),
+    ], ids=["invalid-json", "not-an-object"])
+    def test_unreadable_network_file_is_named(self, tmp_path, capsys, text, named):
+        path = tmp_path / "net.json"
+        path.write_text(text)
+        assert run("eval", "--network", path, "--x", "0.5") == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {named}\n")
 
     def test_zero_stream_length_is_usage_error(self, sine_net, capsys):
         assert run("eval", "--network", sine_net, "--x", "0.25", "--scnn", "--M", "0") == 2
@@ -599,6 +626,24 @@ class TestConvert:
         doc = json.loads((tmp_path / "scnn_streams.json").read_text())
         doc.pop("meta")
         assert doc == transform.bundle_to_dict(bundles[0])
+
+    def test_to_scnn_failure_exits_1_and_writes_the_bundle_it_checked(self, bnn_file, tmp_path, capsys, monkeypatch):
+        reports, check, apc_ones = [], cli.preactivation_equivalence_check, transform.apc_ones
+
+        def recorded(*args):
+            reports.append(check(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(transform, "apc_ones", lambda *args: apc_ones(*args) + np.array([0, 1, 0]))  # unit 1 is off
+        monkeypatch.setattr(cli, "preactivation_equivalence_check", recorded)
+        assert run("convert", "--network", bnn_file, "--to-scnn", "4", "--seed", "2", "--out-dir", tmp_path) == 1
+        out, err = capsys.readouterr()
+        units = out.splitlines()[:3]
+        assert [line.split()[-1] for line in units] == ["[PASS]", "[FAIL]", "[PASS]"] and units[1].startswith("unit 1: ")
+        assert err == "equivalence check FAILED\n"
+        doc = json.loads((tmp_path / "scnn_streams.json").read_text())
+        doc.pop("meta")
+        assert len(reports) == 1 and doc == transform.bundle_to_dict(reports[0].bundle)
 
     def test_non_divisor_chunk_is_error(self, bnn_file, tmp_path, capsys):
         out = tmp_path / "o"
@@ -1031,8 +1076,14 @@ class TestEnergy:
         assert run("energy", "--bnn", "--m", "256", "--N", "8", "--mode", "apc") == 0
         assert "xnor_ops: 2048" in capsys.readouterr().out
 
-    def test_missing_args(self):
-        assert run("energy", "--n", "4") == 2
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "4"], "energy needs --n, --M and --N (or --bnn --m --N)"),
+        (["--bnn", "--N", "2"], "--bnn needs --m and --N"),
+        (["--bnn", "--m", "8"], "--bnn needs --m and --N"),
+    ], ids=["layer", "bnn-without-m", "bnn-without-N"])
+    def test_missing_args(self, capsys, flags, message):
+        assert run("energy", *flags) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
     @pytest.mark.parametrize("flags, message", [
         (["--n", "1", "--M", "4", "--N", "2", "--m", "7"], "--m is only used with --bnn"),

@@ -56,6 +56,8 @@ class TestClosedForm:
             layer_energy(1, 0, 1, AccumulationMode.MUX)
         with pytest.raises(ValueError):
             bnn_layer_energy(0, 1, AccumulationMode.MUX)
+        with pytest.raises(ValueError, match="layer width N must be >= 1, got 0"):
+            bnn_layer_energy(8, 0, AccumulationMode.MUX)
 
     def test_asymptotic_labels(self):
         assert layer_energy(2, 8, 3, AccumulationMode.MUX).asymptotic_label == "O(n·M·N)"

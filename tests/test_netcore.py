@@ -99,6 +99,8 @@ class TestForwardReference:
         net = tiny_net([[1.0, 2.0]], [0.0], [1.0])
         with pytest.raises(ValueError):
             forward_reference(net, [0.5])
+        with pytest.raises(ValueError, match="^point has dimension 1, target expects 2$"):
+            make_target("linear", 2)([0.5])
 
 
 class TestFitReference:
@@ -153,6 +155,8 @@ class TestSupError:
         net = tiny_net([[0.0]], [0.0], [1.0])  # G = 0.5
         f = make_target("constant", 1, value=0.2)
         assert sup_error(net, f, np.array([[0.7]])) == pytest.approx(0.3)
+        with pytest.raises(ValueError, match="^grid is empty$"):
+            sup_error(net, f, np.empty((0, 1)))
 
     def test_monotone_in_grid(self):
         net = tiny_net([[3.0]], [-1.0], [1.0])
@@ -312,6 +316,20 @@ class TestWeightFiles:
         # the bias scale is weights * inputs = 4.
         net = {"hidden_weights": [[0.5, -2.0]], "hidden_biases": [-4.0], "output_weights": [9.0],
                "activation": Activation.RELU, "weight_scale": 2.0, "input_scale": 2.0}
+        ReferenceNetwork(**net)
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+            ReferenceNetwork(**{**net, field: value})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("hidden_weights", np.empty((0, 1)), "network needs N >= 1 and n >= 1, got N=0, n=1"),
+        ("hidden_weights", [[]], "network needs N >= 1 and n >= 1, got N=1, n=0"),
+        ("output_weights", [1.0, 1.0], "inconsistent shapes: weights (1, 1), biases (1,), outputs (2,)"),
+        ("hidden_biases", [float("nan")], "hidden_biases contains non-finite values"),
+        ("output_weights", [float("inf")], "output_weights contains non-finite values"),
+    ], ids=["N-zero", "n-zero", "inconsistent-shapes", "nan-bias", "inf-output"])
+    def test_malformed_arrays_are_refused(self, field, value, message):
+        net = {"hidden_weights": [[0.5]], "hidden_biases": [0.5], "output_weights": [1.0],
+               "activation": Activation.RELU, "weight_scale": 1.0}
         ReferenceNetwork(**net)
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             ReferenceNetwork(**{**net, field: value})

@@ -72,6 +72,8 @@ class TestAndMult:
         s = sng_encode(0.2, 16, Encoding.BIPOLAR, KEY)
         with pytest.raises(StreamMismatchError):
             and_mult(s, s)
+        with pytest.raises(StreamMismatchError, match="expected length 2 / unipolar, got 2 / bipolar"):
+            and_mult(unipolar("10"), bipolar("10"))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(StreamMismatchError):
@@ -104,6 +106,12 @@ class TestXnorMult:
         s = sng_encode(0.2, 16, Encoding.UNIPOLAR, KEY)
         with pytest.raises(StreamMismatchError):
             xnor_mult(s, s)
+        with pytest.raises(StreamMismatchError, match="expected length 2 / bipolar, got 2 / unipolar"):
+            xnor_mult(bipolar("10"), unipolar("10"))
+
+    def test_rejects_length_mismatch(self):
+        with pytest.raises(StreamMismatchError, match="expected length 3 / bipolar, got 2 / bipolar"):
+            xnor_mult(bipolar("101"), bipolar("10"))
 
 
 class TestMuxAdd:
@@ -258,6 +266,10 @@ class TestDotProductSc:
         b = Bitstream.constant(1, 8, Encoding.BIPOLAR)
         with pytest.raises(StreamMismatchError):
             dot_product_sc([u], [u], b, AccumulationMode.APC, KEY)
+        # A unipolar bias is refused by the same rule, with all-unipolar terms too.
+        for w in (b, u):
+            with pytest.raises(StreamMismatchError, match="dot_product_sc inputs disagree: .* / bipolar, got 8 / unipolar"):
+                dot_product_sc([w], [w], u, AccumulationMode.APC, KEY)
 
     def test_rms_error_halves_per_quadrupled_M(self):
         # log-log slope of RMS preactivation error vs M is -0.5 +/- 0.15

@@ -59,6 +59,8 @@ class TestMinBound:
     def test_n_zero_rejected(self):
         with pytest.raises(ValueError):
             BoundQuery(0, 10, 0.1, 0.1)
+        with pytest.raises(ValueError, match="hidden width N must be >= 1, got 0"):
+            BoundQuery(1, 0, 0.1, 0.1)
 
     def test_invalid_epsilon_delta(self):
         with pytest.raises(ValueError):
@@ -193,6 +195,8 @@ class TestConvergenceSweep:
         grid = unit_grid(1, 3)
         with pytest.raises(ValueError, match="ascending"):
             convergence_sweep(net, f, [16, 4], 30, grid, AccumulationMode.APC, KEY, 0.1)
+        with pytest.raises(ValueError, match="^Ms is empty$"):
+            convergence_sweep(net, f, [], 30, grid, AccumulationMode.APC, KEY, 0.1)
         with pytest.raises(ValueError, match="trials"):
             convergence_sweep(net, f, [4, 16], 10, grid, AccumulationMode.APC, KEY, 0.1)
         with pytest.raises(ValueError, match="jobs"):

@@ -331,7 +331,7 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("M", [128, 512])
     def test_bias_scaled_by_a_long_chunk(self, M):
-        # Binary biases are int8, so M * b must be taken in a wider type.
+        # M * b is 128 or more, past the int8 range: binary biases are stored as int64.
         gen = np.random.default_rng(5)
         bnet = random_bnet(gen, 512, 3)
         x = Bitstream.from_signs(gen.choice([-1, 1], 512))
