@@ -40,10 +40,12 @@ side. The re-keyed path resumes a stream at clock lo with the counter at
 lo/4 and an empty buffer, the state a fresh Philox reaches after lo draws.
 The array path only takes M <= 24, one block.
 
-Files hold packed rows as hex text: a stream-bundle line or a binary weight
-row. `to_hex_lines` and `from_hex_lines` write and read a whole list of
-them at once, under one acceptance rule; `to_hex_line` and `from_hex_line`
-are their one-row cases.
+A packed M-bit row is ceil(M/8) uint8 bytes with zero pad bits, which make
+every popcount over it exact; `_packed_fault` is that rule, and each packed
+type and `from_hex_lines` refuse rows that break it. Files hold packed rows
+as hex text: a stream-bundle line or a binary weight row. `to_hex_lines`
+and `from_hex_lines` write and read a whole list of them at once, under one
+acceptance rule; `to_hex_line` and `from_hex_line` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -241,18 +243,32 @@ def zero_pad_bits(packed: np.ndarray, length: int) -> np.ndarray:
     """Force the pad bits after `length` in the last byte (of each row, for
     a stack of packed streams) to zero."""
     out = packed.copy()
-    tail = length % 8
-    if tail and out.size:
-        out[..., -1] &= (0xFF << (8 - tail)) & 0xFF
+    if out.size:
+        out[..., -1] &= ~np.uint8((1 << (-length % 8)) - 1)
     return out
+
+
+def _packed_fault(rows: np.ndarray, length: int, ndim: int | None = None) -> str | None:
+    """Why `rows` is not a stack of packed `length`-bit rows (of `ndim` axes,
+    if given), or None if it is one: uint8, ceil(length/8) bytes on the last
+    axis and zero pad bits, which make every popcount over them exact."""
+    if length < 1:
+        return f"has rows of length {length}, expected length >= 1"
+    if rows.dtype != np.uint8 or rows.ndim < 1 or ndim not in (None, rows.ndim):
+        return f"is {rows.dtype} of shape {rows.shape}, expected a uint8 array of ndim {ndim or '>= 1'}"
+    if rows.shape[-1] != (length + 7) // 8:
+        return f"has {rows.shape[-1]} bytes, expected {(length + 7) // 8} for length {length}"
+    if (rows[..., -1] & ((1 << (-length % 8)) - 1)).any():
+        return f"has nonzero pad bits after length {length}"
+    return None
 
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Bitstream:
     """Immutable M-bit stream with an encoding tag.
 
-    `bits` is the packed byte array; pad bits in the final byte are zero,
-    so popcounts over the packed words are exact.
+    `bits` is ceil(M/8) packed uint8 bytes with zero pad bits, so popcounts
+    over them are exact; construction refuses any other array.
     """
 
     bits: np.ndarray
@@ -262,12 +278,8 @@ class Bitstream:
     def __post_init__(self):
         if self.length < 1:
             raise ValueError(f"stream length must be >= 1, got {self.length}")
-        expected = (self.length + 7) // 8
-        if self.bits.shape != (expected,):
-            raise ValueError(
-                f"packed storage has {self.bits.shape[0]} bytes, "
-                f"expected {expected} for length {self.length}"
-            )
+        if fault := _packed_fault(self.bits, self.length, 1):
+            raise ValueError(f"packed storage {fault}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Bitstream):
@@ -307,12 +319,7 @@ class Bitstream:
     def constant(cls, bit: int, length: int, encoding: Encoding) -> "Bitstream":
         if bit not in (0, 1):
             raise ValueError(f"constant bit must be 0 or 1, got {bit}")
-        nbytes = (length + 7) // 8
-        if bit:
-            packed = zero_pad_bits(np.full(nbytes, 0xFF, dtype=np.uint8), length)
-        else:
-            packed = np.zeros(nbytes, dtype=np.uint8)
-        return cls(packed, length, encoding)
+        return cls.from_bits(np.full(length, bit, dtype=np.uint8), encoding)
 
 
 #: Clocks per block of `encode_blocks`, and draws held at once by the
@@ -539,10 +546,9 @@ def from_hex_lines(lines: list, M: int, enc: Encoding | None) -> np.ndarray:
         if set(map(len, stripped)) <= {size}:
             text = np.frombuffer("".join(stripped).encode("ascii"), dtype=np.uint8).reshape(-1, size)
             if (text[:, : head.size] == head).all():
-                raw = bytes.fromhex(text[:, head.size :].tobytes().decode())
-                raw = np.frombuffer(raw, dtype=np.uint8).reshape(len(stripped), nbytes)
-                rows = zero_pad_bits(raw, M)
-                if np.array_equal(rows, raw):
+                raw = bytearray.fromhex(text[:, head.size :].tobytes().decode())  # a writable buffer
+                rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(stripped), nbytes)
+                if _packed_fault(rows, M) is None:
                     return rows
     except (TypeError, ValueError):
         pass

@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitstream import (
-    Bitstream, Encoding, StreamFormatError, StreamKey, StreamMismatchError, encode_many, from_hex_lines, to_hex_lines,
-)
+from .bitstream import (Bitstream, Encoding, StreamFormatError, StreamKey, StreamMismatchError, _packed_fault,
+                        encode_many, from_hex_lines, to_hex_lines)
 from .netcore import (
     Activation, SchemaError, activate, _require_header, _require_list, _require_numbers,
 )
@@ -35,9 +34,8 @@ def binary_dot(w_bits: np.ndarray, x_bits: np.ndarray, m: int) -> np.ndarray:
     Tallies no gate ops: it is the BNN reference that the equivalence check
     compares the counted SC datapath against.
     """
-    nbytes = (m + 7) // 8
-    if w_bits.shape[-1] != nbytes or x_bits.shape[-1] != nbytes:
-        raise StreamMismatchError(f"binary vectors of {w_bits.shape[-1]} and {x_bits.shape[-1]} bytes, m={m}")
+    if fault := _packed_fault(w_bits, m) or _packed_fault(x_bits, m):
+        raise StreamMismatchError(f"binary vector {fault}")
     return m - 2 * np.bitwise_count(w_bits ^ x_bits).sum(axis=-1, dtype=np.int64)
 
 
@@ -68,11 +66,9 @@ class BinaryNetwork:
     def __post_init__(self):
         self.binary_biases = np.asarray(self.binary_biases, dtype=np.int64).reshape(-1)
         self.output_weights = np.asarray(self.output_weights, dtype=float).reshape(-1)
-        w = self.binary_weights
-        if self.m < 1 or w.dtype != np.uint8 or w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != (self.m + 7) // 8:
-            raise ValueError(
-                f"binary_weights is {w.dtype} {w.shape}, expected uint8 (N >= 1, {(self.m + 7) // 8}) for m={self.m}"
-            )
+        fault = _packed_fault(self.binary_weights, self.m, 2)
+        if fault or not self.N:
+            raise ValueError(f"binary_weights {fault or 'has no rows'}")
         N = self.N
         if self.binary_biases.shape != (N,) or self.output_weights.shape != (N,):
             raise ValueError(

@@ -104,10 +104,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _load_config(path: str | None) -> dict:
-    return load_json_object(path, "config") if path else {}
-
-
 def _resolve(args_value, config: dict, key: str, default, kind):
     """Flag > config > default. `key` is a dotted path into the config
     ("sweep.trials"); a config value must have the JSON type `kind`, or be
@@ -180,7 +176,7 @@ def _resolve_target(args, config: dict, n: int, run: dict):
 # in `_metadata`.
 
 def _cmd_fit(args) -> int:
-    config = _load_config(args.config)
+    config = load_json_object(args.config, "config") if args.config else {}
     run = {
         "command": "fit",
         "seed": _resolve(args.seed, config, "seed", 0, int),
@@ -261,7 +257,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = _load_config(args.config)
+    config = load_json_object(args.config, "config") if args.config else {}
     run = {"command": "sweep", "seed": _resolve(args.seed, config, "seed", 0, int)}
     net = _load_network(args.network, "--network", "reference")
     run["network"] = net.name

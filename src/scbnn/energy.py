@@ -38,15 +38,7 @@ class EnergyReport(GateCounts):
     classes = GateCounts.as_dict
 
     def to_dict(self) -> dict:
-        return {
-            **self.classes(),
-            "total": self.total,
-            "n": self.n,
-            "M": self.M,
-            "N": self.N,
-            "mode": self.mode.value,
-            "asymptotic_label": self.asymptotic_label,
-        }
+        return {**self.classes(), "total": self.total, **vars(self), "mode": self.mode.value}
 
 
 def layer_energy(n: int, M: int, N: int, mode: AccumulationMode) -> EnergyReport:

@@ -130,8 +130,6 @@ def mux_add(streams: Sequence[Bitstream], key: StreamKey) -> Bitstream:
     M, enc = _check_family(streams, "mux_add")
     k = len(streams)
     add_counts(GateCounts(mux_select_ops=(k - 1) * M))
-    if k == 1:
-        return streams[0]
     gen = key.generator()
     out = np.empty_like(streams[0].bits)
     for lo in range(0, M, _DRAW_BLOCK):
@@ -152,22 +150,19 @@ def _mux_select(rows: Sequence[np.ndarray], width: int, gen: np.random.Generator
     has an even width, as every block but the last does.
 
     numpy draws each select from one 32-bit half of a 64-bit Philox word,
-    low half first, by Lemire's multiply-and-reject. When k = len(rows) is
-    a power of two it never rejects, and select t is the top log2(k) bits
-    of half t of ``random_raw(ceil(width / 2))``; for an odd width the
-    last half is dropped, where `integers` would keep it for its next call.
-    Any other k draws through `integers`, whose rejections move the halves.
+    low half first, by Lemire's multiply-and-reject. At k = len(rows) = 2,
+    the k of every one-input unit's MUX, it never rejects, and select t is
+    the top bit of half t of ``random_raw(ceil(width / 2))``; for an odd
+    width the last half is dropped, where `integers` would keep it for its
+    next call. Every other k draws through `integers`.
     """
     k = len(rows)
-    if k >= 2 and k & (k - 1) == 0:
+    if k == 2:
         # Low half first on a little-endian host, as numpy's next_uint32 takes it.
-        halves = gen.bit_generator.random_raw((width + 1) // 2).view(np.uint32)[:width]
-        if k == 2:
-            s = np.packbits(halves.view(np.int32) < 0)  # the top bit; packing `halves >> 31` is ~3x slower
-            return (rows[0] & ~s) | (rows[1] & s)
-        selection = halves >> np.uint32(33 - k.bit_length())
-    else:
-        selection = gen.integers(0, k, size=width)
+        halves = gen.bit_generator.random_raw((width + 1) // 2).view(np.int32)[:width]
+        s = np.packbits(halves < 0)  # the top bit; packing `halves >> 31` is ~3x slower
+        return (rows[0] & ~s) | (rows[1] & s)
+    selection = gen.integers(0, k, size=width)
     out = np.zeros_like(rows[0])
     for c, row in enumerate(rows):
         out |= np.packbits(selection == c) & row

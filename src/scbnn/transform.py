@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, to_hex_lines
+from .bitstream import Bitstream, Encoding, _packed_fault, to_hex_lines
 from .bnn import BinaryNetwork, _require_rows, binary_dot
 from .energy import layer_energy
 from .netcore import Activation, _require_header, _require_numbers
@@ -44,6 +44,8 @@ def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
         raise ChunkError(f"need m >= 1 and M >= 1, got m={m}, M={M}")
     if m % M != 0:
         raise ChunkError(f"chunk length M={M} does not divide m={m}")
+    if fault := _packed_fault(bits, m):
+        raise ChunkError(f"vector array {fault}")
     unpacked = np.unpackbits(bits, axis=-1, count=m)
     return np.packbits(unpacked.reshape(*bits.shape[:-1], m // M, M), axis=-1)
 
@@ -51,6 +53,8 @@ def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
 def join_bits(chunks: np.ndarray, M: int) -> np.ndarray:
     """Inverse of `chunk_bits`: packed chunks of M bits, shape (..., n,
     ceil(M/8)), joined into packed n*M-bit vectors, shape (..., ceil(n*M/8))."""
+    if fault := _packed_fault(chunks, M):
+        raise ChunkError(f"chunk array {fault}")
     bits = np.unpackbits(chunks, axis=-1, count=M)
     return np.packbits(bits.reshape(*chunks.shape[:-2], -1), axis=-1)
 
@@ -68,11 +72,11 @@ class ScnnStreamBundle:
     name: str = "scnn-streams"
 
     def __post_init__(self):
-        nbytes = (self.M + 7) // 8
-        if self.M < 1 or self.weights.ndim != 3 or self.weights.shape[2] != nbytes:
-            raise ChunkError(f"weights have shape {self.weights.shape}, expected (N, n, {nbytes}) for M={self.M}")
-        if self.biases.shape != (self.N, nbytes):
-            raise ChunkError(f"biases have shape {self.biases.shape}, expected {(self.N, nbytes)} for M={self.M}")
+        for name, streams, ndim in (("weights", self.weights, 3), ("biases", self.biases, 2)):
+            if fault := _packed_fault(streams, self.M, ndim):
+                raise ChunkError(f"{name} array {fault}")
+        if len(self.biases) != self.N:
+            raise ChunkError(f"biases array has {len(self.biases)} rows for {self.N} units")
 
     @property
     def N(self) -> int:

@@ -52,6 +52,14 @@ def report(criterion: str, passed: bool, detail: str, t0: float):
     assert passed, f"criterion {criterion}: {detail}"
 
 
+def c5_validation():
+    """c5's Monte-Carlo half: `bound_validation` of a tiny fitted net at its M_min."""
+    f = make_target("linear", 1)
+    tiny = fit_reference(f, 2, unit_grid(1, 256), StreamKey(1))
+    q = BoundQuery(1, 2, 0.5, 0.25, alpha_sum=max(2.0, tiny.alpha_sum))
+    return bound_validation(q, tiny, f, trials=40, key=StreamKey(0xC5), grid=unit_grid(1, 9))
+
+
 class TestAcceptance:
     def test_c1_encoding_worked_examples(self):
         t0 = time.perf_counter()
@@ -179,10 +187,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         ref = m_min_bound(BoundQuery(2, 10, 0.1, 0.1))
         bound_ok = ref == 900001
-        f = make_target("linear", 1)
-        tiny = fit_reference(f, 2, unit_grid(1, 256), StreamKey(1))
-        q = BoundQuery(1, 2, 0.5, 0.25, alpha_sum=max(2.0, tiny.alpha_sum))
-        val = bound_validation(q, tiny, f, trials=40, key=StreamKey(0xC5), grid=unit_grid(1, 9))
+        val = c5_validation()
         report(
             "5 bit-length bound",
             bound_ok and val.passed,

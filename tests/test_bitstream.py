@@ -488,7 +488,12 @@ class TestSigns:
          "packed storage has 2 bytes, expected 1 for length 8"),
         (lambda: Bitstream.from_bits([[0, 1]], Encoding.BIPOLAR), "bits must be a flat sequence of 0s and 1s"),
         (lambda: Bitstream.constant(2, 8, Encoding.BIPOLAR), "constant bit must be 0 or 1, got 2"),
-    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit"])
+        # A set pad bit made popcount 8 and decode 3.0 for a 4-bit stream.
+        (lambda: Bitstream(np.array([0xFF], dtype=np.uint8), 4, Encoding.BIPOLAR),
+         "packed storage has nonzero pad bits after length 4"),
+        (lambda: Bitstream(np.zeros(1, dtype=np.int64), 8, Encoding.BIPOLAR),
+         "packed storage is int64 of shape (1,), expected a uint8 array of ndim 1"),
+    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit", "pad-bits", "not-uint8"])
     def test_malformed_stream_is_refused(self, make, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             make()

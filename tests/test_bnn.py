@@ -194,8 +194,9 @@ class TestForwardBnn:
             (np.zeros((2, 1), dtype=np.uint8), -3),
             (np.zeros((2, 1), dtype=np.int64), 8),
             (np.zeros(2, dtype=np.uint8), 8),
+            (np.full((2, 1), 0xFF, dtype=np.uint8), 4),  # set pad bits: w.x + b = 5 on ++++ was read as -3
         ],
-        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim"],
+        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim", "pad-bits"],
     )
     def test_malformed_weight_array_rejected(self, weights, m):
         with pytest.raises(ValueError, match="binary_weights"):
@@ -249,6 +250,8 @@ class TestForwardBnn:
         w = packed_signs([[1] * 9])
         with pytest.raises(StreamMismatchError):
             binary_dot(w, Bitstream.from_signs([1] * 8).bits, 9)
+        with pytest.raises(StreamMismatchError, match="^binary vector has nonzero pad bits after length 4$"):
+            binary_dot(np.array([0xFF], dtype=np.uint8), np.array([0xF0], dtype=np.uint8), 4)
 
 
 class TestBinarySerialization:

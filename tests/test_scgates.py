@@ -167,7 +167,7 @@ def one_shot_select(rows, M, key):
 
 class TestMuxSelect:
     @pytest.mark.parametrize("M", [1, 7, _DRAW_BLOCK - 1, _DRAW_BLOCK, _DRAW_BLOCK + 3, 3 * _DRAW_BLOCK + 5])
-    # Powers of two draw raw 32-bit halves; 3, 9 and 33 draw through `integers`.
+    # Only k = 2 draws raw 32-bit halves; every other k draws through `integers`.
     @pytest.mark.parametrize("k", [2, 3, 4, 8, 9, 32, 33])
     def test_chunked_draws_equal_one_shot_draw(self, k, M):
         gen = np.random.default_rng(k * M)

@@ -322,6 +322,22 @@ class TestBoundValidation:
             bound_validation(q, net, f, trials=10, key=KEY)
 
 
+def record_keys(monkeypatch) -> list:
+    """The list that every key a run makes is appended to, while
+    `monkeypatch` wraps `scnn.fold_seeds` and `bnn.encode_many`."""
+    keys = []
+    real_fold, real_encode = scbnn.scnn.fold_seeds, scbnn.bnn.encode_many
+
+    def fold(*args):
+        out = real_fold(*args)
+        keys.append(out.reshape(-1, 2))
+        return out
+
+    monkeypatch.setattr(scbnn.scnn, "fold_seeds", fold)
+    monkeypatch.setattr(scbnn.bnn, "encode_many", lambda p, k, M: keys.append(k) or real_encode(p, k, M))
+    return keys
+
+
 class TestEveryKeyIsDistinct:
     """The convergence proofs assume that every stream of a run is
     independent of every other. Streams under distinct Philox keys are, so
@@ -336,17 +352,7 @@ class TestEveryKeyIsDistinct:
 
     @pytest.fixture
     def recorded(self, monkeypatch):
-        keys = []
-        real_fold, real_encode = scbnn.scnn.fold_seeds, scbnn.bnn.encode_many
-
-        def fold(*args):
-            out = real_fold(*args)
-            keys.append(out.reshape(-1, 2))
-            return out
-
-        monkeypatch.setattr(scbnn.scnn, "fold_seeds", fold)
-        monkeypatch.setattr(scbnn.bnn, "encode_many", lambda p, k, M: keys.append(k) or real_encode(p, k, M))
-        return keys
+        return record_keys(monkeypatch)
 
     @staticmethod
     def assert_distinct(keys, count):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -96,6 +98,17 @@ class TestChunkBits:
         with pytest.raises(ChunkError, match=rf"^need m >= 1 and M >= 1, got m={m}, M={M}$"):
             chunk_bits(np.zeros(1, dtype=np.uint8), m, M)
 
+    @pytest.mark.parametrize("cut, message", [
+        # Each was read as if well formed: a chunk of zeros invented, 12 bits read from 8-bit chunks.
+        (lambda ff: chunk_bits(ff, 16, 8), "vector array has 1 bytes, expected 2 for length 16"),
+        (lambda ff: join_bits(np.vstack([ff, ff]), 12), "chunk array has 1 bytes, expected 2 for length 12"),
+        (lambda ff: chunk_bits(ff, 4, 2), "vector array has nonzero pad bits after length 4"),
+        (lambda ff: join_bits(ff, 4), "chunk array has nonzero pad bits after length 4"),
+    ], ids=["chunk-width", "join-width", "chunk-pad-bits", "join-pad-bits"])
+    def test_malformed_packed_rows_rejected(self, cut, message):
+        with pytest.raises(ChunkError, match=rf"^{re.escape(message)}$"):
+            cut(np.array([[0xFF]], dtype=np.uint8))
+
 
 class TestSplitJoin:
     """Chunking is `chunk_bits`, joining is `scnn_to_bnn`, and the chunks'
@@ -139,6 +152,12 @@ class TestSplitJoin:
             ScnnStreamBundle(3, s9.bits[None, None], bundle.biases, bundle.output_weights, bundle.activation)
         with pytest.raises(ChunkError, match="biases"):
             ScnnStreamBundle(9, s9.bits[None, None], bundle.biases, bundle.output_weights, bundle.activation)
+        # Set pad bits in a 4-bit stream: scnn_to_bnn dropped them silently.
+        full = np.full((1, 1, 1), 0xFF, dtype=np.uint8)
+        with pytest.raises(ChunkError, match="^weights array has nonzero pad bits after length 4$"):
+            ScnnStreamBundle(4, full, full[0] & 0xF0, bundle.output_weights, bundle.activation)
+        with pytest.raises(ChunkError, match="^biases array has nonzero pad bits after length 4$"):
+            ScnnStreamBundle(4, full & 0xF0, full[0], bundle.output_weights, bundle.activation)
 
     @given(st.integers(0, 2**32), st.sampled_from([1, 2, 3, 4, 6, 8, 12, 24]))
     @settings(max_examples=60)
