@@ -9,15 +9,15 @@ Philox4x64-10 is counter-based: a stream is a pure function of its 128-bit
 key, the counter starting at zero. `encode_many` packs S streams into one
 (S, ceil(M/8)) array. Calls of at least 512 streams of at most 24 bits
 compute the ceil(M/4) Philox blocks of all keys at once as uint64 array
-rounds; every other call re-keys, once per stream, a C Philox built once
-per thread. A sweep reaches the array path through `forward_scnn_grid`,
+rounds; every other call re-keys, once per stream, a C Philox built for
+that call. A sweep reaches the array path through `forward_scnn_grid`,
 which draws all 17 grid rows of the README's N = 32 net (1632 streams) in
 one call. Milliseconds per call, array / re-keyed (median of 101 calls,
 one core of a 2 vCPU Xeon, numpy 2.4.6; 13.9 / 98.6 at S = 65,552, M = 1):
 
     S       M = 1         M = 16        M = 24        M = 32        M = 64
-    96      0.28 / 0.14   0.36 / 0.15   0.40 / 0.16   0.42 / 0.16   0.53 / 0.18
-    256     0.35 / 0.35   0.46 / 0.38   0.53 / 0.39   0.60 / 0.40   1.03 / 0.45
+    96      0.29 / 0.14   0.36 / 0.15   0.40 / 0.16   0.41 / 0.16   0.52 / 0.18
+    256     0.34 / 0.33   0.46 / 0.37   0.53 / 0.38   0.59 / 0.39   0.86 / 0.45
     512     0.40 / 0.68   0.62 / 0.75   0.75 / 0.77   1.05 / 0.78   1.90 / 0.88
     1632    0.55 / 2.16   1.49 / 2.38   2.19 / 2.43   2.91 / 2.48   6.12 / 2.82
 
@@ -38,7 +38,8 @@ clocks at a time, so a caller that reduces each block as it arrives holds
 O(S * _DRAW_BLOCK / 8) bytes at any M; `encode_many` is its blocks side by
 side. The re-keyed path resumes a stream at clock lo with the counter at
 lo/4 and an empty buffer, the state a fresh Philox reaches after lo draws.
-The array path only takes M <= 24, one block.
+The array path only takes M <= 24, one block. No draw state outlives a
+call, so threads and interleaved iterators share none.
 
 A packed M-bit row is ceil(M/8) uint8 bytes with zero pad bits, which make
 every popcount over it exact; `_packed_fault` is that rule, and each packed
@@ -51,7 +52,6 @@ acceptance rule; `to_hex_line` and `from_hex_line` are their one-row cases.
 from __future__ import annotations
 
 import enum
-import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import Iterator
@@ -254,6 +254,8 @@ def _packed_fault(rows: np.ndarray, length: int, ndim: int | None = None) -> str
     axis and zero pad bits, which make every popcount over them exact."""
     if length < 1:
         return f"has rows of length {length}, expected length >= 1"
+    if not isinstance(rows, np.ndarray):
+        return f"is a {type(rows).__name__}, expected a uint8 array of ndim {ndim or '>= 1'}"
     if rows.dtype != np.uint8 or rows.ndim < 1 or ndim not in (None, rows.ndim):
         return f"is {rows.dtype} of shape {rows.shape}, expected a uint8 array of ndim {ndim or '>= 1'}"
     if rows.shape[-1] != (length + 7) // 8:
@@ -427,23 +429,17 @@ def _encode_array(probs, keys, M: int, out: np.ndarray) -> None:
         out[start:stop] = np.packbits((raw >> 11) < below[:, None], axis=1)
 
 
-_rekey = threading.local()
-
-
 def _encode_rekeyed(probs, keys, lo: int, width: int, out: np.ndarray) -> None:
-    """Fill `out` with clocks [lo, lo + width) of every stream from this
-    thread's C Philox, given each stream's whole state: its key, the counter
-    at lo/4 and an empty buffer, the state a fresh Philox is in after lo
-    draws (lo is a multiple of 4). So a stream resumes at clock lo exactly,
-    whatever the Philox drew before."""
-    if not hasattr(_rekey, "philox"):
-        bit_gen = np.random.Philox(0)
-        # The state setter reads the dict element by element, which is faster
-        # from Python lists than from the uint64 arrays the getter returns.
-        state = bit_gen.state
-        state["buffer"] = state["buffer"].tolist()
-        _rekey.philox = bit_gen, np.random.Generator(bit_gen), state
-    bit_gen, gen, state = _rekey.philox
+    """Fill `out` with clocks [lo, lo + width) of every stream from a C
+    Philox built for this call (about 12 us), given each stream's whole
+    state: its key, the counter at lo/4 and an empty buffer, the state a
+    fresh Philox is in after lo draws (lo is a multiple of 4). So a stream
+    resumes at clock lo exactly, and no draw state outlives the call."""
+    bit_gen = np.random.Philox(0)
+    gen, state = np.random.Generator(bit_gen), bit_gen.state
+    # The state setter reads the dict element by element, which is faster
+    # from Python lists than from the uint64 arrays the getter returns.
+    state["buffer"] = state["buffer"].tolist()
     state["state"]["counter"] = [lo // 4, 0, 0, 0]
     # Keys become Python lists a stream or a block of rows at a time: about
     # 150 bytes a stream, which for a whole call would outgrow its block.
@@ -565,10 +561,8 @@ def from_hex_lines(lines: list, M: int, enc: Encoding | None) -> np.ndarray:
                 raw = None
             if raw is None or len(payload) != 2 * len(raw):  # fromhex skips whitespace
                 raise StreamFormatError(f"bad hex payload in {line!r}")
-            if len(raw) != nbytes:
-                raise StreamFormatError(f"payload has {len(raw)} bytes, inconsistent with M={M}")
-            if raw[-1] & ((1 << (-M % 8)) - 1):
-                raise StreamFormatError(f"nonzero pad bits in {line!r}")
+            if fault := _packed_fault(np.frombuffer(raw, dtype=np.uint8), M):
+                raise StreamFormatError(f"payload {fault} in {line!r}")
         except StreamFormatError as exc:
             exc.index = index
             raise

@@ -328,13 +328,16 @@ class TestRawWords:
 
     @pytest.mark.parametrize("M, raw", [(_DRAW_BLOCK // 2, False), (_DRAW_BLOCK // 2 + 1, True)])
     def test_switch(self, M, raw):
-        keys = KEY.substream_keys([("switch", np.arange(3), 0)])
-        encode_many([0.5] * 3, keys, 8)  # builds this thread's Philox
-        bit_gen, gen, state = bitstream._rekey.philox
-        spy = mock.Mock(wraps=gen)
-        with mock.patch.object(bitstream._rekey, "philox", (bit_gen, spy, state)):
+        # Spies on the one Generator the call builds: no draw state is kept between calls.
+        keys, spies, real = KEY.substream_keys([("switch", np.arange(3), 0)]), [], np.random.Generator
+
+        def spy(bit_gen):
+            spies.append(mock.Mock(wraps=real(bit_gen)))
+            return spies[-1]
+
+        with mock.patch("numpy.random.Generator", spy):
             rows = encode_many([0.3, 0.6, 0.9], keys, M)
-        assert spy.random.called is not raw
+        assert len(spies) == 1 and spies[0].random.called is not raw
         assert np.array_equal(rows, generator_rows([0.3, 0.6, 0.9], keys, M))
 
 
@@ -493,7 +496,9 @@ class TestSigns:
          "packed storage has nonzero pad bits after length 4"),
         (lambda: Bitstream(np.zeros(1, dtype=np.int64), 8, Encoding.BIPOLAR),
          "packed storage is int64 of shape (1,), expected a uint8 array of ndim 1"),
-    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit", "pad-bits", "not-uint8"])
+        # A list was read for its dtype: AttributeError.
+        (lambda: Bitstream([255], 8, Encoding.BIPOLAR), "packed storage is a list, expected a uint8 array of ndim 1"),
+    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit", "pad-bits", "not-uint8", "list"])
     def test_malformed_stream_is_refused(self, make, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             make()

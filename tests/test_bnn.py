@@ -195,11 +195,13 @@ class TestForwardBnn:
             (np.zeros((2, 1), dtype=np.int64), 8),
             (np.zeros(2, dtype=np.uint8), 8),
             (np.full((2, 1), 0xFF, dtype=np.uint8), 4),  # set pad bits: w.x + b = 5 on ++++ was read as -3
+            ([[0], [0]], 8),  # a list was read for its dtype: AttributeError
         ],
-        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim", "pad-bits"],
+        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim", "pad-bits",
+             "list"],
     )
     def test_malformed_weight_array_rejected(self, weights, m):
-        with pytest.raises(ValueError, match="binary_weights"):
+        with pytest.raises(ValueError, match="^binary_weights [^\n]+$"):
             BinaryNetwork(weights, m, np.ones(2), np.ones(2), Activation.SIGMOID)
 
     @pytest.mark.parametrize(
@@ -252,6 +254,8 @@ class TestForwardBnn:
             binary_dot(w, Bitstream.from_signs([1] * 8).bits, 9)
         with pytest.raises(StreamMismatchError, match="^binary vector has nonzero pad bits after length 4$"):
             binary_dot(np.array([0xFF], dtype=np.uint8), np.array([0xF0], dtype=np.uint8), 4)
+        with pytest.raises(StreamMismatchError, match="^binary vector is a list, expected a uint8 array of ndim >= 1$"):
+            binary_dot(np.array([0xF0], dtype=np.uint8), [0xF0], 4)
 
 
 class TestBinarySerialization:

@@ -707,9 +707,9 @@ class TestConvert:
         doc["binary_weights"] = [spelling.format(row) for row in doc["binary_weights"]]
         assert np.array_equal(binary_network_from_dict(doc).binary_weights, want)
 
-    @pytest.mark.parametrize("row", [" abcg", "abcf ", "ab c", " a bc ", "abc0 0"])
+    @pytest.mark.parametrize("row", [" abcg", "abcf ", "ab c", " a bc ", "abc0 0", "abcdef"])
     def test_bad_binary_weight_row_is_quoted_as_written(self, bnn_file, tmp_path, capsys, row):
-        # m = 12: g is not a hex digit, f sets pad bits, and no whitespace may sit inside a row.
+        # m = 12: g is not a hex digit, f sets pad bits, no whitespace may sit inside a row, and 3 bytes are 1 too many.
         doc = json.loads(bnn_file.read_text())
         doc["binary_weights"][2] = row
         path = tmp_path / "bnet.json"

@@ -17,12 +17,18 @@ import contextlib
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_dispatch__
 
+import scbnn
 from scbnn import (
     AccumulationMode,
     Activation,
@@ -175,6 +181,42 @@ PROFILE_SUMMARY = {
     "rms_vs_target": "0x1.682d5f10581b0p+1",
 }
 
+#: The platform the pins were recorded on: sha256 of np.tanh and np.exp over
+#: PLATFORM_GRID, and of the weights of one canonical fit (see
+#: `platform_digests`). The pins hold only where numpy and OpenBLAS pick
+#: kernels that give these bytes; a failing test here names the digests that
+#: differ (tests/conftest.py).
+PLATFORM_GRID = np.linspace(-8.0, 8.0, 200_001)
+PLATFORM_SHA256 = {
+    "tanh": "471b019f3b2d8c00862905085aec7a6b2e894c7f99334ba840cd3d9977de5e1c",
+    "exp": "bbebb13eb01d6d9a04b81a33a1b4d22426af2cee43e4e9c2ca574c2867ca035b",
+    "fit": "82e81cd992fa3980d42baa018a141caff824b23561976ebe795475686ce7640e",
+}
+#: numpy's SIMD baseline and dispatch targets where the pins were recorded, for the record.
+PLATFORM_CPU = {"baseline": ["X86_V2"], "dispatch": ["X86_V3", "X86_V4", "AVX512_ICL", "AVX512_SPR"]}
+
+
+def platform_digests() -> dict[str, str]:
+    """This host's values of PLATFORM_SHA256. The fit is the C9 sine net of
+    `test_error_profile`: its output weights come from BLAS and LAPACK."""
+    net = fit_reference(make_target("sine", 1), 8, unit_grid(1, 64), StreamKey(6))
+    data = {
+        "tanh": np.tanh(PLATFORM_GRID).tobytes(),
+        "exp": np.exp(PLATFORM_GRID).tobytes(),
+        "fit": b"".join(a.tobytes() for a in (net.hidden_weights, net.hidden_biases, net.output_weights)),
+    }
+    return {name: hashlib.sha256(b).hexdigest() for name, b in data.items()}
+
+
+def platform_note() -> str:
+    """Which platform digests differ from the pins', if any, and numpy's SIMD targets here and there."""
+    here = platform_digests()
+    differ = [name for name in PLATFORM_SHA256 if here[name] != PLATFORM_SHA256[name]]
+    cpu = f"numpy baseline {__cpu_baseline__}, dispatch {__cpu_dispatch__} (pins: {PLATFORM_CPU})"
+    if differ:
+        return f"platform digests differ from the pins': {', '.join(differ)}; {cpu}"
+    return f"platform digests match the pins' (tanh, exp, fit); {cpu}"
+
 
 def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -190,14 +232,18 @@ def _net(W, b, a, activation=Activation.TANH) -> ReferenceNetwork:
 TWO_INPUT_NET = _net([[1.5, -0.25], [-0.75, 2.0], [0.125, 0.5]], [0.5, -3.0, 1.25], [0.8, -1.1, 0.6])
 
 
-@pytest.fixture(scope="module")
-def sine_net():
+def readme_sine_net() -> ReferenceNetwork:
     # The README's `scbnn fit --target sine --N 32 --seed 2 --edge-fraction
     # 0.75 --noise-penalty 0.01`.
     return fit_reference(
         make_target("sine", 1), 32, unit_grid(1, None), StreamKey(2),
         edge_fraction=0.75, noise_penalty=0.01,
     )
+
+
+@pytest.fixture(scope="module")
+def sine_net():
+    return readme_sine_net()
 
 
 def scalar_forward(net, x, cfg):
@@ -219,6 +265,17 @@ def scalar_forward(net, x, cfg):
         )
         out += float(net.output_weights[i]) * activate(net.activation, pre)
     return out
+
+
+def forward_matches_scalar(net, x, cfg):
+    """The check of TestForwardMatchesScalarComposition: `forward_scnn`
+    equals `scalar_forward` bit for bit, with the same gate counts."""
+    with counting() as batched_counts:
+        batched = forward_scnn(net, x, cfg)
+    with counting() as scalar_counts:
+        scalar = scalar_forward(net, x, cfg)
+    assert batched.hex() == scalar.hex(), f"forward_scnn gives {batched.hex()}, the scalar composition {scalar.hex()}"
+    assert batched_counts == scalar_counts
 
 
 class TestGoldenBytes:
@@ -308,13 +365,7 @@ class TestForwardMatchesScalarComposition:
         a = data.draw(st.lists(reals, min_size=N, max_size=N))
         x = data.draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))
         net = _net(np.reshape(W, (N, n)), b, a, activation)
-        cfg = ScnnConfig(M, StreamKey(seed), mode)
-        with counting() as batched_counts:
-            batched = forward_scnn(net, x, cfg)
-        with counting() as scalar_counts:
-            scalar = scalar_forward(net, x, cfg)
-        assert batched.hex() == scalar.hex()
-        assert batched_counts == scalar_counts
+        forward_matches_scalar(net, x, ScnnConfig(M, StreamKey(seed), mode))
 
     def test_sine_net_over_a_grid(self, sine_net):
         for p, x in enumerate(np.linspace(0.0, 1.0, 9)):
@@ -329,13 +380,7 @@ class TestForwardMatchesScalarComposition:
         # The two-input net's MUX has k = 3 terms, so its selects come from
         # `integers` continued across blocks, and the last block is odd.
         net, x, seed = (sine_net, [0.25], 7) if case == "sine" else (TWO_INPUT_NET, [0.3, 0.9], 11)
-        cfg = ScnnConfig(LONG_MUX_M, StreamKey(seed), mode)
-        with counting() as streamed_counts:
-            streamed = forward_scnn(net, x, cfg)
-        with counting() as scalar_counts:
-            scalar = scalar_forward(net, x, cfg)
-        assert streamed.hex() == scalar.hex()
-        assert streamed_counts == scalar_counts
+        forward_matches_scalar(net, x, ScnnConfig(LONG_MUX_M, StreamKey(seed), mode))
 
     @pytest.mark.parametrize("activation", list(Activation))
     def test_wide_layer_every_activation(self, activation):
@@ -465,3 +510,22 @@ class TestExperimentBytes:
         stats = _row_statistics(g_sc[None], g_ref, sine(grid), 0.3)
         del stats["failure_rate"]
         assert {k: v.hex() for k, v in stats.items()} == PROFILE_SUMMARY
+
+
+class TestPlatformNote:
+    """A failing golden test names the platform digests that differ from the
+    pins'. Each case runs golden tests in a child process under a setting
+    that acts on that process only: numpy's baseline kernels change tanh
+    (and exp, and so the fit); OpenBLAS's Haswell kernels change the fit."""
+
+    @pytest.mark.parametrize("setting, test, differ", [
+        ({"NPY_DISABLE_CPU_FEATURES": "X86_V4 X86_V3"}, "TestGoldenBytes::test_two_input_forward", "tanh, exp, fit"),
+        ({"OPENBLAS_CORETYPE": "Haswell"}, "TestExperimentBytes::test_error_profile", "fit"),
+    ], ids=["numpy-baseline-kernels", "openblas-haswell"])
+    def test_failure_names_the_digest(self, setting, test, differ):
+        src = str(Path(scbnn.__file__).parents[1])
+        env = {**os.environ, **setting, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"{__file__}::{test}"],
+                               cwd=Path(__file__).parents[1], env=env, capture_output=True, text=True)
+        assert child.returncode == 1, child.stdout
+        assert f"platform digests differ from the pins': {differ};" in child.stdout

@@ -13,12 +13,22 @@ check always fails.
     each bias sign-extended with the wrong sign    preactivation_equivalence_check
     Philox resumed one block late past clock 0     encode_blocks against generator_rows
     the bound with n^2 in place of (n + 1)^2       TestMinBound's 900001, c5
+    apc_ones without its bias term                 forward_scnn against the scalar
+                                                   composition (APC), and
+                                                   preactivation_equivalence_check
+    the k = 2 MUX select bit inverted              a golden MUX pin of the n = 1 sine
+                                                   net, TestMuxSelect at k = 2
 
 Expected survivors, each a gap that no check closes yet:
     the bound with n^2 in place of (n + 1)^2       c5's Monte-Carlo half (see
                                                    `test_n_squared_bound_survives_c5_validation`)
+    the k = 2 MUX select bit inverted              forward_scnn against the scalar
+                                                   composition, whose `mux_add` shares
+                                                   `_mux_select` (see
+                                                   `test_inverted_select_survives_the_scalar_oracle`)
 """
 
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,13 +36,17 @@ import numpy as np
 import pytest
 
 import scbnn.bitstream
+import scbnn.scgates
 import scbnn.scnn
 import scbnn.theory
 import scbnn.transform
 import test_acceptance as acceptance_tests
 import test_bitstream as bitstream_tests
+import test_golden as golden_tests
+import test_scgates as scgates_tests
 import test_theory as theory_tests
-from scbnn import AccumulationMode, Activation, BinaryNetwork, Bitstream, Encoding, preactivation_equivalence_check
+from scbnn import (AccumulationMode, Activation, BinaryNetwork, Bitstream, Encoding, ScnnConfig, StreamKey,
+                   preactivation_equivalence_check)
 from scbnn.bitstream import _DRAW_BLOCK, key_layout
 
 
@@ -91,6 +105,30 @@ def n_squared_bound(patch):
     patch.setattr(scbnn.theory, "bound_value", lambda q: real(q) * Fraction(q.n**2, (q.n + 1) ** 2))
 
 
+def apc_without_bias(patch):
+    # The kernel is patched where each caller reads it.
+    real = scbnn.scgates.apc_ones
+    for module in (scbnn.scgates, scbnn.scnn, scbnn.transform):
+        patch.setattr(module, "apc_ones", lambda w_bits, x_bits, b_bits, M: real(w_bits, x_bits, 0 * b_bits, M))
+
+
+def apc_matches_scalar():
+    golden_tests.forward_matches_scalar(golden_tests.TWO_INPUT_NET, [0.3, 0.9],
+                                        ScnnConfig(64, StreamKey(11), AccumulationMode.APC))
+
+
+def inverted_select(patch):
+    # At k = 2, taking the rows in reverse order inverts every select bit.
+    real = scbnn.scgates._mux_select
+    for module in (scbnn.scgates, scbnn.scnn):
+        patch.setattr(module, "_mux_select",
+                      lambda rows, width, gen: real(rows[::-1] if len(rows) == 2 else rows, width, gen))
+
+
+def sine_mux_pin():
+    golden_tests.TestGoldenBytes().test_sine_forward(golden_tests.readme_sine_net(), AccumulationMode.MUX, 64)
+
+
 MUTATIONS = [
     pytest.param(shared_streams(lambda unit: 0 * unit, lambda unit: unit),
                  [(lambda: distinct_sweep_keys(AccumulationMode.APC), "2160 of 8100 keys repeat")], id="A"),
@@ -107,6 +145,13 @@ MUTATIONS = [
         (theory_tests.TestMinBound().test_reference_value, "400001 == 900001"),
         (acceptance_tests.TestAcceptance().test_c5_bit_length_bound, "m_min_bound.2,10,0.1,0.1.=400001"),
     ], id="n-squared-bound"),
+    # Unit 1's bias stream, the sign extension of -1, has no ones to lose.
+    pytest.param(apc_without_bias, [(apc_matches_scalar, "the scalar composition"),
+                                    (equivalence_holds, r"units \[0\] fail at M=1")], id="apc-without-bias"),
+    pytest.param(inverted_select, [
+        (sine_mux_pin, re.escape(golden_tests.SINE_FORWARD[("mux", 64)])),
+        (lambda: scgates_tests.TestMuxSelect().test_chunked_draws_equal_one_shot_draw(2, 7), "array_equal"),
+    ], id="inverted-k2-select"),
 ]
 
 
@@ -131,3 +176,14 @@ def test_n_squared_bound_survives_c5_validation():
         n_squared_bound(patch)
         validation = acceptance_tests.c5_validation()
     assert validation.M == 65 and validation.passed
+
+
+def test_inverted_select_survives_the_scalar_oracle():
+    # Expected survivor: the oracle's `mux_add` selects through the same
+    # `_mux_select` as `forward_scnn`, so the comparison agrees with itself
+    # under the mutation. The MUX golden pins and TestMuxSelect's one-shot
+    # `integers` draw are what see it.
+    cfg = ScnnConfig(64, StreamKey(7), AccumulationMode.MUX)
+    with pytest.MonkeyPatch.context() as patch:
+        inverted_select(patch)
+        golden_tests.forward_matches_scalar(golden_tests.readme_sine_net(), [0.25], cfg)

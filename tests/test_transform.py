@@ -104,7 +104,10 @@ class TestChunkBits:
         (lambda ff: join_bits(np.vstack([ff, ff]), 12), "chunk array has 1 bytes, expected 2 for length 12"),
         (lambda ff: chunk_bits(ff, 4, 2), "vector array has nonzero pad bits after length 4"),
         (lambda ff: join_bits(ff, 4), "chunk array has nonzero pad bits after length 4"),
-    ], ids=["chunk-width", "join-width", "chunk-pad-bits", "join-pad-bits"])
+        # A list was read for its dtype: AttributeError.
+        (lambda ff: chunk_bits(ff.tolist(), 8, 4), "vector array is a list, expected a uint8 array of ndim >= 1"),
+        (lambda ff: join_bits(ff.tolist(), 8), "chunk array is a list, expected a uint8 array of ndim >= 1"),
+    ], ids=["chunk-width", "join-width", "chunk-pad-bits", "join-pad-bits", "chunk-list", "join-list"])
     def test_malformed_packed_rows_rejected(self, cut, message):
         with pytest.raises(ChunkError, match=rf"^{re.escape(message)}$"):
             cut(np.array([[0xFF]], dtype=np.uint8))
