@@ -41,12 +41,13 @@ lo/4 and an empty buffer, the state a fresh Philox reaches after lo draws.
 The array path only takes M <= 24, one block. No draw state outlives a
 call, so threads and interleaved iterators share none.
 
-A packed M-bit row is ceil(M/8) uint8 bytes with zero pad bits, which make
-every popcount over it exact; `_packed_fault` is that rule, and each packed
-type and `from_hex_lines` refuse rows that break it. Files hold packed rows
-as hex text: a stream-bundle line or a binary weight row. `to_hex_lines`
-and `from_hex_lines` write and read a whole list of them at once, under one
-acceptance rule; `to_hex_line` and `from_hex_line` are their one-row cases.
+A packed M-bit row, for an integer M >= 1, is ceil(M/8) uint8 bytes with
+zero pad bits, which make every popcount over it exact; `_packed_fault` is
+that rule, and each packed type and `from_hex_lines` refuse rows that break
+it. Files hold packed rows as hex text: a stream-bundle line or a binary
+weight row. `to_hex_lines` and `from_hex_lines` write and read a whole list
+of them at once, under one acceptance rule; `to_hex_line` and
+`from_hex_line` are their one-row cases.
 """
 
 from __future__ import annotations
@@ -248,12 +249,18 @@ def zero_pad_bits(packed: np.ndarray, length: int) -> np.ndarray:
     return out
 
 
+def _is_length(length) -> bool:
+    """An integer >= 1: a numpy integer is one, a bool or a float is not."""
+    return isinstance(length, (int, np.integer)) and not isinstance(length, bool) and length >= 1
+
+
 def _packed_fault(rows: np.ndarray, length: int, ndim: int | None = None) -> str | None:
     """Why `rows` is not a stack of packed `length`-bit rows (of `ndim` axes,
-    if given), or None if it is one: uint8, ceil(length/8) bytes on the last
-    axis and zero pad bits, which make every popcount over them exact."""
-    if length < 1:
-        return f"has rows of length {length}, expected length >= 1"
+    if given), or None if it is one: an integer length >= 1, uint8,
+    ceil(length/8) bytes on the last axis and zero pad bits, which make
+    every popcount over them exact."""
+    if not _is_length(length):
+        return f"has rows of length {length}, expected an integer >= 1"
     if not isinstance(rows, np.ndarray):
         return f"is a {type(rows).__name__}, expected a uint8 array of ndim {ndim or '>= 1'}"
     if rows.dtype != np.uint8 or rows.ndim < 1 or ndim not in (None, rows.ndim):
@@ -278,8 +285,6 @@ class Bitstream:
     encoding: Encoding
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"stream length must be >= 1, got {self.length}")
         if fault := _packed_fault(self.bits, self.length, 1):
             raise ValueError(f"packed storage {fault}")
 
@@ -321,6 +326,8 @@ class Bitstream:
     def constant(cls, bit: int, length: int, encoding: Encoding) -> "Bitstream":
         if bit not in (0, 1):
             raise ValueError(f"constant bit must be 0 or 1, got {bit}")
+        if not _is_length(length):
+            raise ValueError(f"stream length must be an integer >= 1, got {length!r}")
         return cls.from_bits(np.full(length, bit, dtype=np.uint8), encoding)
 
 
@@ -349,8 +356,8 @@ def encode_blocks(probs, keys, M: int) -> Iterator[np.ndarray]:
     so the blocks side by side are the rows of `encode_many`; only one
     block is held at a time.
     """
-    if M < 1:
-        raise ValueError(f"stream length M must be >= 1, got {M}")
+    if not _is_length(M):
+        raise ValueError(f"stream length M must be an integer >= 1, got {M!r}")
     probs = np.asarray(probs, dtype=float).reshape(-1)
     keys = np.asarray(keys, dtype=np.uint64)
     if keys.shape != (probs.size, 2):

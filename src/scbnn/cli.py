@@ -1,9 +1,10 @@
 """Batch experiment runner.
 
-Subcommands: fit, eval, sweep, bound, convert, energy. Every command is
-deterministic given its seed; every output file embeds a metadata header
-(tool version, config hash, seed, RNG family). Exit codes: 0 success,
-1 validation-check failure, 2 usage/config error or out of memory.
+Subcommands: fit, eval, sweep, bound, convert, energy. Every setting of a
+run comes from its flag, with the parser's default where none is given.
+Every command is deterministic given its seed; every output file embeds a
+metadata header (tool version, config hash, seed, RNG family). Exit codes:
+0 success, 1 validation-check failure, 2 usage error or out of memory.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .netcore import (
     FIT_NOISE_PENALTY,
     FIT_RIDGE,
     Activation,
-    _check_json_type,
     fit_reference,
     forward_reference,
     load_json_object,
@@ -104,23 +104,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list], meta: dict) -> N
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _resolve(args_value, config: dict, key: str, default, kind):
-    """Flag > config > default. `key` is a dotted path into the config
-    ("sweep.trials"); a config value must have the JSON type `kind`, or be
-    a list of them when `kind` is `[type]`."""
-    if args_value is not None:
-        return args_value
-    *sections, name = key.split(".")
-    for section in sections:
-        config = _check_json_type(config.get(section, {}), dict, f"config {section}")
-    if name not in config:
-        return default
-    if isinstance(kind, list):
-        items = _check_json_type(config[name], list, f"config {key}")
-        return [_check_json_type(v, kind[0], f"config {key}[{i}]") for i, v in enumerate(items)]
-    return _check_json_type(config[name], kind, f"config {key}")
-
-
 def _parse_flag(flag: str, text: str, convert, what: str):
     """`convert(text)` for the value `text` of `flag`; a ValueError from it
     becomes one that names the flag, says what it must be and quotes `text`."""
@@ -145,54 +128,37 @@ def _out_dir(path: str) -> Path:
     return out
 
 
-def _resolve_target(args, config: dict, n: int, run: dict):
-    """The target function from --target/--target-param over config
-    target.name/target.params. Its name goes into run["target"] and its
-    params, only when there are any, into run["target_params"]. The
-    config's params belong to the config's target, so they are dropped
-    when --target names a different one."""
-    config_name = _resolve(None, config, "target.name", None, str)
-    name = config_name if args.target is None else args.target
-    if name is None:
-        raise ValueError("no target function given (use --target or config)")
-    items = _resolve(args.target_param, config, "target.params", [], [str])
-    if args.target_param is None and name != config_name:
-        items = []
-    source = "config target.params" if args.target_param is None else "--target-param"
+def _resolve_target(args, n: int, run: dict):
+    """The target function from --target and --target-param. Its name goes
+    into run["target"] and its params, only when there are any, into
+    run["target_params"]."""
+    if args.target is None:
+        raise ValueError("no target function given (use --target)")
     params = {}
-    for item in items:
+    for item in args.target_param or ():
         if (param := item.partition("=")[0]) in params:
-            raise ValueError(f"{source} gives {param!r} twice")
-        params[param] = _parse_flag(source, item, lambda s: float(s.partition("=")[2]), "name=number")
-    run["target"] = name
+            raise ValueError(f"--target-param gives {param!r} twice")
+        params[param] = _parse_flag("--target-param", item, lambda s: float(s.partition("=")[2]), "name=number")
+    run["target"] = args.target
     if params:  # only when given, so a run without them keeps its hash
         run["target_params"] = params
-    return make_target(name, n, **params)
+    return make_target(args.target, n, **params)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands. Each output-writing command resolves its settings (flag >
-# config > default) into one `run` dict, runs from it and hashes it whole
-# in `_metadata`.
+# Subcommands. Each output-writing command gathers its settings (its flags,
+# with the parser's defaults) into one `run` dict, runs from it and hashes
+# it whole in `_metadata`.
 
 def _cmd_fit(args) -> int:
-    config = load_json_object(args.config, "config") if args.config else {}
-    run = {
-        "command": "fit",
-        "seed": _resolve(args.seed, config, "seed", 0, int),
-        "n": _resolve(args.n, config, "target.n", 1, int),
-        "N": _resolve(args.N, config, "fit.N", 32, int),
-        "activation": Activation(_resolve(args.activation, config, "fit.activation", "tanh", str)).value,
-        "edge_fraction": _resolve(args.edge_fraction, config, "fit.edge_fraction", 0.5, float),
-        "noise_penalty": _resolve(args.noise_penalty, config, "fit.noise_penalty", FIT_NOISE_PENALTY, float),
-        "ridge": _resolve(args.ridge, config, "fit.ridge", FIT_RIDGE, float),
-    }
+    run = {"command": "fit", "seed": args.seed, "n": args.n, "N": args.N, "activation": args.activation,
+           "edge_fraction": args.edge_fraction, "noise_penalty": args.noise_penalty, "ridge": args.ridge}
     if args.name == "":
         raise ValueError("--name must not be empty")
     if args.name:
         run["name"] = args.name
-    f = _resolve_target(args, config, run["n"], run)
-    grid = unit_grid(run["n"], _resolve(args.grid_points, config, "fit.grid", None, int))
+    f = _resolve_target(args, run["n"], run)
+    grid = unit_grid(run["n"], args.grid_points)
     run["grid"] = grid.shape[0]
     try:
         net = fit_reference(
@@ -257,23 +223,14 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config = load_json_object(args.config, "config") if args.config else {}
-    run = {"command": "sweep", "seed": _resolve(args.seed, config, "seed", 0, int)}
+    run = {"command": "sweep", "seed": args.seed}
     net = _load_network(args.network, "--network", "reference")
     run["network"] = net.name
-    f = _resolve_target(args, config, net.n, run)
-    Ms = _resolve(args.Ms, config, "sweep.Ms", None, [int])
-    if isinstance(Ms, str):
-        Ms = _parse_flag("--Ms", Ms, lambda s: [int(v) for v in s.split(",")], "integers separated by commas")
-    if not Ms:
-        raise ValueError("no stream lengths given (use --Ms or config sweep.Ms)")
-    run.update(
-        Ms=Ms,
-        trials=_resolve(args.trials, config, "sweep.trials", 200, int),
-        epsilon=_resolve(args.epsilon, config, "sweep.epsilon", 0.15, float),
-        grid=_resolve(args.grid_points, config, "sweep.grid", 17, int),
-        mode=AccumulationMode(_resolve(args.mode, config, "mode", "apc", str)).value,
-    )
+    f = _resolve_target(args, net.n, run)
+    if args.Ms is None:
+        raise ValueError("no stream lengths given (use --Ms)")
+    Ms = _parse_flag("--Ms", args.Ms, lambda s: [int(v) for v in s.split(",")], "integers separated by commas")
+    run.update(Ms=Ms, trials=args.trials, epsilon=args.epsilon, grid=args.grid_points, mode=args.mode)
     report = convergence_sweep(
         net, f, run["Ms"], run["trials"], unit_grid(net.n, run["grid"]), AccumulationMode(run["mode"]),
         StreamKey(run["seed"]), run["epsilon"], jobs=args.jobs,
@@ -312,7 +269,7 @@ def _cmd_bound(args) -> int:
     if not run["network"] or not args.target:
         raise ValueError("--validate needs --network and --target")
     net = _load_network(run["network"], "--network", "reference")
-    f = _resolve_target(args, {}, net.n, run)
+    f = _resolve_target(args, net.n, run)
     report = bound_validation(
         q, net, f, run["trials"], StreamKey(run["seed"]), grid=unit_grid(net.n, run["grid"]),
         mode=AccumulationMode(run["mode"]),
@@ -406,16 +363,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a reference network to a target function")
     p.add_argument("--target")
     p.add_argument("--target-param", action="append", metavar="K=V")
-    p.add_argument("--n", type=int)
-    p.add_argument("--N", type=int)
+    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--N", type=int, default=32)
     p.add_argument("--grid-points", type=int)
-    p.add_argument("--activation", choices=[a.value for a in Activation])
-    p.add_argument("--edge-fraction", type=float)
-    p.add_argument("--noise-penalty", type=float)
-    p.add_argument("--ridge", type=float)
+    p.add_argument("--activation", choices=[a.value for a in Activation], default="tanh")
+    p.add_argument("--edge-fraction", type=float, default=0.5)
+    p.add_argument("--noise-penalty", type=float, default=FIT_NOISE_PENALTY)
+    p.add_argument("--ridge", type=float, default=FIT_RIDGE)
     p.add_argument("--name")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_fit)
 
@@ -434,13 +390,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target")
     p.add_argument("--target-param", action="append", metavar="K=V")
     p.add_argument("--Ms", help="comma-separated ascending stream lengths")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--grid-points", type=int)
-    p.add_argument("--mode", choices=[m.value for m in AccumulationMode])
+    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--epsilon", type=float, default=0.15)
+    p.add_argument("--grid-points", type=int, default=17)
+    p.add_argument("--mode", choices=[m.value for m in AccumulationMode], default="apc")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=_cmd_sweep)
 

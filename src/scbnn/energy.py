@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
+from .bitstream import _is_length
 from .scgates import AccumulationMode, GateCounts, accumulator_width
 
 
@@ -43,8 +44,8 @@ class EnergyReport(GateCounts):
 
 def layer_energy(n: int, M: int, N: int, mode: AccumulationMode) -> EnergyReport:
     """Gate ops for a hidden layer of N units with n inputs of M bits each."""
-    if n < 1 or M < 1 or N < 1:
-        raise ValueError(f"need n, M, N >= 1, got n={n}, M={M}, N={N}")
+    if not (_is_length(n) and _is_length(M) and _is_length(N)):
+        raise ValueError(f"need integers n, M, N >= 1, got n={n!r}, M={M!r}, N={N!r}")
     m = n * M
     apc = mode is AccumulationMode.APC
     return EnergyReport(
@@ -65,9 +66,9 @@ def bnn_layer_energy(m: int, N: int, mode: AccumulationMode) -> EnergyReport:
     Identical classwise to layer_energy(n, M, N, mode) for any split with
     n*M = m; reported against the BNN parameterization (M = 1, n = m).
     """
-    if m < 1:
-        raise ValueError(f"bit budget m must be >= 1, got {m}")
-    if N < 1:
-        raise ValueError(f"layer width N must be >= 1, got {N}")
+    if not _is_length(m):
+        raise ValueError(f"bit budget m must be an integer >= 1, got {m!r}")
+    if not _is_length(N):
+        raise ValueError(f"layer width N must be an integer >= 1, got {N!r}")
     label = "O(m·N)" if mode is AccumulationMode.MUX else "O(m·log(m)·N)"
     return replace(layer_energy(m, 1, N, mode), asymptotic_label=label)

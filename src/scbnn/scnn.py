@@ -24,7 +24,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bitstream import _DRAW_BLOCK, EncodingRangeError, StreamKey, encode_blocks, fold_seeds, key_layout, zero_pad_bits
+from .bitstream import (_DRAW_BLOCK, EncodingRangeError, StreamKey, _is_length, encode_blocks, fold_seeds, key_layout,
+                        zero_pad_bits)
 from .energy import layer_energy
 from .netcore import ReferenceNetwork, activate
 from .scgates import AccumulationMode, _mux_select, add_counts, apc_ones
@@ -51,8 +52,8 @@ class ScnnConfig:
 
     def __post_init__(self):
         self.key._master_seed()
-        if self.M < 1:
-            raise ValueError(f"stream length M must be >= 1, got {self.M}")
+        if not _is_length(self.M):
+            raise ValueError(f"stream length M must be an integer >= 1, got {self.M!r}")
         if self.M > M_FEASIBLE_CAP:
             raise ValueError(f"stream length M={self.M} is too long: a forward pass runs at most 2^26 clocks")
 

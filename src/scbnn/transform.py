@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bitstream import Bitstream, Encoding, _packed_fault, to_hex_lines
+from .bitstream import Bitstream, Encoding, _is_length, _packed_fault, to_hex_lines
 from .bnn import BinaryNetwork, _require_rows, binary_dot
 from .energy import layer_energy
 from .netcore import Activation, _require_header, _require_numbers
@@ -40,8 +40,8 @@ def chunk_bits(bits: np.ndarray, m: int, M: int) -> np.ndarray:
     """Chunk packed m-bit vectors, shape (..., ceil(m/8)), into packed
     n = m/M chunks of M bits, shape (..., n, ceil(M/8)), with zero pad bits.
     M must divide m exactly."""
-    if m < 1 or M < 1:
-        raise ChunkError(f"need m >= 1 and M >= 1, got m={m}, M={M}")
+    if not (_is_length(m) and _is_length(M)):
+        raise ChunkError(f"need integers m >= 1 and M >= 1, got m={m}, M={M}")
     if m % M != 0:
         raise ChunkError(f"chunk length M={M} does not divide m={m}")
     if fault := _packed_fault(bits, m):

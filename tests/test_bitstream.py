@@ -99,6 +99,18 @@ class TestSngEncode:
         with pytest.raises(ValueError):
             sng_encode(0.5, 0, Encoding.UNIPOLAR, KEY)
 
+    # A float M ended in a bare TypeError (encode_blocks deferred it to the
+    # first block), and True was drawn as a one-bit stream.
+    @pytest.mark.parametrize("M", [8.5, True])
+    @pytest.mark.parametrize("draw", [
+        lambda M: sng_encode(0.5, M, Encoding.UNIPOLAR, KEY),
+        lambda M: encode_many([0.5], KEY._philox_key()[None], M),
+        lambda M: bitstream.encode_blocks([0.5], KEY._philox_key()[None], M),
+    ], ids=["sng_encode", "encode_many", "encode_blocks"])
+    def test_length_not_an_integer_is_refused(self, draw, M):
+        with pytest.raises(ValueError, match=rf"^stream length M must be an integer >= 1, got {M!r}$"):
+            draw(M)
+
     def test_determinism(self):
         a = sng_encode(0.3, 777, Encoding.BIPOLAR, KEY.substream("weights", 3, 4))
         b = sng_encode(0.3, 777, Encoding.BIPOLAR, KEY.substream("weights", 3, 4))
@@ -486,11 +498,20 @@ class TestSigns:
             Bitstream.from_signs([1, 0, -1])
 
     @pytest.mark.parametrize("make, message", [
-        (lambda: Bitstream(np.zeros(0, dtype=np.uint8), 0, Encoding.UNIPOLAR), "stream length must be >= 1, got 0"),
+        (lambda: Bitstream(np.zeros(0, dtype=np.uint8), 0, Encoding.UNIPOLAR),
+         "packed storage has rows of length 0, expected an integer >= 1"),
+        # A float length ended in a bare TypeError, and True was read as one bit.
+        (lambda: Bitstream(np.zeros(1, dtype=np.uint8), 8.5, Encoding.BIPOLAR),
+         "packed storage has rows of length 8.5, expected an integer >= 1"),
+        (lambda: Bitstream(np.zeros(1, dtype=np.uint8), True, Encoding.BIPOLAR),
+         "packed storage has rows of length True, expected an integer >= 1"),
         (lambda: Bitstream(np.zeros(2, dtype=np.uint8), 8, Encoding.UNIPOLAR),
          "packed storage has 2 bytes, expected 1 for length 8"),
         (lambda: Bitstream.from_bits([[0, 1]], Encoding.BIPOLAR), "bits must be a flat sequence of 0s and 1s"),
         (lambda: Bitstream.constant(2, 8, Encoding.BIPOLAR), "constant bit must be 0 or 1, got 2"),
+        # np.full read 8.5 as a bare TypeError and True as one bit.
+        (lambda: Bitstream.constant(1, 8.5, Encoding.BIPOLAR), "stream length must be an integer >= 1, got 8.5"),
+        (lambda: Bitstream.constant(1, True, Encoding.BIPOLAR), "stream length must be an integer >= 1, got True"),
         # A set pad bit made popcount 8 and decode 3.0 for a 4-bit stream.
         (lambda: Bitstream(np.array([0xFF], dtype=np.uint8), 4, Encoding.BIPOLAR),
          "packed storage has nonzero pad bits after length 4"),
@@ -498,7 +519,8 @@ class TestSigns:
          "packed storage is int64 of shape (1,), expected a uint8 array of ndim 1"),
         # A list was read for its dtype: AttributeError.
         (lambda: Bitstream([255], 8, Encoding.BIPOLAR), "packed storage is a list, expected a uint8 array of ndim 1"),
-    ], ids=["zero-length", "byte-count", "not-flat", "constant-bit", "pad-bits", "not-uint8", "list"])
+    ], ids=["zero-length", "float-length", "bool-length", "byte-count", "not-flat", "constant-bit",
+            "constant-float-length", "constant-bool-length", "pad-bits", "not-uint8", "list"])
     def test_malformed_stream_is_refused(self, make, message):
         with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
             make()

@@ -192,13 +192,15 @@ class TestForwardBnn:
             (np.zeros((0, 1), dtype=np.uint8), 8),
             (np.zeros((2, 1), dtype=np.uint8), 0),
             (np.zeros((2, 1), dtype=np.uint8), -3),
+            (np.zeros((2, 1), dtype=np.uint8), 8.5),  # a bare TypeError
+            (np.zeros((2, 1), dtype=np.uint8), True),  # was read as m = 1
             (np.zeros((2, 1), dtype=np.int64), 8),
             (np.zeros(2, dtype=np.uint8), 8),
             (np.full((2, 1), 0xFF, dtype=np.uint8), 4),  # set pad bits: w.x + b = 5 on ++++ was read as -3
             ([[0], [0]], 8),  # a list was read for its dtype: AttributeError
         ],
-        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "not-uint8", "one-dim", "pad-bits",
-             "list"],
+        ids=["row-too-short", "row-too-long", "zero-units", "m-zero", "m-negative", "m-float", "m-bool", "not-uint8",
+             "one-dim", "pad-bits", "list"],
     )
     def test_malformed_weight_array_rejected(self, weights, m):
         with pytest.raises(ValueError, match="^binary_weights [^\n]+$"):

@@ -81,58 +81,15 @@ class TestFit:
         assert capsys.readouterr().err == "error: --name must not be empty\n"
         assert not (tmp_path / "o").exists()
 
-    def test_config_file_with_flag_override(self, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "seed": 6,
-            "target": {"name": "constant", "n": 1, "params": ["value=0.4"]},
-            "fit": {"N": 4, "grid": 32, "edge_fraction": 0.0},
-        }))
-        out = tmp_path / "o"
-        assert run("fit", "--config", cfg, "--target", "linear", "--out-dir", out) == 0
-        report = json.loads((out / "fit_report.json").read_text())
-        assert report["target"] == "linear"  # flag wins over config
-
-
-    @pytest.mark.parametrize("seed", [1.5, True, "3"])
-    def test_non_integer_config_seed_is_usage_error(self, tmp_path, capsys, seed):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": seed, "target": {"name": "sine"}}))
-        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
-        assert_one_line_error(capsys)
-
-    @pytest.mark.parametrize("config, key", [
-        ({"fit": {"N": 8.7}}, "fit.N"),
-        ({"fit": {"grid": "64"}}, "fit.grid"),
-        ({"fit": {"ridge": True}}, "fit.ridge"),
-        ({"target": {"name": "sine", "params": ["cycles=1", 2]}}, "target.params[1]"),
-        ({"fit": [4]}, "fit"),
-    ])
-    def test_wrong_config_type_names_the_key(self, tmp_path, capsys, config, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target": {"name": "sine"}, **config}))
-        assert run("fit", "--config", cfg, "--out-dir", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
-        assert not (tmp_path / "o" / "network.json").exists()
-
     def test_zero_grid_points_is_usage_error(self, tmp_path, capsys):
         assert run("fit", "--target", "sine", "--grid-points", "0", "--out-dir", tmp_path) == 2
         assert_one_line_error(capsys)
         assert not (tmp_path / "network.json").exists()
 
-    # A config file cannot hold NaN or Infinity: its loader rejects them.
     @pytest.mark.parametrize("key", ["ridge", "noise_penalty"])
-    @pytest.mark.parametrize("source, value", [
-        ("flag", "nan"), ("flag", "inf"), ("flag", "-1e-08"), ("config", "-1e-08"),
-    ])
-    def test_penalty_not_finite_and_non_negative_is_usage_error(self, tmp_path, capsys, key, source, value):
-        if source == "flag":
-            argv = ["--target", "sine", f"--{key.replace('_', '-')}={value}"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"target": {"name": "sine"}, "fit": {key: float(value)}}))
-            argv = ["--config", cfg]
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1e-08"])
+    def test_penalty_not_finite_and_non_negative_is_usage_error(self, tmp_path, capsys, key, value):
+        argv = ["--target", "sine", f"--{key.replace('_', '-')}={value}"]
         assert run("fit", "--N", "4", *argv, "--out-dir", tmp_path / "o") == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {key} must be finite and >= 0") and err.count("\n") == 1
@@ -177,14 +134,6 @@ class TestSeedAndTargetParams:
         assert not (tmp_path / "network.json").exists()
 
     @pytest.mark.parametrize("seed", [2**64, -1])
-    def test_config_seed_outside_64_bits(self, tmp_path, capsys, seed):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": seed, "target": {"name": "sine"}}))
-        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
-        assert_one_line_error(capsys)
-        assert not (tmp_path / "o" / "network.json").exists()
-
-    @pytest.mark.parametrize("seed", [2**64, -1])
     def test_convert_seed_outside_64_bits(self, bnn_file, tmp_path, capsys, seed):
         assert run("convert", "--network", bnn_file, "--to-scnn", "4", "--seed", seed,
                    "--out-dir", tmp_path) == 2
@@ -203,24 +152,13 @@ class TestSeedAndTargetParams:
         assert param.split("=")[0] in err and err.count("\n") == 1
         assert not (tmp_path / "network.json").exists()
 
-    def test_config_params_belong_to_the_config_target(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycle=2"]}}))
-        argv = ("fit", "--config", cfg, "--N", "4", "--grid-points", "16")
-        assert run(*argv, "--out-dir", tmp_path / "a") == 2
-        assert run(*argv, "--target", "sine", "--out-dir", tmp_path / "b") == 2
-        assert "'cycle'" in capsys.readouterr().err
-        assert run(*argv, "--target", "linear", "--out-dir", tmp_path / "c") == 0
-
     def test_target_params_are_hashed(self, sine_net, tmp_path):
-        # Params from the flag and from the config hash alike; other params, another hash.
+        # Other params, another hash.
         def meta(cmd, argv, out):
             assert run(*argv, "--out-dir", tmp_path / out) == 0
             path = tmp_path / out / ("fit_report.json" if cmd == "fit" else "sweep_summary.json")
             return json.loads(path.read_text())["meta"]["config_hash"]
 
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycles=2"]}}))
         commands = {
             "fit": ("fit", "--target", "sine", "--N", "4", "--grid-points", "16"),
             "sweep": ("sweep", "--network", sine_net, "--target", "sine", "--Ms", "4",
@@ -230,21 +168,13 @@ class TestSeedAndTargetParams:
             one = meta(cmd, (*argv, "--target-param", "cycles=1"), f"{cmd}-1")
             two = meta(cmd, (*argv, "--target-param", "cycles=2"), f"{cmd}-2")
             assert one != two
-            assert meta(cmd, (*argv, "--config", cfg), f"{cmd}-config") == two
 
-    @pytest.mark.parametrize("source", ["--target-param", "config target.params"])
-    def test_repeated_param_is_usage_error(self, sine_net, tmp_path, capsys, source):
+    def test_repeated_param_is_usage_error(self, sine_net, tmp_path, capsys):
         # The last value used to win without a word.
-        argv = ["sweep", "--network", sine_net, "--target", "sine", "--Ms", "4", "--trials", "30",
-                "--grid-points", "2", "--out-dir", tmp_path / "o"]
-        if source == "--target-param":
-            argv += ["--target-param", "cycles=2", "--target-param", "cycles=3"]
-        else:
-            cfg = tmp_path / "cfg.json"
-            cfg.write_text(json.dumps({"target": {"name": "sine", "params": ["cycles=2", "cycles=3"]}}))
-            argv += ["--config", cfg]
-        assert run(*argv) == 2
-        assert capsys.readouterr().err == f"error: {source} gives 'cycles' twice\n"
+        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "4", "--trials", "30",
+                   "--grid-points", "2", "--target-param", "cycles=2", "--target-param", "cycles=3",
+                   "--out-dir", tmp_path / "o") == 2
+        assert capsys.readouterr().err == "error: --target-param gives 'cycles' twice\n"
         assert not (tmp_path / "o").exists()
 
     def test_parser_keeps_no_values_between_calls(self, tmp_path):
@@ -423,47 +353,9 @@ class TestSweep:
         assert run("sweep", "--network", sine_net, "--target", "sine",
                    "--Ms", "16", "--trials", "0", "--out-dir", tmp_path) == 2
 
-    @pytest.mark.parametrize("value", ["NaN", "Infinity"])
-    def test_non_finite_config_value_is_usage_error(self, sine_net, tmp_path, capsys, value):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"sweep": {"epsilon": %s}}' % value)
-        assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "16",
-                   "--trials", "30", "--grid-points", "2", "--config", cfg,
-                   "--out-dir", tmp_path / "o") == 2
-        assert_one_line_error(capsys)
-        assert not (tmp_path / "o" / "sweep_summary.json").exists()
-
     def test_missing_network_file(self, tmp_path):
         assert run("sweep", "--network", tmp_path / "nope.json", "--target", "sine",
                    "--Ms", "16", "--out-dir", tmp_path) == 2
-
-    @pytest.mark.parametrize("sweep, key", [
-        ({"Ms": 16}, "sweep.Ms"),
-        ({"Ms": "16,64"}, "sweep.Ms"),
-        ({"Ms": [16, 64.5]}, "sweep.Ms[1]"),
-        ({"trials": [1]}, "sweep.trials"),
-        ({"epsilon": "0.2"}, "sweep.epsilon"),
-        ({"grid": None}, "sweep.grid"),
-    ])
-    def test_wrong_config_type_names_the_key(self, sine_net, tmp_path, capsys, sweep, key):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"sweep": {"Ms": [16], "trials": 30, "grid": 2, **sweep}}))
-        assert run("sweep", "--network", sine_net, "--target", "sine", "--config", cfg,
-                   "--out-dir", tmp_path / "o") == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: config {key} must be ") and err.count("\n") == 1
-        assert not (tmp_path / "o" / "sweep.csv").exists()
-
-    def test_config_values_of_the_right_type(self, sine_net, tmp_path):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({
-            "seed": 9, "mode": "mux", "target": {"name": "sine", "params": ["cycles=1"]},
-            "sweep": {"Ms": [16, 64], "trials": 30, "epsilon": 1, "grid": 2},
-        }))
-        assert run("sweep", "--network", sine_net, "--config", cfg, "--out-dir", tmp_path / "o") == 0
-        summary = json.loads((tmp_path / "o" / "sweep_summary.json").read_text())
-        assert summary["epsilon"] == 1.0 and summary["mode"] == "mux"
-        assert [r["M"] for r in summary["rows"]] == [16, 64]
 
     def test_oversized_stream_length_is_usage_error(self, sine_net, tmp_path, capsys):
         assert run("sweep", "--network", sine_net, "--target", "sine", "--Ms", "99999999999",
@@ -797,13 +689,6 @@ class TestRepeatedKeys:
     """A key given twice in one JSON object exits 2 naming the file and the
     key; the last value used to win without a word."""
 
-    def test_config(self, tmp_path, capsys):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text('{"seed": 1, "target": {"name": "sine"}, "seed": 5}')
-        assert run("fit", "--config", cfg, "--N", "4", "--out-dir", tmp_path / "o") == 2
-        assert capsys.readouterr().err == f"error: {cfg}: repeated key 'seed'\n"
-        assert not (tmp_path / "o").exists()
-
     def test_weight_file(self, sine_net, tmp_path, capsys):
         path = tmp_path / "net.json"
         path.write_text(sine_net.read_text().replace('"N": 8,', '"N": 8, "N": 8,', 1))
@@ -817,9 +702,9 @@ WRONG_LENGTH = "wrong length"
 
 
 class TestNumberRule:
-    """Every number field of every file kind, and a config float, is a JSON
-    int or float, not a bool or a string, finite as a float64. Anything else
-    exits 2 with one line naming the file and the field."""
+    """Every number field of every network file kind is a JSON int or float,
+    not a bool or a string, finite as a float64. Anything else exits 2 with
+    one line naming the file and the field."""
 
     @pytest.mark.parametrize("value", [True, "0.25", 10**400, WRONG_LENGTH], ids=["true", "str", "1e400", "length"])
     @pytest.mark.parametrize("kind, path, named", [
@@ -831,15 +716,12 @@ class TestNumberRule:
         ("reference", ("prescale", "bias"), "prescale: field 'bias'"),
         ("binary", ("output_weights", 1), "field 'output_weights"),
         ("bundle", ("output_weights", 1), "field 'output_weights"),
-        ("config", ("sweep", "epsilon"), "config sweep.epsilon"),
     ])
     def test_field_is_named(self, sine_net, bnn_file, bundle_doc, tmp_path, capsys, kind, path, named, value):
         doc, argv = {
             "reference": (json.loads(sine_net.read_text()), ["eval", "--x", "0.25"]),
             "binary": (json.loads(bnn_file.read_text()), ["convert", "--to-scnn", "4"]),
             "bundle": (json.loads(json.dumps(bundle_doc)), ["convert", "--to-bnn"]),
-            "config": ({"sweep": {"Ms": [16], "trials": 30, "grid": 2, "epsilon": 0.2}},
-                       ["sweep", "--network", sine_net, "--target", "sine"]),
         }[kind]
         *parents, last = path
         node = doc
@@ -853,12 +735,11 @@ class TestNumberRule:
             node[last] = [0.25, 0.25]
         file = tmp_path / "in.json"
         file.write_text(json.dumps(doc))
-        flag = "--config" if kind == "config" else "--network"
         if argv[0] != "eval":
             argv = [*argv, "--out-dir", tmp_path / "o"]
-        assert run(*argv, flag, file) == 2
+        assert run(*argv, "--network", file) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: config " if kind == "config" else f"error: {file}: ")
+        assert err.startswith(f"error: {file}: ")
         assert named in err and err.count("\n") == 1
         assert not (tmp_path / "o").exists()
 
@@ -902,18 +783,11 @@ class TestNumberRule:
         assert not (tmp_path / "o").exists()
 
 
-    @pytest.mark.parametrize("argv, flag", [
-        (["eval", "--x", "0.5"], "--network"),
-        (["fit", "--target", "sine", "--N", "4"], "--config"),
-    ], ids=["network", "config"])
-    def test_deep_nesting_is_named(self, tmp_path, capsys, argv, flag):
+    def test_deep_nesting_is_named(self, tmp_path, capsys):
         file = tmp_path / "deep.json"
         file.write_text("[" * 100_000)
-        if argv[0] == "fit":
-            argv = [*argv, "--out-dir", tmp_path / "o"]
-        assert run(*argv, flag, file) == 2
+        assert run("eval", "--x", "0.5", "--network", file) == 2
         assert capsys.readouterr().err == f"error: {file}: JSON nested too deeply\n"
-        assert not (tmp_path / "o").exists()
 
 
 class TestFlagLists:
@@ -1019,8 +893,8 @@ def mutate(doc, data):
 
 
 class TestParserFuzz:
-    """Mutated bundle, binary-weight, reference-weight and config documents
-    exit 0 or 2, never with a traceback."""
+    """Mutated bundle, binary-weight and reference-weight documents exit 0
+    or 2, never with a traceback."""
 
     def _run_mutated(self, doc, data, *argv):
         doc = mutate(json.loads(json.dumps(doc)), data)
@@ -1047,18 +921,6 @@ class TestParserFuzz:
             path = Path(tmp) / "network.json"
             path.write_text(json.dumps(doc))
             assert run("eval", "--network", path, "--x", "0.25", "--scnn", "--M", "16") in (0, 2)
-
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_sweep_config(self, sine_net, data):
-        doc = mutate({
-            "seed": 3, "mode": "apc", "target": {"name": "sine", "params": ["cycles=1"]},
-            "sweep": {"Ms": [4, 8], "trials": 30, "epsilon": 0.3, "grid": 2},
-        }, data)
-        with tempfile.TemporaryDirectory() as tmp:
-            cfg = Path(tmp) / "cfg.json"
-            cfg.write_text(json.dumps(doc))
-            assert run("sweep", "--network", sine_net, "--config", cfg, "--out-dir", Path(tmp) / "o") in (0, 2)
 
 
 class TestEnergy:

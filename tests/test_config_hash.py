@@ -3,7 +3,8 @@
 The matrix pins the hash of each argv; it was recorded before the commands
 resolved their settings into one run dict, so it shows that refactor moved
 no hash. The guard checks that each flag an argv sets reaches the hash, or
-changes no output byte, or is a gap named in `cli.HASH_GAPS`.
+changes no output byte, or is a gap named in `cli.HASH_GAPS`. A flag
+given at its parser default hashes as the flag left out.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 
 from scbnn import cli
 from scbnn.cli import main
+from scbnn.netcore import FIT_NOISE_PENALTY, FIT_RIDGE
 
 
 def run(*argv):
@@ -34,30 +36,19 @@ def config_hash(out: Path) -> str:
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """Input files by name: two fitted nets, a binarized net, a stream
-    bundle and three config files."""
+    """Input files by name: two fitted nets, a binarized net and a stream
+    bundle."""
     d = tmp_path_factory.mktemp("inputs")
     run("fit", "--target", "linear", "--N", "2", "--seed", "1", "--out-dir", d / "net1")
     run("fit", "--target", "linear", "--n", "4", "--N", "3", "--grid-points", "3", "--seed", "4",
         "--out-dir", d / "net4")
     run("convert", "--network", d / "net4" / "network.json", "--binarize", "--seed", "9", "--out-dir", d / "bin")
     run("convert", "--network", d / "bin" / "binary_network.json", "--to-scnn", "2", "--out-dir", d / "scnn")
-    configs = {
-        "fit1": {"seed": 7, "target": {"name": "sine", "n": 1, "params": ["cycles=0.5"]},
-                 "fit": {"N": 3, "grid": 9, "activation": "sigmoid", "edge_fraction": 1.0,
-                         "noise_penalty": 0.0, "ridge": 1e-4}},
-        "fit2": {"target": {"name": "bump", "n": 2}, "fit": {"N": 3, "grid": 4}},
-        "sweep": {"seed": 11, "mode": "mux", "target": {"name": "linear"},
-                  "sweep": {"Ms": [2, 8], "trials": 30, "epsilon": 0.25, "grid": 3}},
-    }
-    for name, doc in configs.items():
-        (d / f"{name}.json").write_text(json.dumps(doc))
     return {
         "net1": d / "net1" / "network.json",
         "net4": d / "net4" / "network.json",
         "bin": d / "bin" / "binary_network.json",
         "scnn": d / "scnn" / "scnn_streams.json",
-        **{f"cfg_{name}": d / f"{name}.json" for name in configs},
     }
 
 
@@ -76,16 +67,9 @@ MATRIX = {
                             "2432f28a2d4533e6"),
     "fit-target-param": (("fit", "--target", "sine", "--target-param", "cycles=2", "--N", "4",
                           "--grid-points", "16", "--seed", "2"), "b99b8ce168e85a4b"),
-    "fit-n1-config": (("fit", "--config", "{cfg_fit1}"), "b1e81ba8137d8b9d"),
-    "fit-n1-config-and-flags": (("fit", "--config", "{cfg_fit1}", "--N", "5", "--seed", "8",
-                                 "--activation", "tanh"), "9dea6e661e74cfad"),
-    "fit-n2-config": (("fit", "--config", "{cfg_fit2}"), "35c49af0c94feff9"),
     "sweep-flags": (("sweep", "--network", "{net1}", "--target", "linear", "--Ms", "4,16", "--trials", "30",
                      "--grid-points", "3", "--epsilon", "0.2", "--mode", "mux", "--seed", "5"),
                     "704f4812fef643b8"),
-    "sweep-config": (("sweep", "--network", "{net1}", "--config", "{cfg_sweep}"), "c6b3eca3b2db4118"),
-    "sweep-config-and-flags": (("sweep", "--network", "{net1}", "--config", "{cfg_sweep}", "--mode", "apc",
-                                "--target", "sine", "--target-param", "cycles=0.5"), "0d81cf05cdaad6e6"),
     "bound-alpha-sum": ((*BOUND, "--alpha-sum", "0.75"), "4063b4700f94c4de"),
     # bound leaves --mode out of its hash (a gap in cli.HASH_GAPS), so both modes hash alike.
     "bound-alpha-sum-mux": ((*BOUND, "--alpha-sum", "0.75", "--mode", "mux"), "4063b4700f94c4de"),
@@ -105,10 +89,9 @@ def test_config_hash_is_pinned(inputs, tmp_path, case):
     assert config_hash(tmp_path) == expected
 
 
-#: Flags that change no output byte: where files go, where defaults come
-#: from (the settings they give are hashed), the worker count, and
+#: Flags that change no output byte: where files go, the worker count, and
 #: `bound --validate`, without which bound writes no file.
-NO_BYTE_FLAGS = {"out_dir", "config", "jobs", "validate"}
+NO_BYTE_FLAGS = {"out_dir", "jobs", "validate"}
 
 #: The run key a flag's value is held under, where the names differ.
 RUN_KEY = {
@@ -124,11 +107,10 @@ RUN_KEY = {
 GUARD = {
     "fit": ("fit", "--target", "sine", "--target-param", "cycles=2", "--n", "1", "--N", "3",
             "--grid-points", "9", "--activation", "sigmoid", "--edge-fraction", "0.25",
-            "--noise-penalty", "0.01", "--ridge", "1e-6", "--name", "alpha", "--seed", "2",
-            "--config", "{cfg_fit1}"),
+            "--noise-penalty", "0.01", "--ridge", "1e-6", "--name", "alpha", "--seed", "2"),
     "sweep": ("sweep", "--network", "{net1}", "--target", "sine", "--target-param", "cycles=0.5",
               "--Ms", "2,8", "--trials", "30", "--epsilon", "0.2", "--grid-points", "2", "--mode", "mux",
-              "--jobs", "1", "--seed", "5", "--config", "{cfg_sweep}"),
+              "--jobs", "1", "--seed", "5"),
     "bound": ("bound", "--n", "1", "--N", "2", "--epsilon", "0.9", "--delta", "0.5", "--alpha-sum", "0.75",
               "--validate", "--network", "{net1}", "--target", "sine", "--target-param", "cycles=0.5",
               "--trials", "2", "--grid-points", "2", "--mode", "mux", "--seed", "3"),
@@ -160,6 +142,29 @@ def test_every_flag_reaches_the_hash(inputs, tmp_path, monkeypatch, case):
         if key == dest and key not in gaps:  # held as the flag gave it (--Ms as a list)
             held = ",".join(map(str, run[key])) if isinstance(run[key], list) else run[key]
             assert held == getattr(parsed, dest), dest
+
+
+#: The default of each `fit` and `sweep` flag that has one, as the README
+#: and the parser state it, and an argv that leaves every such flag out.
+DEFAULTS = {
+    "fit": (("fit", "--target", "linear", "--grid-points", "5"), {
+        "--seed": "0", "--n": "1", "--N": "32", "--activation": "tanh", "--edge-fraction": "0.5",
+        "--noise-penalty": repr(FIT_NOISE_PENALTY), "--ridge": repr(FIT_RIDGE)}),
+    "sweep": (("sweep", "--network", "{net1}", "--target", "linear", "--Ms", "4"), {
+        "--seed": "0", "--trials": "200", "--epsilon": "0.15", "--grid-points": "17", "--mode": "apc"}),
+}
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, (_, flags) in DEFAULTS.items() for f in flags],
+                         ids=lambda v: v.lstrip("-"))
+def test_a_flag_at_its_default_moves_no_hash(inputs, tmp_path, command, flag):
+    # Each default is stated once, in the parser: a flag left out and the
+    # same flag given at its default make one run, so one hash.
+    argv, flags = DEFAULTS[command]
+    argv = [a.format(**inputs) for a in argv]
+    run(*argv, "--out-dir", tmp_path / "left-out")
+    run(*argv, flag, flags[flag], "--out-dir", tmp_path / "given")
+    assert config_hash(tmp_path / "given") == config_hash(tmp_path / "left-out")
 
 
 def test_name_is_hashed_when_given(tmp_path):

@@ -1,5 +1,7 @@
 import math
+import re
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -56,8 +58,28 @@ class TestClosedForm:
             layer_energy(1, 0, 1, AccumulationMode.MUX)
         with pytest.raises(ValueError):
             bnn_layer_energy(0, 1, AccumulationMode.MUX)
-        with pytest.raises(ValueError, match="layer width N must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="layer width N must be an integer >= 1, got 0"):
             bnn_layer_energy(8, 0, AccumulationMode.MUX)
+
+    # A float size was counted as if it were one (n = 8.5 gave 68.0 XNOR
+    # ops), and True was counted as 1.
+    @pytest.mark.parametrize("value", [8.5, True])
+    @pytest.mark.parametrize("call, message", [
+        (lambda v: layer_energy(v, 8, 2, AccumulationMode.APC), "need integers n, M, N >= 1, got n={v!r}, M=8, N=2"),
+        (lambda v: layer_energy(2, v, 2, AccumulationMode.APC), "need integers n, M, N >= 1, got n=2, M={v!r}, N=2"),
+        (lambda v: layer_energy(2, 8, v, AccumulationMode.MUX), "need integers n, M, N >= 1, got n=2, M=8, N={v!r}"),
+        (lambda v: bnn_layer_energy(v, 2, AccumulationMode.APC), "bit budget m must be an integer >= 1, got {v!r}"),
+        (lambda v: bnn_layer_energy(8, v, AccumulationMode.MUX), "layer width N must be an integer >= 1, got {v!r}"),
+    ], ids=["layer-n", "layer-M", "layer-N", "bnn-m", "bnn-N"])
+    def test_size_not_an_integer_is_refused(self, call, message, value):
+        with pytest.raises(ValueError, match=rf"^{re.escape(message.format(v=value))}$"):
+            call(value)
+
+    def test_numpy_integer_sizes_are_sizes(self):
+        n, M, N = np.int64(3), np.int32(16), np.uint8(2)
+        for mode in MODES:
+            assert layer_energy(n, M, N, mode).classes() == layer_energy(3, 16, 2, mode).classes()
+            assert bnn_layer_energy(n * M, N, mode).classes() == bnn_layer_energy(48, 2, mode).classes()
 
     def test_asymptotic_labels(self):
         assert layer_energy(2, 8, 3, AccumulationMode.MUX).asymptotic_label == "O(n·M·N)"

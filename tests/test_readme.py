@@ -1,7 +1,7 @@
 """The README names only what the package holds: its "Package layout"
 table names what each module holds, every backticked dotted name rooted in
-the package resolves, every test its claims ledger cites exists, and every
-command and flag it shows is one the CLI takes."""
+the package resolves, every test and ROADMAP item its claims ledger cites
+exists, and every command and flag it shows is one the CLI takes."""
 
 import argparse
 import dataclasses
@@ -18,6 +18,7 @@ import scbnn
 from scbnn import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+ROADMAP = README.parent / "ROADMAP.md"
 #: Backticked names that are not identifiers of their row's module.
 NOT_IDENTIFIERS = {"scbnn.cli": {"scbnn"}}  # the command's name
 MODULES = {info.name for info in pkgutil.iter_modules(scbnn.__path__)}
@@ -67,7 +68,7 @@ def test_named_identifiers_exist(module_name, names):
 def _package_names() -> list[str]:
     """Backticked names outside code blocks, a trailing call dropped, whose
     first dotted part is `scbnn`, a module of the package or a class it
-    exports; config keys (`sweep.Ms`) and numpy names are left out."""
+    exports; numpy names are left out."""
     roots = {"scbnn", *MODULES, *(name for name, value in vars(scbnn).items() if inspect.isclass(value))}
     text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
     spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", text))
@@ -97,20 +98,31 @@ def test_backticked_package_names_resolve():
     assert not missing, f"README names {missing}, which the package does not hold"
 
 
+def _ledger_section() -> str:
+    return README.read_text(encoding="utf-8").split("## Paper claims and their checks", 1)[1].split("\n## ", 1)[0]
+
+
 def _ledger_test_ids() -> list[str]:
-    """The `tests/...::...` ids of the "Paper claims and their checks" table."""
-    section = README.read_text(encoding="utf-8").split("## Paper claims and their checks", 1)[1].split("\n## ", 1)[0]
-    return re.findall(r"`(tests/[^`]+::[^`]+)`", section)
+    """The `tests/...::...` ids of the "Paper claims and their checks" section."""
+    return re.findall(r"`(tests/[^`]+::[^`]+)`", _ledger_section())
+
+
+def _case_ids(function) -> set[str]:
+    """The ids given to the cases of a test function's parametrize marks."""
+    marks = (mark for mark in getattr(function, "pytestmark", ()) if mark.name == "parametrize")
+    return {case.id for mark in marks for case in mark.args[1] if getattr(case, "id", None)}
 
 
 def _names_a_test_function(test_id: str) -> bool:
+    """`test_id` names a test function, and a case of it with an id when it ends in `[id]`."""
     path, *names = test_id.split("::")
+    names[-1], bracket, case = names[-1].partition("[")
     if not (README.parent / path).is_file():
         return False
     obj = importlib.import_module(Path(path).stem)
     for name in names:
         obj = getattr(obj, name, None)
-    return inspect.isfunction(obj) and names[-1].startswith("test_")
+    return inspect.isfunction(obj) and names[-1].startswith("test_") and (not bracket or case[:-1] in _case_ids(obj))
 
 
 def test_claims_ledger_names_existing_tests():
@@ -118,6 +130,32 @@ def test_claims_ledger_names_existing_tests():
     assert ids, "the claims ledger cites no tests"
     missing = [test_id for test_id in ids if not _names_a_test_function(test_id)]
     assert not missing, f"the claims ledger cites {missing}, which name no test function"
+
+
+def test_mutation_column_names_every_mutation_case():
+    # Each row's last cell names tests/test_mutations.py cases only, and every
+    # case of that file is named in some row, as caught or as a survivor.
+    rows = [line.split(" | ") for line in _ledger_section().splitlines() if line.startswith("| ") and "tests/" in line]
+    assert rows and all(len(row) == 5 for row in rows), "every ledger row needs its five cells"
+    cited = {test_id for row in rows for test_id in re.findall(r"`(tests/[^`]+)`", row[-1])}
+    assert all(test_id.startswith("tests/test_mutations.py::") for test_id in cited), cited
+    module = importlib.import_module("test_mutations")
+    cases = set()
+    for name, function in vars(module).items():
+        if name.startswith("test_") and inspect.isfunction(function):
+            test_id = f"tests/test_mutations.py::{name}"
+            cases |= {f"{test_id}[{case}]" for case in _case_ids(function)} or {test_id}
+    assert cited == cases, f"named but no case: {sorted(cited - cases)}; not named: {sorted(cases - cited)}"
+
+
+def test_claims_ledger_cites_roadmap_items():
+    # A re-anchor that prunes or renumbers an item the ledger still cites fails here.
+    table = "\n".join(line for line in _ledger_section().splitlines() if line.startswith("|"))
+    cited = set(re.findall(r"\bitem (\d+)", table))
+    assert cited, "the claims ledger table cites no ROADMAP item"
+    headings = set(re.findall(r"^### (\d+)\.", ROADMAP.read_text(encoding="utf-8"), flags=re.M))
+    missing = sorted(cited - headings, key=int)
+    assert not missing, f"the claims ledger cites items {missing}, which ROADMAP.md has no heading for"
 
 
 def _sh_commands() -> list[list[str]]:

@@ -223,6 +223,17 @@ class TestForwardScnn:
         with pytest.raises(ValueError, match=f"M={M_FEASIBLE_CAP + 1} is too long"):
             ScnnConfig(M_FEASIBLE_CAP + 1, KEY)
 
+    # 8.5 was accepted and ended in a bare TypeError in forward_scnn; True ran as M = 1.
+    @pytest.mark.parametrize("M", [8.5, True, 16.0, 0])
+    def test_length_not_an_integer_is_refused(self, M):
+        with pytest.raises(ValueError, match=rf"^stream length M must be an integer >= 1, got {M!r}$"):
+            ScnnConfig(M, KEY)
+
+    def test_numpy_integer_length_is_a_length(self):
+        net = net_of([[1.0]], [0.0], [1.0])
+        cfg = ScnnConfig(np.int64(16), KEY)
+        assert forward_scnn(net, [0.5], cfg) == forward_scnn(net, [0.5], ScnnConfig(16, KEY))
+
     @given(st.floats(-20, 20), st.floats(-20, 20))
     @settings(max_examples=100)
     def test_lipschitz_composition(self, p_hat, p):

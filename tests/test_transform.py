@@ -93,9 +93,10 @@ class TestChunkBits:
         assert n_chunks(5, 5) == 1
         assert n_chunks(5, 1) == 5
 
-    @pytest.mark.parametrize("m, M", [(0, 1), (4, 0), (4, -2)])
+    # A float or bool length that passed the divisibility test ended in a TypeError.
+    @pytest.mark.parametrize("m, M", [(0, 1), (4, 0), (4, -2), (8, 2.0), (8, True), (8.5, 8.5)])
     def test_non_positive_rejected(self, m, M):
-        with pytest.raises(ChunkError, match=rf"^need m >= 1 and M >= 1, got m={m}, M={M}$"):
+        with pytest.raises(ChunkError, match=rf"^need integers m >= 1 and M >= 1, got m={m}, M={M}$"):
             chunk_bits(np.zeros(1, dtype=np.uint8), m, M)
 
     @pytest.mark.parametrize("cut, message", [
