@@ -516,7 +516,8 @@ def decode(s: Bitstream) -> float:
 def to_hex_lines(rows: np.ndarray, M: int, enc: Encoding | None) -> list[str]:
     """The hex line of each packed M-bit row of `rows`, shape (S, ceil(M/8))."""
     prefix = "" if enc is None else f"M:{M};enc:{enc.tag};"
-    return [prefix + h for h in rows.tobytes().hex(" ", rows.shape[-1]).split()]
+    hexed = rows.tobytes().hex(" ", rows.shape[-1])
+    return (prefix + hexed.replace(" ", " " + prefix)).split(" ") if hexed else []
 
 
 def to_hex_line(s: Bitstream) -> str:

@@ -239,9 +239,6 @@ def _cmd_sweep(args) -> int:
     out = _out_dir(args.out_dir)
     header = [field.name for field in fields(SweepRow)]
     _write_csv(out / "sweep.csv", header, [astuple(r) for r in report.rows], meta)
-    plot_header = ["M", "median_vs_reference", "rms_vs_reference", "median_vs_target", "rms_vs_target", "failure_rate"]
-    plot_rows = [[getattr(r, name) for name in plot_header] for r in report.rows]
-    _write_csv(out / "sweep_plot.csv", plot_header, plot_rows, meta)
     _write_json(out / "sweep_summary.json", report.to_dict(), meta)
     print(f"sweep {net.name} vs {run['target']}: slope_median {report.slope_median!r}")
     for r in report.rows:
@@ -249,7 +246,7 @@ def _cmd_sweep(args) -> int:
             f"  M={r.M}: median|G_SC-G|={r.median_vs_reference!r} "
             f"failure_rate={r.failure_rate!r}"
         )
-    print(f"wrote {out / 'sweep.csv'}, {out / 'sweep_plot.csv'}, {out / 'sweep_summary.json'}")
+    print(f"wrote {out / 'sweep.csv'} and {out / 'sweep_summary.json'}")
     return 0
 
 
@@ -308,8 +305,6 @@ def _cmd_convert(args) -> int:
         out = _out_dir(args.out_dir)
         meta = _metadata(run)
         _write_json(out / "binary_network.json", binary_network_to_dict(bnet), meta)
-        if binarize:
-            _write_json(out / "conversion_report.json", {"conversion": "binarize", "m": bnet.m, "N": bnet.N}, meta)
         print(f"{'binarized' if binarize else 'joined'} {net.name}: m={bnet.m} N={bnet.N}")
         print(f"wrote {out / 'binary_network.json'}")
         return 0
@@ -345,11 +340,9 @@ def _cmd_energy(args) -> int:
         print(f"{name}: {value}")
     print(f"total: {report.total} ({report.asymptotic_label})")
     if args.out_dir:
-        out = _out_dir(args.out_dir)
-        meta = _metadata(run)
-        _write_json(out / "energy.json", report.to_dict(), meta)
-        _write_csv(out / "energy.csv", ["class", "count"], [*report.classes().items(), ("total", report.total)], meta)
-        print(f"wrote {out / 'energy.json'} and {out / 'energy.csv'}")
+        path = _out_dir(args.out_dir) / "energy.json"
+        _write_json(path, report.to_dict(), _metadata(run))
+        print(f"wrote {path}")
     return 0
 
 

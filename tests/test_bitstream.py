@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scbnn import (
@@ -649,6 +649,9 @@ class TestHexLine:
             assert np.array_equal(rows, np.stack([from_hex_line(line).bits for line in oracle]))
 
     @given(st.lists(st.binary(min_size=2, max_size=2), max_size=4), st.sampled_from([Encoding.BIPOLAR, None]))
+    @example([], Encoding.BIPOLAR)
+    @example([], None)
+    @example([b"\xff\xf8", b"\x12\x30"], None)
     def test_batch_round_trip(self, payloads, enc):
         rows = bitstream.zero_pad_bits(np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(-1, 2), 13)
         lines = to_hex_lines(rows, 13, enc)

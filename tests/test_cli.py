@@ -25,6 +25,20 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+#: The files each command writes to its --out-dir, sorted, keyed by the
+#: command and the flag that picks its files. README's CLI section lists
+#: the same (tests/test_readme.py).
+OUTPUT_FILES = {
+    "fit": ["fit_report.json", "network.json"],
+    "sweep": ["sweep.csv", "sweep_summary.json"],
+    "bound --validate": ["bound_report.json"],
+    "convert --binarize": ["binary_network.json"],
+    "convert --to-scnn": ["scnn_streams.json"],
+    "convert --to-bnn": ["binary_network.json"],
+    "energy": ["energy.json"],
+}
+
+
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -68,6 +82,7 @@ class TestFit:
         doc = json.loads(sine_net.read_text())
         assert doc["N"] == 8 and doc["n"] == 1
         assert doc["meta"]["seed"] == 6  # CLI-written artifacts carry metadata too
+        assert sorted(os.listdir(sine_net.parent)) == OUTPUT_FILES["fit"]
 
     def test_missing_target_is_usage_error(self, tmp_path):
         assert run("fit", "--N", "4", "--out-dir", tmp_path) == 2
@@ -339,8 +354,7 @@ class TestSweep:
         assert "failure_rate" in header
         summary = json.loads((tmp_path / "sweep_summary.json").read_text())
         assert "slope_median" in summary and "rows" in summary
-        plot = (tmp_path / "sweep_plot.csv").read_text().splitlines()
-        assert sum(1 for l in plot if not l.startswith("#")) == 3  # header + 2 rows
+        assert sorted(os.listdir(tmp_path)) == OUTPUT_FILES["sweep"]
 
     def test_one_stream_length_writes_null_slopes(self, sine_net, tmp_path):
         # One M leaves the log-log slopes undefined; JSON has no NaN.
@@ -463,6 +477,7 @@ class TestBound:
         assert "PASS" in out
         report = json.loads((tmp_path / "bound_report.json").read_text())
         assert report["failure_rate"] <= report["threshold"]
+        assert sorted(os.listdir(tmp_path)) == OUTPUT_FILES["bound --validate"]
 
     def test_validate_mux_memory_at_long_M(self, tmp_path):
         # epsilon 0.5, delta 0.25, alpha_sum 256 give M_min = 2^22 + 1. An
@@ -489,6 +504,7 @@ class TestConvert:
                    "--seed", "5", "--out-dir", tmp_path) == 0
         doc = json.loads((tmp_path / "binary_network.json").read_text())
         assert doc["binary"] is True and doc["m"] == 1
+        assert sorted(os.listdir(tmp_path)) == OUTPUT_FILES["convert --binarize"]
 
     def test_round_trip_bit_identical(self, bnn_file, tmp_path, capsys):
         a = tmp_path / "scnn"
@@ -503,6 +519,8 @@ class TestConvert:
         back = json.loads((b / "binary_network.json").read_text())
         for k in ("binary_weights", "binary_biases", "m", "N", "output_weights", "activation"):
             assert orig[k] == back[k]
+        assert sorted(os.listdir(a)) == OUTPUT_FILES["convert --to-scnn"]
+        assert sorted(os.listdir(b)) == OUTPUT_FILES["convert --to-bnn"]
 
     def test_to_scnn_converts_once_and_writes_the_bundle_it_checked(self, bnn_file, tmp_path, monkeypatch):
         bundles, to_scnn = [], transform.bnn_to_scnn
@@ -930,9 +948,9 @@ class TestEnergy:
         out = capsys.readouterr().out
         assert "xnor_ops: 2048" in out
         doc = json.loads((tmp_path / "energy.json").read_text())
-        assert doc["xnor_ops"] == 2048
-        csv_lines = (tmp_path / "energy.csv").read_text().splitlines()
-        assert any(l.startswith("xnor_ops,2048") for l in csv_lines)
+        counts = {"xnor_ops": 2048, "and_ops": 0, "mux_select_ops": 0, "apc_bit_adds": 2048 * 9, "total": 2048 * 10}
+        assert {k: doc[k] for k in counts} == counts
+        assert sorted(os.listdir(tmp_path)) == OUTPUT_FILES["energy"]
 
     def test_bnn_parameterization_matches(self, capsys):
         assert run("energy", "--bnn", "--m", "256", "--N", "8", "--mode", "apc") == 0

@@ -18,6 +18,9 @@ check always fails.
                                                    preactivation_equivalence_check
     the k = 2 MUX select bit inverted              a golden MUX pin of the n = 1 sine
                                                    net, TestMuxSelect at k = 2
+    mux_add tallying k select cells, not k - 1     the counted gates against the
+                                                   closed form (TestCounterAgreement),
+                                                   c8 counted on both sides of the bridge
 
 Expected survivors, each a gap that no check closes yet:
     the bound with n^2 in place of (n + 1)^2       c5's Monte-Carlo half (see
@@ -26,6 +29,10 @@ Expected survivors, each a gap that no check closes yet:
                                                    composition, whose `mux_add` shares
                                                    `_mux_select` (see
                                                    `test_inverted_select_survives_the_scalar_oracle`)
+    accumulator_width one bit too wide             every energy-row check: the counted
+                                                   `apc_sum` and the closed form
+                                                   `layer_energy` share the width (see
+                                                   `test_wide_accumulator_survives_the_energy_checks`)
 """
 
 import re
@@ -36,17 +43,20 @@ import numpy as np
 import pytest
 
 import scbnn.bitstream
+import scbnn.energy
 import scbnn.scgates
 import scbnn.scnn
 import scbnn.theory
 import scbnn.transform
 import test_acceptance as acceptance_tests
 import test_bitstream as bitstream_tests
+import test_energy as energy_tests
 import test_golden as golden_tests
 import test_scgates as scgates_tests
+import test_scnn as scnn_tests
 import test_theory as theory_tests
-from scbnn import (AccumulationMode, Activation, BinaryNetwork, Bitstream, Encoding, ScnnConfig, StreamKey,
-                   preactivation_equivalence_check)
+from scbnn import (AccumulationMode, Activation, BinaryNetwork, Bitstream, Encoding, GateCounts, ScnnConfig,
+                   StreamKey, preactivation_equivalence_check)
 from scbnn.bitstream import _DRAW_BLOCK, key_layout
 
 
@@ -129,6 +139,33 @@ def sine_mux_pin():
     golden_tests.TestGoldenBytes().test_sine_forward(golden_tests.readme_sine_net(), AccumulationMode.MUX, 64)
 
 
+def select_per_input(patch):
+    # One select cell per input stream: k per clock, where a k-input MUX needs k - 1.
+    real = scbnn.scgates.mux_add
+
+    def mux_add(streams, key):
+        scbnn.scgates.add_counts(GateCounts(mux_select_ops=streams[0].length))
+        return real(streams, key)
+    patch.setattr(scbnn.scgates, "mux_add", mux_add)
+
+
+def wide_accumulator(patch):
+    # One bit too wide except where input_bits + 1 is a power of two; both readers patched.
+    for module in (scbnn.scgates, scbnn.energy):
+        patch.setattr(module, "accumulator_width", lambda input_bits: input_bits.bit_length() + 1)
+
+
+def counters_match_closed_form():
+    """TestCounterAgreement's check in both modes at one layer size, its
+    inner test called without Hypothesis."""
+    check = energy_tests.TestCounterAgreement.test_counters_match_closed_form.hypothesis.inner_test
+    for mode in AccumulationMode:
+        check(energy_tests.TestCounterAgreement(), 3, 8, 2, mode)
+
+
+counted_on_both_sides = acceptance_tests.TestAcceptance().test_c8_energy_counted_on_both_sides_of_the_bridge
+
+
 MUTATIONS = [
     pytest.param(shared_streams(lambda unit: 0 * unit, lambda unit: unit),
                  [(lambda: distinct_sweep_keys(AccumulationMode.APC), "2160 of 8100 keys repeat")], id="A"),
@@ -152,6 +189,10 @@ MUTATIONS = [
         (sine_mux_pin, re.escape(golden_tests.SINE_FORWARD[("mux", 64)])),
         (lambda: scgates_tests.TestMuxSelect().test_chunked_draws_equal_one_shot_draw(2, 7), "array_equal"),
     ], id="inverted-k2-select"),
+    pytest.param(select_per_input, [
+        (counters_match_closed_form, "mux_select_ops"),
+        (counted_on_both_sides, "criterion 8 energy model, counted"),
+    ], id="mux-select-per-input"),
 ]
 
 
@@ -187,3 +228,19 @@ def test_inverted_select_survives_the_scalar_oracle():
     with pytest.MonkeyPatch.context() as patch:
         inverted_select(patch)
         golden_tests.forward_matches_scalar(golden_tests.readme_sine_net(), [0.25], cfg)
+
+
+def test_wide_accumulator_survives_the_energy_checks():
+    # Expected survivor: the counted `apc_sum` and the closed form
+    # `layer_energy` read one `accumulator_width`, so every count the energy
+    # row compares agrees with itself under the mutation. A pinned count
+    # (TestClosedForm's APC neuron, the energy golden pin) is what sees it.
+    with pytest.MonkeyPatch.context() as patch:
+        wide_accumulator(patch)
+        counters_match_closed_form()
+        acceptance_tests.TestAcceptance().test_c8_energy_model()
+        counted_on_both_sides()
+        with pytest.MonkeyPatch.context() as recorder:
+            scnn_tests.TestForwardScnnGrid().test_one_forward_call_and_one_layer_of_gates_per_point(recorder)
+        with pytest.raises(AssertionError, match="apc_bit_adds"):
+            energy_tests.TestClosedForm().test_apc_neuron()

@@ -1,7 +1,9 @@
 """The README names only what the package holds: its "Package layout"
 table names what each module holds, every backticked dotted name rooted in
 the package resolves, every test and ROADMAP item its claims ledger cites
-exists, and every command and flag it shows is one the CLI takes."""
+exists, every command and flag it shows is one the CLI takes, and it lists
+the files each command writes. ROADMAP's source-size figure is the
+source's line count."""
 
 import argparse
 import dataclasses
@@ -15,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import scbnn
+import test_cli
 from scbnn import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -68,12 +71,12 @@ def test_named_identifiers_exist(module_name, names):
 def _package_names() -> list[str]:
     """Backticked names outside code blocks, a trailing call dropped, whose
     first dotted part is `scbnn`, a module of the package or a class it
-    exports; numpy names are left out."""
+    exports; numpy names and file names (`energy.json`) are left out."""
     roots = {"scbnn", *MODULES, *(name for name, value in vars(scbnn).items() if inspect.isclass(value))}
     text = re.sub(r"^```.*?^```", "", README.read_text(encoding="utf-8"), flags=re.S | re.M)
     spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", text))
     names = (m[1] for span in spans if (m := re.fullmatch(r"([A-Za-z_]\w*(?:\.\w+)*)(?:\(.*\))?", span)))
-    return sorted({name for name in names if name.split(".")[0] in roots})
+    return sorted({name for name in names if name.split(".")[0] in roots and not name.endswith((".json", ".csv"))})
 
 
 def _resolves_dotted(name: str) -> bool:
@@ -187,3 +190,23 @@ def test_backticked_flags_are_cli_options():
     assert "--to-scnn" in flags
     unknown = sorted(flags - options)
     assert not unknown, f"README names {unknown}, which no subcommand takes"
+
+
+def test_output_files_are_what_each_command_writes():
+    # test_cli.py checks OUTPUT_FILES against each command's --out-dir; the
+    # README lists their union per command.
+    intro = "Each command writes these files to its `--out-dir`, and no others:"
+    block = README.read_text(encoding="utf-8").split(intro, 1)[1].split("\n\n", 2)[1]
+    listed = {item[1]: set(re.findall(r"`(\w+\.(?:json|csv))`", item[2]))
+              for item in re.finditer(r"^- `(\w+)[^`]*`: (.*(?:\n  .*)*)", block, flags=re.M)}
+    written = {}
+    for command, files in test_cli.OUTPUT_FILES.items():
+        written.setdefault(command.split()[0], set()).update(files)
+    assert listed == written
+
+
+def test_roadmap_size_figure_is_the_source_size():
+    figure = re.search(r"`wc -l src/scbnn/\*\.py`, (\d+) lines now", ROADMAP.read_text(encoding="utf-8"))
+    lines = sum(path.read_bytes().count(b"\n") for path in (README.parent / "src" / "scbnn").glob("*.py"))
+    assert figure, "ROADMAP aim 2 states no source size"
+    assert int(figure[1]) == lines, f"ROADMAP aim 2 says {figure[1]} lines; src/scbnn/*.py has {lines}"
