@@ -5,14 +5,14 @@ product `bias_scale`), SC dot products, exact activation and output layer.
 ones, and the one place a pass range-checks its input points (the network
 holds its weights and biases within their scales); `forward_scnn` reads one
 point's counts out. `forward_scnn_grid` runs both at every grid row for
-`theory`'s one Monte-Carlo trial loop, a chunk of rows at a time.
+`theory`'s one Monte-Carlo trial loop, chunked by `_GRID_BYTES` alone.
 
 Independence discipline: every (role, unit i, coordinate j) triple gets its
 own substream, so the same input coordinate feeding two units is re-encoded
 independently per unit. Results are pure functions of (net, x, config).
 
-Counts are streamed over clocks: each 2^16-clock block of the whole hidden
-layer is drawn and reduced before the next, so a forward holds a few MiB at
+Counts are streamed over clocks: each 2^16-clock block of a chunk's hidden
+layers is drawn and reduced before the next, so a forward holds a few MiB at
 any M up to `M_FEASIBLE_CAP`. Gate tallies come from the closed form
 `energy.layer_energy`, tested against the scalar gates of `scgates`.
 """
@@ -73,9 +73,11 @@ def _unit_ones(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: 
     draws every row's S = N(2n + 1) weight, input and bias streams, rows
     [r·S, (r+1)·S) of each clock block, which is reduced as it arrives: APC
     by one `apc_ones` over all R·N units, MUX by `_mux_select` per (row,
-    unit) under its select key. A point of a dimension other than `net.n`,
-    or a coordinate beyond `net.input_scale` or NaN, is refused before
-    anything is drawn, naming the first such coordinate in row order."""
+    unit) under a generator of its select key, made at its first block and
+    kept only while a later block follows, so no count depends on the
+    chunking. A point of a dimension other than `net.n`, or a coordinate
+    beyond `net.input_scale` or NaN, is refused before anything is drawn,
+    naming the first such coordinate in row order."""
     R, N, n = len(points), net.N, net.n
     if points.shape[-1] != n:
         raise ValueError(f"input has dimension {points.shape[-1]}, network expects {n}")
@@ -91,8 +93,7 @@ def _unit_ones(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: 
     blocks = encode_blocks(probs, fold_seeds(_key_layout(N, n), seeds).reshape(-1, 2), M)
     apc = mode is AccumulationMode.APC
     select = () if apc else fold_seeds(key_layout([("select", np.arange(N), 0)]), seeds)
-    # Only a one-row chunk has several blocks, so only its select generators outlive a block.
-    gens = [np.random.Generator(np.random.Philox(key=k)) for k in select[0]] if R == 1 and not apc else ()
+    gens = {}
     ones = np.zeros((R, N), dtype=np.int64)
     for lo, bits in zip(range(0, M, _DRAW_BLOCK), blocks):
         width = min(_DRAW_BLOCK, M - lo)
@@ -103,8 +104,10 @@ def _unit_ones(net: ReferenceNetwork, points: np.ndarray, seeds: np.ndarray, M: 
         else:
             products = zero_pad_bits(~(w_bits ^ x_bits), width)
             for r, i in np.ndindex(R, N):
-                gen = gens[i] if gens else np.random.Generator(np.random.Philox(key=select[r, i]))
+                gen = gens.pop((r, i)) if lo else np.random.Generator(np.random.Philox(key=select[r, i]))
                 ones[r, i] += int(np.bitwise_count(_mux_select([*products[r, i], b_bits[r, i]], width, gen)).sum())
+                if lo + width < M:
+                    gens[r, i] = gen
     return ones
 
 
@@ -143,20 +146,19 @@ def forward_scnn_grid(net: ReferenceNetwork, grid, cfg: ScnnConfig, *indices: in
     (a sweep passes (m_index, trial), bound validation (trial,)).
 
     Rows are reduced to their units' counts of ones by `_unit_ones` a chunk
-    at a time: at M up to one clock block, as many rows as `_GRID_BYTES`
-    holds in one `encode_blocks` call (the array Philox path from 512
-    streams of at most 24 bits), longer rows one by one. Each chunk is
-    checked as it is drawn, so a bad row raises `forward_scnn`'s error for
-    its first bad coordinate after the chunks before it have run. Each row
-    is one `forward_scnn(net, x, cfg, ones)` call on its counts, with its
-    own gate tally. A grid with no rows is a ValueError.
+    at a time, each as many rows as `_GRID_BYTES` holds at this M (at least
+    one), drawn in one `encode_blocks` call. Each chunk is checked as it is
+    drawn, so a bad row raises `forward_scnn`'s error for its first bad
+    coordinate after the chunks before it have run. Each row is one
+    `forward_scnn(net, x, cfg, ones)` call on its counts, with its own gate
+    tally. A grid with no rows is a ValueError.
     """
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if not len(grid):
         raise ValueError("grid is empty")
     M, S = cfg.M, net.N * (2 * net.n + 1)
     seeds = cfg.key.derive_seeds(*indices, rows=len(grid))
-    rows = max(1, _GRID_BYTES // (S * (24 + (M + 7) // 8))) if M <= _DRAW_BLOCK else 1
+    rows = max(1, _GRID_BYTES // (S * (24 + (M + 7) // 8)))
     out = np.empty(len(grid))
     for start in range(0, len(grid), rows):
         points = grid[start : start + rows]

@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bitstream import StreamKey
-from .netcore import ReferenceNetwork, TargetFunction, forward_reference, unit_grid
+from .netcore import ReferenceNetwork, TargetFunction, forward_reference
 from .scgates import AccumulationMode, GateCounts, add_counts, counting
 from .scnn import M_FEASIBLE_CAP, ScnnConfig, forward_scnn_grid
 
@@ -217,7 +217,7 @@ def bound_validation(
     f: TargetFunction,
     trials: int,
     key: StreamKey,
-    grid: np.ndarray | None = None,
+    grid: np.ndarray,
     mode: AccumulationMode = AccumulationMode.APC,
 ) -> BoundReport:
     """Run the SCNN at M = m_min_bound(q) and check that the empirical
@@ -239,8 +239,6 @@ def bound_validation(
         raise ValueError(f"A = {A!r} (from {source}) is below the network's sum |alpha| = {net.alpha_sum!r}")
     if trials < 1:
         raise ValueError(f"need trials >= 1, got {trials}")
-    if grid is None:
-        grid = unit_grid(net.n, 9)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     g_ref, g_target = forward_reference(net, grid), f(grid)
     values = _run_trials(net, grid, [(ScnnConfig(M, key, mode), (t,)) for t in range(trials)], 1)

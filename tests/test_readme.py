@@ -3,7 +3,9 @@ table names what each module holds, every backticked dotted name rooted in
 the package resolves, every test and ROADMAP item its claims ledger cites
 exists, every command and flag it shows is one the CLI takes, and it lists
 the files each command writes. ROADMAP's source-size figure is the
-source's line count."""
+source's line count. The measured S × M table that sets the draw-path
+thresholds reads the same in README and in the `bitstream` docstring, and
+the thresholds follow it."""
 
 import argparse
 import dataclasses
@@ -18,7 +20,7 @@ import pytest
 
 import scbnn
 import test_cli
-from scbnn import cli
+from scbnn import bitstream, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 ROADMAP = README.parent / "ROADMAP.md"
@@ -210,3 +212,32 @@ def test_roadmap_size_figure_is_the_source_size():
     lines = sum(path.read_bytes().count(b"\n") for path in (README.parent / "src" / "scbnn").glob("*.py"))
     assert figure, "ROADMAP aim 2 states no source size"
     assert int(figure[1]) == lines, f"ROADMAP aim 2 says {figure[1]} lines; src/scbnn/*.py has {lines}"
+
+
+def _time_table(text: str) -> dict[tuple[int, int], tuple[str, str]]:
+    """{(S, M): (array ms, re-keyed ms)} of the S × M table of milliseconds
+    per call in `text`: the lines from its "S ... M = 1" header to the next
+    blank line."""
+    header, *rows = re.search(r"^[ |]*S[ |]+M = 1 .*(?:\n.*\S.*)*", text, flags=re.M)[0].splitlines()
+    Ms = [int(M) for M in re.findall(r"M = (\d+)", header)]
+    table = {}
+    for row in rows:
+        if S := re.match(r"[ |]*(\d+)\b", row):
+            pairs = re.findall(r"(\d+\.\d+) / (\d+\.\d+)", row)
+            assert len(pairs) == len(Ms), f"row {row!r} has {len(pairs)} cells for {len(Ms)} columns"
+            table.update({(int(S[1]), M): pair for M, pair in zip(Ms, pairs)})
+    return table
+
+
+def test_draw_path_thresholds_follow_the_measured_table():
+    # The array path is the faster one exactly where `_blocks` takes it: at
+    # M <= _ARRAY_MAX_M in rows of at least _ARRAY_MIN_S streams, nowhere in
+    # smaller rows.
+    table = _time_table(bitstream.__doc__)
+    assert len(table) >= 20
+    assert _time_table(README.read_text(encoding="utf-8")) == table
+    wrong = [
+        (S, M) for (S, M), (array, rekeyed) in table.items()
+        if (float(array) < float(rekeyed)) != (S >= bitstream._ARRAY_MIN_S and M <= bitstream._ARRAY_MAX_M)
+    ]
+    assert not wrong, f"at (S, M) = {wrong} the table's faster path is not the one `_blocks` takes"

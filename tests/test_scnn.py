@@ -346,14 +346,15 @@ class TestForwardScnnGrid:
         assert draws == [12, 12]
         assert counts.as_dict() == layer_energy(1, 16, 2 * 4, mode).classes()
 
-    @pytest.mark.parametrize("M", [1, 16, 24, 25, 64, _DRAW_BLOCK, _DRAW_BLOCK + 8])
+    @pytest.mark.parametrize("M", [1, 16, 24, 25, 64, _DRAW_BLOCK, _DRAW_BLOCK + 8, 2 * _DRAW_BLOCK + 5])
     @pytest.mark.parametrize("mode", list(AccumulationMode))
     @pytest.mark.parametrize("net", [net_of([[0.7], [-1.2]], [0.2, 0.5], [1.0, -0.5]), TWO_INPUT_NET],
                              ids=["k2", "k3"])
     def test_chunked_draw_equals_rows_drawn_alone(self, monkeypatch, net, mode, M):
-        # A budget of two rows splits 7 rows into chunks of 2, 2, 2 and 1;
-        # rows longer than one clock block each draw their own streams.
-        # TWO_INPUT_NET's MUX over k = 3 terms selects through `integers`.
+        # A budget of two rows splits 7 rows into chunks of 2, 2, 2 and 1 at
+        # every M, so two-row chunks also span several clock blocks.
+        # TWO_INPUT_NET's MUX over k = 3 terms selects through `integers`,
+        # whose draws cross two block boundaries at 2 * _DRAW_BLOCK + 5.
         S = net.N * (2 * net.n + 1)
         monkeypatch.setattr(scnn, "_GRID_BYTES", 2 * S * (24 + (M + 7) // 8) + 1)
         draws = []
@@ -362,7 +363,7 @@ class TestForwardScnnGrid:
         grid = np.linspace(-1.0, 1.0, 7 * net.n).reshape(7, net.n)
         with counting() as counts:
             got = forward_scnn_grid(net, grid, ScnnConfig(M, KEY, mode), 5)
-        assert draws == ([2 * S, 2 * S, 2 * S, S] if M <= _DRAW_BLOCK else [S] * 7)
+        assert draws == [2 * S, 2 * S, 2 * S, S]
         assert counts.as_dict() == layer_energy(net.n, M, net.N * 7, mode).classes()
         want = [forward_scnn(net, x, ScnnConfig(M, KEY.derive(5, p), mode)) for p, x in enumerate(grid)]
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
@@ -401,6 +402,26 @@ class TestForwardScnnGrid:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak <= scnn._GRID_BYTES + 3 * 2**19
+
+    @pytest.mark.parametrize("mode", list(AccumulationMode))
+    def test_chunks_past_one_block_stay_within_the_budget(self, monkeypatch, mode):
+        # 64 rows of 3 streams at M = 2^17 + 5 are 3.0 MiB by the budget's
+        # count; it takes them in chunks of 21 rows, each drawn and reduced
+        # one clock block at a time, with its select generators kept
+        # between blocks. The peak read 1.56 MiB in APC mode and 2.36 MiB
+        # in MUX mode.
+        net = net_of([[0.7]], [0.2], [1.0])
+        draws = []
+        real_encode_blocks = scnn.encode_blocks
+        monkeypatch.setattr(scnn, "encode_blocks", lambda p, k, m: draws.append(np.size(p)) or real_encode_blocks(p, k, m))
+        tracemalloc.start()
+        try:
+            forward_scnn_grid(net, np.linspace(-1.0, 1.0, 64)[:, None], ScnnConfig(2 * _DRAW_BLOCK + 5, KEY, mode), 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert draws == [63, 63, 63, 3]
         assert peak <= scnn._GRID_BYTES + 3 * 2**19
 
 

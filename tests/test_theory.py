@@ -281,7 +281,7 @@ class TestBoundValidation:
         f = make_target("linear", 1)
         net = fit_reference(f, 2, unit_grid(1, 256), StreamKey(1))
         q = BoundQuery(1, 2, 0.5, 0.25, alpha_sum=max(2.0, net.alpha_sum))
-        rep = bound_validation(q, net, f, trials=20, key=StreamKey(12))
+        rep = bound_validation(q, net, f, trials=20, key=StreamKey(12), grid=unit_grid(net.n, 9))
         assert rep.M == m_min_bound(q)
         assert rep.passed
         assert rep.failure_rate <= rep.threshold
@@ -290,7 +290,7 @@ class TestBoundValidation:
         f = make_target("linear", 1)
         net = fit_reference(f, 2, unit_grid(1, 64), StreamKey(1))
         q = BoundQuery(1, 2, 10.0, 0.5, alpha_sum=1.0)
-        rep = bound_validation(q, net, f, trials=10, key=KEY)
+        rep = bound_validation(q, net, f, trials=10, key=KEY, grid=unit_grid(net.n, 9))
         assert rep.failure_rate == 0.0
 
     @pytest.mark.parametrize("query, message", [
@@ -304,7 +304,7 @@ class TestBoundValidation:
         f = make_target("linear", 1)
         net = fit_reference(f, 2, unit_grid(1, 64), StreamKey(1))
         with pytest.raises(ValueError) as raised:
-            bound_validation(query, net, f, trials=10, key=KEY)
+            bound_validation(query, net, f, trials=10, key=KEY, grid=unit_grid(net.n, 9))
         assert str(raised.value) == message.format(net.alpha_sum)
 
     def test_empty_grid_is_refused(self):
@@ -319,7 +319,7 @@ class TestBoundValidation:
         net = fit_reference(f, 2, unit_grid(1, 16), StreamKey(1))
         q = BoundQuery(3, 64, 0.01, 0.01)
         with pytest.raises(InfeasibleBoundError, match="2\\^26"):
-            bound_validation(q, net, f, trials=10, key=KEY)
+            bound_validation(q, net, f, trials=10, key=KEY, grid=unit_grid(net.n, 9))
 
 
 def record_keys(monkeypatch) -> list:
